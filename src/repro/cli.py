@@ -415,6 +415,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.record_trace and args.backend != "live":
         print("error: --record-trace requires --backend live", file=sys.stderr)
         return 2
+    if args.backend == "live" and args.parallel:
+        print(
+            "error: --backend live cannot run seeds in parallel: they would "
+            "reconfigure and restart the same server concurrently; drop "
+            "--parallel (sequential and --wave runs evaluate one seed at a "
+            "time)",
+            file=sys.stderr,
+        )
+        return 2
     if args.backend != "sim" and args.fault_rate > 0:
         print(
             "error: --fault-rate injects faults into the simulator backend; "

@@ -36,7 +36,6 @@ from repro.tuning.fault_injection import FaultInjectingSimulator
 from repro.tuning.faults import FaultPolicy, VirtualClock
 from repro.tuning.metrics import ComparisonSummary, summarize_comparison
 from repro.tuning.session import TuningResult, TuningSession
-from repro.tuning import shm_transport
 from repro.tuning.wave import run_wave
 from repro.workloads.base import Workload
 from repro.workloads.catalog import get_workload
@@ -372,42 +371,9 @@ def llamatune_factory(
 
 
 def _run_seed(spec: SessionSpec, seed: int) -> TuningResult:
-    """Module-level worker so process pools can pickle the call."""
+    """Module-level worker so process pools can pickle the call (the
+    result comes back through the pool's own pickling)."""
     return spec.build(seed).run()
-
-
-def _run_seed_transport(spec: SessionSpec, seed: int):
-    """Process-pool worker with zero-copy result transport: run the
-    seed, then pack the observation matrices into a shared-memory frame
-    (:mod:`repro.tuning.shm_transport`) so only a small handle crosses
-    the pickle channel.  Falls back to returning the plain result when
-    the transport is disabled or the encode fails."""
-    session = spec.build(seed)
-    result = session.run()
-    if not shm_transport.transport_enabled():
-        return result
-    try:
-        return shm_transport.encode_result(
-            result, session.optimizer.space, session.adapter.target_space
-        )
-    except (OSError, ValueError, TypeError):
-        return result
-
-
-def _receive_transported(spec: SessionSpec, seed: int, payload):
-    """Parent-side counterpart of :func:`_run_seed_transport`: decode a
-    shared-memory handle against spaces rebuilt deterministically from
-    the spec (plain results pass through untouched)."""
-    if not isinstance(payload, shm_transport.ShmResult):
-        return payload
-    space = space_for_version(spec.version)
-    if spec.adapter is None:
-        adapter: SearchSpaceAdapter = IdentityAdapter(space)
-    else:
-        adapter = spec.adapter(space, seed)
-    return shm_transport.decode_result(
-        payload, adapter.optimizer_space, adapter.target_space
-    )
 
 
 def available_cpus() -> int:
@@ -475,16 +441,19 @@ def run_spec(
     With ``parallel=True`` the seeds run concurrently (one session per
     seed; sessions share no mutable state, so results are identical to the
     sequential order).  ``max_workers`` defaults to
-    ``min(len(seeds), cpu_count)``.
+    ``min(len(seeds), cpu_count)``.  Every session runs the same round
+    loop (:func:`repro.tuning.wave.drive`) whichever ``mode`` runs it.
 
     ``mode`` picks the execution strategy: ``"thread"`` (default) helps
     when evaluations block — a real DBMS benchmark run, the paper's
     5-minute workloads — but the microsecond-scale simulator is GIL-bound,
-    so simulated seeds run at parity there.  ``"process"`` sidesteps the
-    GIL entirely: specs, adapters (:class:`LlamaTuneFactory`), and results
-    are all picklable, so each seed runs in its own interpreter and true
-    multi-core speedup applies to simulated sweeps as well (worker startup
-    is the overhead to amortize — use it for full-length sessions, not
+    so simulated seeds run at parity there; threads are also the only
+    pool for specs that do not pickle.  ``"process"`` sidesteps the GIL
+    entirely: specs, adapters (:class:`LlamaTuneFactory`), and results
+    are all picklable, so each seed runs in its own interpreter and
+    returns its :class:`TuningResult` through the pool's own pickling —
+    the only multi-core path for simulated sweeps (worker startup is the
+    overhead to amortize — use it for full-length sessions, not
     micro-runs).  ``"wave"`` runs the seeds in lockstep waves with one
     stacked model phase and one cross-session evaluation per round
     (:func:`repro.tuning.wave.run_wave`): per-seed trajectories stay
@@ -494,14 +463,14 @@ def run_spec(
     ``wave_shared_pool``/``wave_pool_seed`` opt into the wave scheduler's
     shared candidate-pool protocol (trajectories then differ from
     sequential but remain reproducible per ``(spec, seed, pool_seed)``).
-
     In ``"wave"`` mode ``max_workers`` sets the wave's worker-thread
     count (``spec.wave_threads``/``REPRO_WAVE_THREADS`` otherwise;
-    byte-identical trajectories at any value).  In ``"process"`` mode
-    each worker ships its result back through a shared-memory frame
-    instead of pickling every configuration
-    (:mod:`repro.tuning.shm_transport`; ``REPRO_SHM_TRANSPORT=0`` falls
-    back to plain pickling, identical results).
+    byte-identical trajectories at any value).
+
+    ``backend="live"`` refuses ``parallel=True``: every seed's driver
+    would ``ALTER SYSTEM`` and restart the same server concurrently, so
+    one seed could measure under another seed's configuration.
+    Sequential and wave runs evaluate live members one at a time.
     """
     if mode not in ("thread", "process", "wave"):
         raise ValueError(
@@ -525,22 +494,19 @@ def run_spec(
             spec, seeds, shared_pool=wave_shared_pool,
             pool_seed=wave_pool_seed, threads=max_workers,
         )
+    if parallel and spec.backend == "live":
+        raise ValueError(
+            "backend='live' cannot run seeds in parallel: they would "
+            "reconfigure and restart the same server concurrently; drop "
+            "parallel=True (sequential and mode='wave' runs evaluate one "
+            "seed at a time)"
+        )
     if parallel and len(seeds) > 1:
         workers = max_workers or min(len(seeds), available_cpus())
-        if mode == "process":
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                payloads = list(
-                    executor.map(
-                        _run_seed_transport, [spec] * len(seeds), seeds
-                    )
-                )
-            return [
-                _receive_transported(spec, seed, payload)
-                for seed, payload in zip(seeds, payloads)
-            ]
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            return list(executor.map(lambda seed: spec.build(seed).run(), seeds))
-    return [spec.build(seed).run() for seed in seeds]
+        pool = ProcessPoolExecutor if mode == "process" else ThreadPoolExecutor
+        with pool(max_workers=workers) as executor:
+            return list(executor.map(_run_seed, [spec] * len(seeds), seeds))
+    return [_run_seed(spec, seed) for seed in seeds]
 
 
 def mean_best_curve(results: Sequence[TuningResult]) -> np.ndarray:

@@ -5,11 +5,11 @@ controller in the E2ETune mold: many tenants hold concurrent
 :class:`~repro.tuning.session.TuningSession`\\ s open against one server,
 drive them through ``suggest``/``observe`` coroutines, and the server
 multiplexes every concurrently-pending ``suggest`` into one
-**heterogeneous wave** model phase
-(:func:`~repro.tuning.wave.score_rounds`): all forest-backed tenants —
-regardless of spec — score in a single stacked ``predict_mean_var``
-super-table call plus one EI pass, exactly as the offline wave scheduler
-does for same-host sweeps.
+**heterogeneous wave** suggestion step
+(:func:`~repro.tuning.wave.suggest_wave`, the step every wave round
+runs): all forest-backed tenants — regardless of spec — score in a
+single stacked ``predict_mean_var`` super-table call plus one EI pass,
+exactly as the offline wave scheduler does for same-host sweeps.
 
 **Protocol.**  Sessions are keyed by ``(tenant_id, spec_token, seed)``
 (:class:`SessionKey`).  Per key, at most one suggestion may be
@@ -22,12 +22,12 @@ sessions must be built with ``suggest_batch=1``.
 
 **Determinism.**  The split-phase optimizer API guarantees
 ``suggest_prepare`` + stacked scoring + ``suggest_select`` is
-byte-identical to the sequential ``suggest()`` — so a tenant that
+byte-identical to the solo session's round — so a tenant that
 evaluates its suggestions with its session's own simulator and noise
 stream reproduces its solo ``run_spec`` trajectory *exactly*, no matter
 how many other tenants' rounds were batched into the same waves or how
 requests interleaved (``tests/test_server.py`` pins this).  Wall-clock
-``suggest_seconds`` follows the wave scheduler's attribution rules —
+``suggest_seconds`` follows the attribution rule every driver uses —
 metadata, outside the contract.
 
 **Gather window.**  A ``suggest`` does not execute immediately: the
@@ -56,7 +56,6 @@ import asyncio
 import dataclasses
 import pathlib
 import re
-import time
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -66,7 +65,7 @@ from repro.tuning.session import (
     TuningResult,
     TuningSession,
 )
-from repro.tuning.wave import SuggestRound, score_rounds
+from repro.tuning.wave import suggest_wave
 
 #: Tenant ids become checkpoint directory names; keep them path-safe.
 _TENANT_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
@@ -475,33 +474,24 @@ class SessionServer:
                 raise
 
     def _run_wave(self, batch: list[_SuggestRequest]) -> None:
-        """One heterogeneous wave over the batch: per-session
-        ``suggest_prepare`` (split-phase), one stacked
-        :func:`~repro.tuning.wave.score_rounds` model phase across all
-        tenants/specs, per-session ``suggest_select`` + adapter
-        conversion, then resolve every waiting future."""
-        rounds: list[SuggestRound] = []
-        requests: list[_SuggestRequest] = []
-        for request in batch:
-            if request.future.done():  # cancelled by close() while queued
-                continue
-            session = request.entry.session
-            started = time.perf_counter()
-            prepared = session.optimizer.suggest_prepare(1)
-            elapsed = time.perf_counter() - started
-            rounds.append(SuggestRound(session, 1, prepared, elapsed))
-            requests.append(request)
-        if not rounds:
+        """One heterogeneous wave over the batch: the wave engine's
+        suggestion step (:func:`~repro.tuning.wave.suggest_wave` —
+        per-session prepare, one stacked model phase across all
+        tenants/specs, adapter conversion), then resolve every waiting
+        future."""
+        requests = [
+            request for request in batch
+            if not request.future.done()  # cancelled by close() while queued
+        ]
+        if not requests:
             return
-        score_rounds(rounds, n_threads=self._wave_threads)
+        rounds = suggest_wave(
+            [request.entry.session for request in requests],
+            n_threads=self._wave_threads,
+        )
         for request, round_ in zip(requests, rounds):
-            session = request.entry.session
-            opt_config = round_.configs[0]
-            target_config = session.adapter.to_target(opt_config)
+            target_config = round_.targets[0]
             request.entry.pending = _PendingSuggest(
-                opt_config,
-                target_config,
-                round_.prepare_seconds + round_.score_seconds,
+                round_.configs[0], target_config, round_.suggest_seconds
             )
-            if not request.future.done():
-                request.future.set_result(target_config)
+            request.future.set_result(target_config)

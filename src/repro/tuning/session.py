@@ -18,7 +18,9 @@ configurations receive one fourth of the worst performance observed so far
 * ``"done"`` — the budget ran out, early stopping fired, or the session
   was *quarantined* (an evaluation exhausted its fault-envelope retries).
 
-:meth:`run` drives ``new → running → done``; :meth:`resume` is
+:meth:`run` drives ``new → running → done`` as a one-member wave of
+:func:`repro.tuning.wave.drive` — the one round loop the wave scheduler
+and the session server share; :meth:`resume` is
 ``load_checkpoint`` + ``run`` and continues **byte-identically** to the
 uninterrupted trajectory — same values, same crash rows, same stream
 positions — because a checkpoint captures every mutable input of the loop
@@ -39,14 +41,13 @@ from __future__ import annotations
 
 import math
 import pathlib
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.pipeline import IdentityAdapter, SearchSpaceAdapter
 from repro.dbms.engine import PostgresSimulator
-from repro.dbms.errors import DbmsCrashError, DbmsError
+from repro.dbms.errors import DbmsError
 from repro.space.configspace import config_fingerprint
 from repro.optimizers.base import Optimizer
 from repro.tuning.early_stopping import EarlyStoppingPolicy
@@ -134,18 +135,18 @@ class TuningSession:
         batch_init: Evaluate the whole LHS init phase through the batch
             pipeline (one ``suggest_init_batch`` decode, one
             ``to_target_batch`` conversion, one ``evaluate_batch`` pass).
-            Results are bit-identical to the scalar loop; disable only to
-            cross-check that equivalence.
-        suggest_batch: Model-phase batch size q.  With q > 1 each round
-            fits the surrogate once, takes the top-q EI-ranked candidates
-            from one shared pool (``Optimizer.suggest_batch``), evaluates
-            them in a single ``evaluate_batch`` pass, and feeds all q
-            results back before the next fit — q-fold fewer model fits
-            per iteration budget.  This is batch Bayesian optimization:
-            the trajectory intentionally differs from q sequential rounds
-            (observations arrive in batches).  The default q = 1 keeps
-            the paper's sequential loop, byte-identical to earlier
-            releases.
+            Results are bit-identical to suggesting the design one point
+            per round; disable only to cross-check that equivalence.
+        suggest_batch: Model-phase batch size q.  Each round fits the
+            surrogate once, takes the top-q EI-ranked candidates from
+            one shared pool (``Optimizer.suggest_batch``, split at the
+            scoring seam), evaluates them in one batch pass, and feeds
+            all q results back before the next fit — q-fold fewer model
+            fits per iteration budget.  This is batch Bayesian
+            optimization: the trajectory intentionally differs from q
+            sequential rounds (observations arrive in batches).  The
+            default q = 1 keeps the paper's sequential loop,
+            byte-identical to earlier releases.
         checkpoint_every: Write a checkpoint at the first round boundary
             at or past every multiple of this many iterations (0 — the
             default — disables periodic checkpoints; :meth:`checkpoint`
@@ -306,58 +307,15 @@ class TuningSession:
 
     def run(self) -> TuningResult:
         """Drive the session to completion (from fresh or from a restored
-        checkpoint) and return its result."""
-        if self._state == "new":
-            self.start()
-            if self.batch_init:
-                # Fast path: the whole LHS init phase is one decode, one
-                # adapter conversion, and one simulator matrix pass.  Every
-                # batch stage is pinned bit-identical to its scalar
-                # counterpart, and outcomes are fed back in order with the
-                # same penalty/early-stop bookkeeping, so the knowledge base
-                # and optimizer state match the scalar loop exactly.
-                started = time.perf_counter()
-                init_configs = self.optimizer.suggest_init_batch()[
-                    : self.n_iterations
-                ]
-                suggest_elapsed = time.perf_counter() - started
-                if init_configs:
-                    target_configs = self.adapter.to_target_batch(init_configs)
-                    outcomes = self._evaluate_batch(target_configs)
-                    self._feed_outcomes(
-                        init_configs, target_configs, outcomes,
-                        suggest_elapsed / len(init_configs),
-                    )
+        checkpoint) and return its result.
 
-        while self.live:
-            q = min(self.suggest_batch, self.n_iterations - self._iteration)
-            if q == 1:
-                started = time.perf_counter()
-                opt_config = self.optimizer.suggest()
-                suggest_seconds = time.perf_counter() - started
+        A session runs as a one-member wave
+        (:func:`repro.tuning.wave.drive`): the same batched init phase
+        and the same prepare → score → convert → evaluate → feed rounds
+        every driver uses, at one thread with no executor."""
+        from repro.tuning.wave import drive  # lazy: wave imports us
 
-                target_config = self.adapter.to_target(opt_config)
-                outcome = self._evaluate_one(target_config)
-                self._feed_outcomes(
-                    [opt_config], [target_config], [outcome], suggest_seconds
-                )
-            else:
-                # Model-phase batch round: one surrogate fit and one
-                # shared candidate pool produce q suggestions, evaluated
-                # in a single simulator matrix pass; outcomes feed back
-                # in order with the same penalty/early-stop bookkeeping
-                # as the scalar loop.
-                started = time.perf_counter()
-                opt_configs = self.optimizer.suggest_batch(q)
-                suggest_elapsed = time.perf_counter() - started
-                target_configs = self.adapter.to_target_batch(opt_configs)
-                outcomes = self._evaluate_batch(target_configs)
-                self._feed_outcomes(
-                    opt_configs, target_configs, outcomes,
-                    suggest_elapsed / len(opt_configs),
-                )
-
-        self._state = "done"
+        drive([self])
         return self.result()
 
     def resume(
@@ -380,11 +338,10 @@ class TuningSession:
         return self.run()
 
     def finish(self) -> TuningResult:
-        """``running → done`` for externally-driven sessions: the
-        terminal transition :meth:`run`'s loop performs, exposed for
-        drivers that feed outcomes through ``_feed_outcomes`` themselves
-        (the session server).  Only legal once the loop has no more
-        rounds (``not live``); returns the result."""
+        """``running → done``: the terminal transition every driver
+        performs once the loop has no more rounds (``not live``) —
+        :func:`repro.tuning.wave.drive` for its sessions, the session
+        server after an ``observe``.  Returns the result."""
         if self._state == "running":
             if self.live:
                 raise RuntimeError(
@@ -409,23 +366,11 @@ class TuningSession:
 
     # --- evaluation dispatch -------------------------------------------------
 
-    def _evaluate_one(self, target_config):
-        """One evaluation: through the fault envelope when a policy is
-        set, else the historical direct call (byte-identical paths when
-        no fault occurs).  Returns Measurement | None (crash) |
-        EXHAUSTED."""
-        if self._envelope is not None:
-            return self._envelope.evaluate(
-                self.simulator, target_config, rng=self.rng
-            )
-        try:
-            return self.simulator.evaluate(target_config, rng=self.rng)
-        except DbmsCrashError:
-            return None
-
     def _evaluate_batch(self, target_configs) -> list:
-        """Batch counterpart of :meth:`_evaluate_one` (row outcomes in
-        order; may be short of the input when a row exhausts retries)."""
+        """Evaluate one round's rows through the session's own dispatch:
+        the fault envelope when a policy is set, else the simulator's
+        batch pass (``Measurement | None`` per row, ``None`` = crash;
+        short of the input when a row exhausts its retries)."""
         if self._envelope is not None:
             return self._envelope.evaluate_batch(
                 self.simulator, target_configs, rng=self.rng
@@ -445,13 +390,14 @@ class TuningSession:
     ) -> None:
         """Apply one round's outcomes in order — THE feedback loop
         (penalty/early-stop/quarantine bookkeeping included), shared by
-        the batched init phase, the scalar and batch model rounds, and
-        the wave scheduler, so every driver stays bit-identical by
-        construction.  An :data:`EXHAUSTED` outcome quarantines the
-        session at the current cursor without recording an observation
-        (the configuration is innocent — a penalty would poison the
-        surrogate); outcomes after an early stop or quarantine are
-        discarded, exactly like the scalar loop exiting.  Ends with the
+        every driver (the init phase and model rounds of
+        :func:`repro.tuning.wave.drive`, and the session server's
+        ``observe``), so they stay bit-identical by construction.  An
+        :data:`EXHAUSTED` outcome quarantines the session at the current
+        cursor without recording an observation (the configuration is
+        innocent — a penalty would poison the surrogate); outcomes after
+        an early stop or quarantine are discarded, exactly as if the loop
+        had ended at that row.  Ends with the
         periodic-checkpoint hook: rounds are the only places checkpoints
         may be written (a batch's noise is drawn up front, so an
         intra-batch snapshot could never resume byte-identically).

@@ -1,4 +1,15 @@
-"""Wave scheduler: lockstep multi-session sweeps with one stacked model phase.
+"""Wave scheduler: the tuning loop, driven in lockstep over one or more sessions.
+
+**One driver.**  :func:`drive` is the paper's loop (Figure 1) for every
+execution strategy: :meth:`TuningSession.run
+<repro.tuning.session.TuningSession.run>` drives its session as a
+one-member wave, :func:`run_wave` / :func:`run_wave_mixed` drive many,
+and the session server runs the same suggestion step
+(:func:`suggest_wave`: prepare → :func:`score_rounds` → adapter
+conversion) for its tenants.  A round of one has nothing to share, so it
+takes the cheapest path: a lone forest scores through its own
+``predict_mean_var``, a lone group member evaluates through its session's
+own dispatch, and ``run()`` starts no thread pool.
 
 ``run_spec(spec, seeds, mode="wave")`` runs S same-spec sessions in
 *waves*: every iteration still fits S surrogates (each on its own seed's
@@ -7,10 +18,11 @@ of the round is executed **once** across all sessions:
 
 * the LHS init phase is one cross-session ``evaluate_batch_stacked`` pass
   over every session's decoded design;
-* each model round's candidate matrices are concatenated and scored in a
-  single stacked ``predict_mean_var`` call over one packed-forest
-  super-table (per-session node-offset slabs; GP surrogates score
-  per-session — dense linear algebra has no shared table to stack);
+* each model round's candidate matrices (two or more forests) are
+  concatenated and scored in a single stacked ``predict_mean_var`` call
+  over one packed-forest super-table (per-session node-offset slabs; GP
+  surrogates score per-session — dense linear algebra has no shared
+  table to stack);
 * expected improvement runs as one pass with per-row incumbents;
 * all suggestions evaluate in one simulator matrix pass per *simulator
   group*, with each session's noise pairs drawn from its own stream.
@@ -35,10 +47,11 @@ multiplex many tenants' different specs over one wave engine.
 rows, penalties, early-stop iterations, and every optimizer/evaluation
 PCG64 stream position — are *byte-identical* to sequential
 ``run_spec(spec, seeds)``, for every member of a wave, mixed specs or
-not: each session's RNG-consuming calls happen in exactly the sequential
-order (``suggest_prepare`` + ``suggest_select`` compose to
+not: each session's RNG-consuming calls happen in exactly the order of
+its solo run (``suggest_prepare`` + ``suggest_select`` compose to
 ``suggest_batch``; stacked evaluation stitches per-session noise blocks;
-stacked scoring and EI are elementwise-identical per slice).
+stacked scoring and EI are elementwise-identical per slice), and the
+recorded determinism pins hold the solo run itself in place.
 ``tests/test_wave.py`` pins this across SMAC, GP-BO, and random search,
 ``tests/test_wave_hetero.py`` across mixed specs and optimizers in one
 wave; DDPG degrades to per-session stepping (its actions pair with
@@ -46,16 +59,15 @@ observes step by step) while still sharing the stacked evaluation.
 
 **Timing attribution** (``suggest_seconds``).  Wall-clock is *metadata*,
 outside the determinism contract — no pin compares it, and checkpoint
-equivalence checks ignore it.  It is still recorded consistently: each
-member's round is attributed its own ``suggest_prepare`` wall-clock,
-its *row-proportional* share of the two stacked passes (the forest
-super-table predict and the single EI pass — proportional to the
-member's candidate-row count, since stacked cost scales with rows), its
-own individually-timed GP predict (GPs score per-session), and its own
-individually-timed ``suggest_select``.  Earlier releases split the
-whole scoring block equally across members, which misattributed large
-members' cost to small ones and, under threaded prepares, double-counted
-overlapped wall-clock into the equal shares.  Note that per-member
+equivalence checks ignore it.  One rule serves every driver (solo
+``run()``, waves, the server): a round is charged its own
+``suggest_prepare`` wall-clock, its *row-proportional* share of each
+shared pass (the stacked forest predict and the single EI pass —
+proportional to its candidate-row count, since stacked cost scales with
+rows), and its own individually-timed predict (a lone forest, GPs) and
+``suggest_select``; each of the round's configurations records that
+total divided by the round's size.  The init phase charges each design
+point an equal share of its ``suggest_init_batch`` call.  Per-member
 wall-clock of *concurrent* prepares still sums to more than elapsed
 time — that is what "metadata" means here.
 
@@ -64,7 +76,7 @@ knowledge base, early-stop/quarantine markers — lives on its
 :class:`~repro.tuning.session.TuningSession` (the resumable state
 machine), and the wave feeds outcomes through the session's own
 ``_feed_outcomes``, so checkpoints, fault handling, and quarantine
-behave identically under both drivers.  A member built from a restored
+behave identically under every driver.  A member built from a restored
 checkpoint simply joins the waves at its cursor (its exhausted init
 design contributes nothing to the stacked init pass); a member whose
 evaluation exhausts its fault-envelope retries is quarantined out of
@@ -99,10 +111,11 @@ stream and writes only its own packed-forest slab, and the walk keeps
 one writer per (tree, row) output cell, so per-seed trajectories,
 forests, leaf indices, and stream positions are byte-identical to
 ``N=1`` under any thread schedule (pinned by
-``tests/test_wave_threads.py``).  ``N=1`` — the default — takes exactly
-the sequential code path, mirroring ``REPRO_FOREST_KERNEL=0``'s
-fallback semantics.  A mixed wave resolves the count as the maximum over
-its specs (execution-strategy only; byte-identical at any value).
+``tests/test_wave_threads.py``).  ``N=1`` — the default — starts no
+executor and runs the prepares in member order, mirroring
+``REPRO_FOREST_KERNEL=0``'s fallback semantics.  A mixed wave resolves
+the count as the maximum over its specs (execution-strategy only;
+byte-identical at any value); a lone session's ``run()`` never reads it.
 """
 
 from __future__ import annotations
@@ -135,12 +148,11 @@ class _Member:
     when the member must evaluate through its own session's dispatch —
     simulator subclasses that customize the evaluation path (failure
     injection, real-DBMS drivers) and sessions running under a fault
-    envelope make the very calls sequential ``run_spec`` makes, so the
+    envelope make the very calls a lone session makes, so the
     byte-identity contract holds for them too, and one member's faults
     can never touch another member's streams.
     """
 
-    seed: int
     session: TuningSession
     group: tuple | None = None
 
@@ -151,19 +163,26 @@ class _Member:
 
 @dataclass
 class SuggestRound:
-    """One session's prepared suggestion round within a stacked model
-    phase — the unit :func:`score_rounds` operates on.  The wave driver
-    attaches its ``member``; the session server scores bare rounds."""
+    """One session's suggestion round: prepared, then scored in a stacked
+    model phase (:func:`score_rounds`), then converted to target space —
+    what :func:`suggest_wave` returns to the wave driver and the session
+    server."""
 
     session: TuningSession
     q: int
     prepared: PreparedSuggest
     prepare_seconds: float
-    member: _Member | None = None
     mean: np.ndarray | None = None
     var: np.ndarray | None = None
     configs: list | None = None
+    targets: list | None = None
     score_seconds: float = field(default=0.0)
+
+    @property
+    def suggest_seconds(self) -> float:
+        """Per-suggestion wall-clock: the round's prepare plus its share
+        of the model phase, split evenly over its configurations."""
+        return (self.prepare_seconds + self.score_seconds) / len(self.configs)
 
 
 def _member_group(session: TuningSession) -> tuple | None:
@@ -257,38 +276,54 @@ def run_wave_mixed(
                 "the pool stream's advance schedule — and the per-seed "
                 "standalone-replay property — is defined per spec"
             )
-    members: list[_Member] = []
-    for spec, seed in tasks:
-        session = spec.build(seed)
+    sessions = [spec.build(seed) for spec, seed in tasks]
+    drive(
+        sessions,
+        threads=max(wave_thread_count(spec, threads) for spec in specs),
+        pool_rng=np.random.default_rng(pool_seed) if shared_pool else None,
+    )
+    return [session.result() for session in sessions]
+
+
+def drive(
+    sessions: Sequence[TuningSession],
+    threads: int = 1,
+    pool_rng: np.random.Generator | None = None,
+) -> None:
+    """THE tuning loop (see the module docstring's one-driver section):
+    start every ``"new"`` session, run the batched init phase
+    (:func:`_stacked_init`), then lockstep rounds (:func:`_wave_round`)
+    until no session is live, and leave every session ``"done"``.
+    ``threads > 1`` runs the prepares on a thread pool; ``pool_rng``
+    opts into the shared-pool protocol."""
+    for session in sessions:
         if session.state == "new":
             session.start()
-        members.append(_Member(seed, session, _member_group(session)))
-    pool_rng = np.random.default_rng(pool_seed) if shared_pool else None
-    n_threads = max(wave_thread_count(spec, threads) for spec in specs)
+    members = [_Member(session, _member_group(session)) for session in sessions]
     executor = (
-        ThreadPoolExecutor(max_workers=n_threads,
-                           thread_name_prefix="wave-fit")
-        if n_threads > 1
+        ThreadPoolExecutor(max_workers=threads, thread_name_prefix="wave-fit")
+        if threads > 1
         else None
     )
     try:
         _stacked_init(members)
         live = [m for m in members if m.live]
         while live:
-            _wave_round(live, pool_rng, executor, n_threads)
+            _wave_round(live, pool_rng, executor, threads)
             live = [m for m in live if m.live]
     finally:
         if executor is not None:
             executor.shutdown()
-
-    return [m.session.result() for m in members]
+    for session in sessions:
+        session.finish()
 
 
 def _evaluate_and_feed(feeds) -> None:
     """Evaluate one wave's rows — one ``evaluate_batch_stacked`` matrix
-    pass per simulator group, own-session dispatch for ungrouped members
-    (fault envelopes, subclassed simulators) — then feed each member's
-    outcomes through its session's ``_feed_outcomes`` in member order.
+    pass per simulator group of two or more members, own-session dispatch
+    for everyone else (a lone group member, fault envelopes, subclassed
+    simulators) — then feed each member's outcomes through its session's
+    ``_feed_outcomes`` in member order.
 
     ``feeds`` rows are ``(member, opt_configs, target_configs,
     per_suggest_seconds)``.  Each member's noise block is drawn from its
@@ -298,20 +333,14 @@ def _evaluate_and_feed(feeds) -> None:
     evaluating alone, in any grouping.
     """
     grouped: dict[tuple, list[int]] = {}
-    order: list[tuple] = []
-    solo: list[int] = []
     for index, (member, __, __, __) in enumerate(feeds):
-        if member.group is None:
-            solo.append(index)
-            continue
-        if member.group not in grouped:
-            grouped[member.group] = []
-            order.append(member.group)
-        grouped[member.group].append(index)
+        if member.group is not None:
+            grouped.setdefault(member.group, []).append(index)
 
     outcomes: dict[int, list] = {}
-    for key in order:
-        indices = grouped[key]
+    for indices in grouped.values():
+        if len(indices) < 2:
+            continue  # a group of one has nothing to stack with
         all_targets = [t for i in indices for t in feeds[i][2]]
         blocks = [
             (feeds[i][0].session.rng, len(feeds[i][2])) for i in indices
@@ -327,11 +356,10 @@ def _evaluate_and_feed(feeds) -> None:
             count = len(feeds[i][2])
             outcomes[i] = stacked[pos:pos + count]
             pos += count
-    for i in solo:
-        member, __, targets, __ = feeds[i]
-        outcomes[i] = member.session._evaluate_batch(targets)
 
     for i, (member, configs, targets, per_suggest) in enumerate(feeds):
+        if i not in outcomes:
+            outcomes[i] = member.session._evaluate_batch(targets)
         member.session._feed_outcomes(
             configs, targets, outcomes[i], per_suggest
         )
@@ -417,20 +445,20 @@ def _stack_candidates(rounds: list[SuggestRound]) -> np.ndarray:
 
 def score_rounds(rounds: Sequence[SuggestRound], n_threads: int = 1) -> None:
     """One stacked model phase over prepared rounds from any mix of
-    sessions/specs: forest-backed rounds score in one
+    sessions/specs: two or more forest-backed rounds score in one
     ``predict_mean_var_stacked`` super-table call (mixed candidate
-    widths zero-padded — byte-identical per slice), GP and other
-    non-stackable surrogates score per-session, expected improvement
-    runs as one pass with per-row incumbents, and each round's
-    ``suggest_select`` finalizes its configs.  Resolved rounds (random
-    interleaves, DDPG) pass through untouched.
+    widths zero-padded — byte-identical per slice); a lone forest, GP
+    and other non-stackable surrogates score through their own
+    ``predict_mean_var``; expected improvement runs as one pass with
+    per-row incumbents, and each round's ``suggest_select`` finalizes
+    its configs.  Resolved rounds (init points, random interleaves,
+    DDPG) pass through untouched.
 
     Fills each round's ``configs`` and ``score_seconds`` in place
     (``score_seconds`` per the module docstring's timing-attribution
-    rules: row-proportional shares of the stacked passes plus the
+    rule: row-proportional shares of the stacked passes plus the
     round's own individually-timed calls — metadata, outside the
-    determinism contract).  Shared by the wave scheduler and the
-    session server, so both drivers' model phases are the same code.
+    determinism contract).
     """
     scorable = [r for r in rounds if not r.prepared.resolved]
     if scorable:
@@ -438,7 +466,7 @@ def score_rounds(rounds: Sequence[SuggestRound], n_threads: int = 1) -> None:
             r for r in scorable
             if isinstance(r.prepared.model, RandomForestRegressor)
         ]
-        if forest_rounds:
+        if len(forest_rounds) > 1:
             started = time.perf_counter()
             stacked = predict_mean_var_stacked(
                 [r.prepared.model for r in forest_rounds],
@@ -457,7 +485,7 @@ def score_rounds(rounds: Sequence[SuggestRound], n_threads: int = 1) -> None:
                     len(r.prepared.candidates) / total_rows
                 )
         for r in scorable:
-            if r.mean is None:  # GP and other non-stackable surrogates
+            if r.mean is None:  # nothing to stack with
                 started = time.perf_counter()
                 r.mean, r.var = r.prepared.model.predict_mean_var(
                     r.prepared.candidates
@@ -491,27 +519,30 @@ def score_rounds(rounds: Sequence[SuggestRound], n_threads: int = 1) -> None:
             r.configs = r.prepared.configs
 
 
-def _wave_round(
-    live: list[_Member],
-    pool_rng: np.random.Generator | None,
-    executor: ThreadPoolExecutor | None = None,
+def suggest_wave(
+    sessions: Sequence[TuningSession],
     n_threads: int = 1,
-) -> None:
-    """One lockstep wave: prepare every live session's round, score all
-    scorable rounds in one stacked pass, evaluate every suggestion in one
-    cross-session simulator pass per group, and feed the outcomes back.
+    executor: ThreadPoolExecutor | None = None,
+    pool_rng: np.random.Generator | None = None,
+) -> list[SuggestRound]:
+    """One round's suggestion step, shared by every driver — the wave
+    loop and the session server: prepare each session's round (q = its
+    ``suggest_batch``, capped by the remaining budget), score all of
+    them in one model phase (:func:`score_rounds`), and convert each
+    round's configs to target space — the scalar plan for one-suggestion
+    rounds, the batch pass otherwise (both pinned bit-identical).
+    Returns one :class:`SuggestRound` per session, in order.
 
-    With an ``executor``, the per-member prepares (each dominated by one
-    GIL-dropping ``build_forest`` call) run concurrently.  Every member's
-    prepare consumes only its own session's RNG stream and touches only
-    its own optimizer state, and the shared-pool draw is serialized and
+    With an ``executor``, the prepares (each dominated by one
+    GIL-dropping ``build_forest`` call) run concurrently.  Every prepare
+    consumes only its own session's RNG stream and touches only its own
+    optimizer state, and the shared-pool draw is serialized and
     generated exactly once per wave, so results are byte-identical to
-    the serial loop in member order."""
+    the serial loop in session order."""
     pool_cache: dict = {}
     pool_lock = threading.Lock() if executor is not None else None
 
-    def prepare(member: _Member) -> SuggestRound:
-        session = member.session
+    def prepare(session: TuningSession) -> SuggestRound:
         q = min(
             session.suggest_batch,
             session.n_iterations - session.iteration,
@@ -524,26 +555,38 @@ def _wave_round(
         started = time.perf_counter()
         prepared = session.optimizer.suggest_prepare(q, shared_pool=provider)
         elapsed = time.perf_counter() - started
-        return SuggestRound(session, q, prepared, elapsed, member=member)
+        return SuggestRound(session, q, prepared, elapsed)
 
     if executor is None:
-        rounds = [prepare(member) for member in live]
+        rounds = [prepare(session) for session in sessions]
     else:
-        rounds = list(executor.map(prepare, live))
+        rounds = list(executor.map(prepare, sessions))
 
     score_rounds(rounds, n_threads=n_threads)
 
-    feeds = []
     for r in rounds:
-        session = r.session
-        # Mirror the sequential loop's conversion choice: the scalar plan
-        # for one-suggestion rounds, the batch pass otherwise (both are
-        # pinned bit-identical).
+        adapter = r.session.adapter
         if r.q == 1:
-            targets = [session.adapter.to_target(r.configs[0])]
+            r.targets = [adapter.to_target(r.configs[0])]
         else:
-            targets = session.adapter.to_target_batch(r.configs)
-        per_suggest = (r.prepare_seconds + r.score_seconds) / len(r.configs)
-        feeds.append((r.member, r.configs, targets, per_suggest))
+            r.targets = adapter.to_target_batch(r.configs)
+    return rounds
 
-    _evaluate_and_feed(feeds)
+
+def _wave_round(
+    live: list[_Member],
+    pool_rng: np.random.Generator | None,
+    executor: ThreadPoolExecutor | None = None,
+    n_threads: int = 1,
+) -> None:
+    """One lockstep wave: every live member's suggestion step
+    (:func:`suggest_wave`), then one evaluation and feedback pass
+    (:func:`_evaluate_and_feed`).  A function of its own so the round's
+    candidate matrices are freed before the next round builds its own."""
+    rounds = suggest_wave(
+        [m.session for m in live], n_threads, executor, pool_rng
+    )
+    _evaluate_and_feed([
+        (m, r.configs, r.targets, r.suggest_seconds)
+        for m, r in zip(live, rounds)
+    ])

@@ -449,6 +449,37 @@ class TestSessionIntegration:
         ]
 
 
+class TestParallelSeedsRefused:
+    """Parallel live seeds would reconfigure and restart one server
+    concurrently, so one seed could measure under another's knobs."""
+
+    SPEC = SessionSpec(
+        workload="ycsb-a", optimizer="smac", n_init=4, n_iterations=6,
+        backend="live", live_transport=FakePg,
+    )
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_run_spec_refuses_parallel_seeds(self, mode):
+        with pytest.raises(ValueError, match="parallel"):
+            run_spec(self.SPEC, seeds=[1, 2], parallel=True, mode=mode)
+
+    def test_sequential_and_wave_runs_stay_allowed(self):
+        sequential = run_spec(self.SPEC, seeds=[1, 2])
+        waved = run_spec(self.SPEC, seeds=[1, 2], mode="wave")
+        for a, b in zip(sequential, waved):
+            assert np.array_equal(a.values, b.values)
+
+    def test_cli_exits_2(self, capsys):
+        from repro.cli import main
+
+        code = main([
+            "--backend", "live", "--dsn", "dbname=tuning",
+            "--seeds", "1,2", "--parallel", "--no-plot",
+        ])
+        assert code == 2
+        assert "--parallel" in capsys.readouterr().err
+
+
 class TestDriverConstruction:
     def test_exactly_one_mode(self, tmp_path):
         with pytest.raises(ValueError, match="exactly one"):

@@ -1,5 +1,6 @@
 """Tests for the multi-seed experiment runner (SessionSpec and helpers)."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from repro.dbms.versions import V96, V136
 from repro.space.postgres import postgres_v96_space, postgres_v136_space
 from repro.tuning.early_stopping import EarlyStoppingPolicy
+from repro.tuning.faults import FaultPolicy
+from repro.tuning.knowledge_base import Observation
 from repro.tuning.runner import (
     LlamaTuneFactory,
     SessionSpec,
@@ -17,6 +20,7 @@ from repro.tuning.runner import (
     run_spec,
     space_for_version,
 )
+from repro.tuning.session import TuningResult
 
 
 class TestSpaceForVersion:
@@ -116,19 +120,75 @@ class TestProcessPool:
         assert isinstance(clone.adapter, LlamaTuneFactory)
         assert clone.adapter.target_dim == 8
 
-    def test_process_pool_matches_sequential(self):
-        spec = SessionSpec(
-            workload="ycsb-a",
-            optimizer="random",
-            adapter=llamatune_factory(),
-            n_iterations=6,
-        )
+    @pytest.mark.parametrize(
+        "spec,feature",
+        [
+            pytest.param(
+                SessionSpec(
+                    workload="ycsb-a",
+                    optimizer="random",
+                    adapter=llamatune_factory(),
+                    n_iterations=6,
+                ),
+                None,
+                id="random",
+            ),
+            pytest.param(
+                # The raw 90-knob space over-commits memory: crash rows
+                # with None throughput/latency.
+                SessionSpec(
+                    workload="tpcc", optimizer="smac", adapter=None,
+                    n_iterations=10, n_init=6,
+                ),
+                lambda r: r.crash_count > 0,
+                id="crash-rows",
+            ),
+            pytest.param(
+                SessionSpec(
+                    workload="ycsb-a", optimizer="smac",
+                    adapter=llamatune_factory(), n_iterations=25, n_init=6,
+                    early_stopping=EarlyStoppingPolicy(
+                        min_improvement=0.5, patience=4
+                    ),
+                ),
+                lambda r: r.stopped_early_at is not None,
+                id="early-stop",
+            ),
+            pytest.param(
+                SessionSpec(
+                    workload="ycsb-a",
+                    adapter=llamatune_factory(target_dim=4),
+                    n_iterations=20, n_init=4,
+                    fault_rate=0.02, fault_seed=1,
+                    fault_policy=FaultPolicy(max_retries=0),
+                ),
+                lambda r: r.quarantined_at is not None,
+                id="quarantine",
+            ),
+        ],
+    )
+    def test_process_pool_matches_sequential(self, spec, feature):
+        """Every result field and both configurations of every
+        observation come back from the worker processes unchanged
+        (``suggest_seconds`` is wall-clock, so it is only checked for
+        presence)."""
         sequential = run_spec(spec, seeds=(1, 2))
         pooled = run_spec(
             spec, seeds=(1, 2), parallel=True, mode="process", max_workers=2
         )
         assert len(pooled) == 2
+        if feature is not None:
+            assert any(feature(r) for r in sequential), "fixture must hit it"
         for a, b in zip(sequential, pooled):
-            np.testing.assert_array_equal(a.values, b.values)
-            assert a.best_value == b.best_value
-            assert a.crash_count == b.crash_count
+            for f in dataclasses.fields(TuningResult):
+                if f.name != "knowledge_base":
+                    assert getattr(a, f.name) == getattr(b, f.name), f.name
+            assert a.knowledge_base.maximize == b.knowledge_base.maximize
+            assert len(a.knowledge_base) == len(b.knowledge_base)
+            for x, y in zip(a.knowledge_base, b.knowledge_base):
+                for f in dataclasses.fields(Observation):
+                    if f.name == "suggest_seconds":
+                        assert y.suggest_seconds >= 0.0
+                    else:
+                        # Configurations compare knob names and values.
+                        assert getattr(x, f.name) == getattr(y, f.name), f.name

@@ -75,6 +75,8 @@ def assert_equivalent(spec: SessionSpec, seeds=SEEDS, expect_crash=None):
             assert dict(a.optimizer_config) == dict(b.optimizer_config)
             assert dict(a.target_config) == dict(b.target_config)
     for seq_session, wave_session in zip(seq_sessions, wave_sessions):
+        # Every driver leaves its sessions finished.
+        assert seq_session.state == wave_session.state == "done"
         assert (
             seq_session.optimizer.rng.bit_generator.state
             == wave_session.optimizer.rng.bit_generator.state

@@ -1,9 +1,8 @@
 """Thread-count invariance pins for the multicore wave engine.
 
 The multicore contract (ROADMAP.md): every parallel path added by the
-multicore engine — threaded wave-member fits, the kernel's worker-pool
-grouped leaf walk, and the shared-memory process-pool transport — is an
-*execution strategy only*.  Per-seed trajectories (knob values, measured
+multicore engine — threaded wave-member fits and the kernel's
+worker-pool grouped leaf walk — is an *execution strategy only*.  Per-seed trajectories (knob values, measured
 values, crash rows, early-stop iterations) and every optimizer/session
 PCG64 stream position must be **byte-identical** at any thread count.
 If one of these pins fails, a parallel path reordered RNG consumption or
@@ -21,7 +20,7 @@ from repro.optimizers.forest import (
     RandomForestRegressor,
     predict_mean_var_stacked,
 )
-from repro.tuning import shm_transport
+from repro.tuning import wave
 from repro.tuning.early_stopping import EarlyStoppingPolicy
 from repro.tuning.runner import SessionSpec, llamatune_factory, run_spec
 from repro.tuning.wave import run_wave, wave_thread_count
@@ -176,7 +175,7 @@ class TestWaveThreadInvariance:
         for a, b in zip(one, four):
             assert trajectory(a) == trajectory(b)
 
-    def test_more_threads_than_members(self):
+    def test_more_threads_than_members(self, monkeypatch):
         spec = SessionSpec(
             workload="ycsb-a", optimizer="smac",
             adapter=llamatune_factory(), n_iterations=10, n_init=4,
@@ -184,6 +183,15 @@ class TestWaveThreadInvariance:
         one = run_wave(spec, (1,), threads=1)
         many = run_wave(spec, (1,), threads=8)
         assert trajectory(one[0]) == trajectory(many[0])
+
+        # A lone session's run() drives at one thread whatever the
+        # environment asks for: it never starts an executor.
+        def no_executor(*args, **kwargs):
+            raise AssertionError("TuningSession.run() started an executor")
+
+        monkeypatch.setenv("REPRO_WAVE_THREADS", "4")
+        monkeypatch.setattr(wave, "ThreadPoolExecutor", no_executor)
+        assert trajectory(spec.build(1).run()) == trajectory(one[0])
 
     def test_checkpoint_resume_mid_sweep(self, tmp_path):
         """A wave sweep killed mid-run resumes byte-identically *under
@@ -292,90 +300,3 @@ class TestParallelLeafWalk:
         for (m1, v1), (mt, vt) in zip(serial, threaded):
             assert np.array_equal(m1, mt)
             assert np.array_equal(v1, vt)
-
-
-class TestShmTransport:
-    """Zero-copy result transport for the process pool: the decoded
-    :class:`TuningResult` must equal the worker's original, including
-    crash rows, ``None`` metrics, and the early-stop marker."""
-
-    @staticmethod
-    def _run(spec, seed=1):
-        session = spec.build(seed)
-        result = session.run()
-        return session, result
-
-    def _round_trip(self, spec, seed=1):
-        session, result = self._run(spec, seed)
-        handle = shm_transport.encode_result(
-            result,
-            session.optimizer.space,
-            session.adapter.target_space,
-        )
-        return result, shm_transport.decode_result(
-            handle,
-            session.optimizer.space,
-            session.adapter.target_space,
-        )
-
-    def test_round_trip_llamatune(self):
-        spec = SessionSpec(
-            workload="ycsb-a", optimizer="smac",
-            adapter=llamatune_factory(), n_iterations=10, n_init=4,
-        )
-        original, decoded = self._round_trip(spec)
-        assert trajectory(original) == trajectory(decoded)
-        assert decoded.default_value == original.default_value
-        assert decoded.objective == original.objective
-        assert decoded.stopped_early_at == original.stopped_early_at
-        for a, b in zip(original.knowledge_base, decoded.knowledge_base):
-            assert dict(a.optimizer_config) == dict(b.optimizer_config)
-            assert a.throughput == b.throughput
-            assert a.p95_latency_ms == b.p95_latency_ms
-            assert a.suggest_seconds == b.suggest_seconds
-
-    def test_round_trip_crash_rows_and_none_metrics(self):
-        spec = SessionSpec(
-            workload="tpcc", optimizer="smac", adapter=None,
-            n_iterations=10, n_init=6,
-        )
-        original, decoded = self._round_trip(spec)
-        assert trajectory(original) == trajectory(decoded)
-        crashed = [o for o in decoded.knowledge_base if o.crashed]
-        assert crashed, "fixture must exercise the crash path"
-        for a, b in zip(original.knowledge_base, decoded.knowledge_base):
-            assert a.crashed == b.crashed
-            assert a.throughput == b.throughput  # None on crash rows
-            assert a.p95_latency_ms == b.p95_latency_ms
-
-    def test_round_trip_early_stop(self):
-        spec = SessionSpec(
-            workload="ycsb-a", optimizer="smac",
-            adapter=llamatune_factory(), n_iterations=25, n_init=6,
-            early_stopping=EarlyStoppingPolicy(
-                min_improvement=0.5, patience=4
-            ),
-        )
-        original, decoded = self._round_trip(spec)
-        assert original.stopped_early_at is not None
-        assert decoded.stopped_early_at == original.stopped_early_at
-
-    def test_gate_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM_TRANSPORT", raising=False)
-        assert shm_transport.transport_enabled()
-        monkeypatch.setenv("REPRO_SHM_TRANSPORT", "0")
-        assert not shm_transport.transport_enabled()
-
-    def test_process_pool_matches_sequential(self):
-        spec = SessionSpec(
-            workload="ycsb-a", optimizer="smac",
-            adapter=llamatune_factory(target_dim=4),
-            n_iterations=8, n_init=4,
-        )
-        sequential = run_spec(spec, (1, 2))
-        pooled = run_spec(
-            spec, (1, 2), parallel=True, mode="process", max_workers=2
-        )
-        for a, b in zip(sequential, pooled):
-            assert trajectory(a) == trajectory(b)
-            assert a.default_value == b.default_value
