@@ -130,13 +130,11 @@ def test_gp_fit_100x16(benchmark):
     benchmark(lambda: GaussianProcess(is_cat, seed=0).fit(X, y))
 
 
-def test_gp_fit_vectorized_restarts(benchmark, monkeypatch):
+def test_gp_fit_vectorized_restarts(benchmark):
     """The boundary-fit fast path specifically: multi-restart L-BFGS with
-    the factor-reusing finite-difference stencil (byte-identical to the
-    plain path, which ``REPRO_GP_VECTOR_RESTARTS=0`` replays), measured
-    with the flag pinned on so this bench keeps meaning even if the
-    default flips."""
-    monkeypatch.setenv("REPRO_GP_VECTOR_RESTARTS", "1")
+    the factor-reusing finite-difference stencil, byte-identical to
+    scipy's own jac-less restarts (``tests/test_gp_vectorized.py`` pins
+    that)."""
     rng = np.random.default_rng(0)
     X = rng.random((100, 16))
     y = rng.normal(size=100)

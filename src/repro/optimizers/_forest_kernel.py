@@ -36,20 +36,21 @@ Bit-exactness contract (enforced by ``tests/test_forest.py`` and
   uses numpy's first-minimum / NaN-first semantics in the historical
   position-major order.
 
-The same shared library carries ``predict_leaves`` — the leaf lookup
-behind ``RandomForestRegressor.predict_mean_var``, walking every
-``(tree, row)`` pair of the packed node table down to its leaf in one C
-pass — and ``predict_leaves_grouped``, the wave scheduler's stacked
-variant: one call resolves the leaf lookups of *several* forests, each
-scoring its own candidate-row slab of one concatenated super-table.  The
-walks perform no float arithmetic — only ``x <= threshold`` comparisons —
-and return leaf indices; the mean/variance reductions stay in numpy,
-shared verbatim with the fallback path, so native predict is
-byte-identical to the numpy frontier traversal by construction.  The
-grouped walk can also run on a persistent in-library pthread pool
-(``predict_leaves_grouped(..., n_threads=N)``): work is split into
-(group, 64-row chunk) tasks with one writer per output cell, so the
-threaded result is byte-identical to the serial walk under any schedule.
+The same shared library exports one leaf walk, ``predict_leaves_grouped``,
+behind every forest predict: groups of trees — one group per forest —
+each score their own candidate-row slab against one packed node table (a
+lone forest's own table, or several forests' concatenated super-table),
+walking every (tree, row) pair down to its leaf in one C pass.  The
+kernel picks, per group, a branchless fixed-level walk for shallow trees
+or an early-exit lane walk for deep ones from the recorded per-tree
+depths.  The walks perform no float arithmetic — only
+``x <= threshold`` comparisons — and return leaf indices; the
+mean/variance reductions stay in numpy, shared verbatim with the fallback
+path, so native predict is byte-identical to the numpy frontier
+traversal by construction.  With ``n_threads > 1`` the walk runs on a
+persistent in-library pthread pool: work is split into (group, 64-row
+chunk) tasks with one writer per output cell, so the threaded result is
+byte-identical to the serial walk under any schedule.
 
 If no compiler is available (or ``REPRO_FOREST_KERNEL=0``), everything
 silently falls back to the numpy implementation — results are identical,
@@ -65,6 +66,7 @@ import pathlib
 import subprocess
 import tempfile
 import threading
+from typing import Sequence
 
 import numpy as np
 
@@ -72,6 +74,7 @@ _C_SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
 #include <pthread.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* numpy's public bit-generator interface (numpy/random/bitgen.h): the
@@ -554,30 +557,36 @@ int64_t build_forest(fparams_t *p)
     return total;
 }
 
-/* Leaf lookup over the packed forest table: for every (tree, row) pair,
+/* The leaf walk over the packed node table: for every (tree, row) pair,
  * descend from the tree's root to its leaf and record the leaf's node
- * index (into the concatenated table) at out[t * n_rows + i] — the same
- * tree-major layout as the numpy frontier traversal.  Pure comparisons,
- * no float arithmetic: `idx = !(x <= t)` sends NaN feature values right,
- * exactly like the numpy path's `where(x <= t, left, right)`.
+ * index.  Pure comparisons, no float arithmetic: `idx = !(x <= t)` sends
+ * NaN feature values right, exactly like the numpy frontier's
+ * `where(x <= t, left, right)`, so both paths find the same leaves.
  *
  * The node table arrives pre-packed as 32-byte structs (one cache line
- * holds two nodes) so each step touches one node line plus one x value.
- * Each descent is a dependent load chain, so a single walk is
- * latency-bound; rows form the outer loop (the row vector stays in L1)
- * while every tree's independent chain advances in lockstep, finished
- * lanes swap-removed so the flight group stays dense. */
+ * holds two nodes) so each step touches one node line plus one x value. */
 typedef struct {
     int64_t feature;   /* -1 for leaves */
     double threshold;
     int64_t child[2];  /* [left, right] */
 } pnode_t;
 
-/* Row-range core of predict_leaves: walks rows [row0, row1) only, while
- * keeping the full-matrix output layout (out[t * n_rows + i]).  Every
- * (tree, row) cell is independent and written exactly once, so any
- * partition of the row range — including the threaded grouped walk's
- * 64-row chunks — reproduces the serial output bit for bit. */
+/* Groups whose deepest tree has at most this many levels take the
+ * branchless depth walk; deeper groups take the early-exit lane walk,
+ * whose cost tracks the *average* leaf depth instead of the maximum.
+ * Threaded calls split the work into tasks of ROW_CHUNK rows of one
+ * group. */
+enum { DEPTH_WALK_LIMIT = 16, ROW_CHUNK = 64, POOL_MAX = 16 };
+
+/* Early-exit lane walk over rows [row0, row1) of one group, written into
+ * the group's tree-major block (out[t * n_rows + i]).  Each descent is a
+ * dependent load chain, so a single walk is latency-bound; rows form the
+ * outer loop (the row vector stays in L1) while every tree's independent
+ * chain advances in lockstep, finished lanes swap-removed so the flight
+ * group stays dense.  Every (tree, row) cell is independent and written
+ * exactly once, so any partition of the row range — including the
+ * threaded walk's ROW_CHUNK tasks — reproduces the serial output bit for
+ * bit. */
 static void walk_lanes_range(const pnode_t *nodes, const int64_t *offsets,
                              int64_t n_trees, const double *x, int64_t n_rows,
                              int64_t d, int64_t *out, int64_t row0,
@@ -624,13 +633,6 @@ static void walk_lanes_range(const pnode_t *nodes, const int64_t *offsets,
     }
 }
 
-void predict_leaves(const pnode_t *nodes, const int64_t *offsets,
-                    int64_t n_trees, const double *x, int64_t n_rows,
-                    int64_t d, int64_t *out)
-{
-    walk_lanes_range(nodes, offsets, n_trees, x, n_rows, d, out, 0, n_rows);
-}
-
 /* Branchless leaf walk: lanes advance in fixed lockstep levels with no
  * leaf-exit branches and no lane bookkeeping.  Leaves freeze in place
  * via conditional moves (the feature index is clamped to 0 for the dead
@@ -640,9 +642,7 @@ void predict_leaves(const pnode_t *nodes, const int64_t *offsets,
  * lane walk.  Lanes are ordered by *per-tree* depth (descending, stable)
  * so level k only steps the lanes whose tree still has nodes there —
  * total steps are the sum of tree depths, not n_trees x max depth.
- * Wins for the shallow trees of in-session observation counts; the lane
- * walk stays the better choice for deep forests (callers dispatch on the
- * forest's recorded build depth).
+ * Wins for the shallow trees of in-session observation counts.
  *
  * Rows advance through the level schedule in blocks of ROWBLK: the lane
  * state is a contiguous lane-major x row-minor block, so the inner row
@@ -657,6 +657,8 @@ static void walk_depth_range(const pnode_t *nodes, const int64_t *offsets,
                              int64_t *out, int64_t row0, int64_t row1)
 {
     enum { CHUNK = 64, ROWBLK = 8 };
+    _Static_assert((int)DEPTH_WALK_LIMIT <= (int)CHUNK,
+                   "level_count holds one entry per level");
     int64_t ord[CHUNK], level_count[CHUNK];
     int64_t cur[CHUNK * ROWBLK];
     for (int64_t t0 = 0; t0 < n_trees; t0 += CHUNK) {
@@ -674,13 +676,6 @@ static void walk_depth_range(const pnode_t *nodes, const int64_t *offsets,
             ord[j + 1] = t;
         }
         const int64_t dmax = nt ? tree_depths[ord[0]] : 0;
-        if (dmax >= CHUNK) {
-            /* dispatchers only send shallow forests here; keep the deep
-             * case correct anyway via the early-exit walk */
-            walk_lanes_range(nodes, offsets + t0, nt, x, n_rows, d,
-                             out + t0 * n_rows, row0, row1);
-            continue;
-        }
         for (int64_t k = 0; k < dmax; k++) {
             int64_t c = 0;
             while (c < nt && tree_depths[ord[c]] > k) c++;
@@ -715,82 +710,51 @@ static void walk_depth_range(const pnode_t *nodes, const int64_t *offsets,
     }
 }
 
-void predict_leaves_depth(const pnode_t *nodes, const int64_t *offsets,
-                          const int64_t *tree_depths, int64_t n_trees,
-                          const double *x, int64_t n_rows, int64_t d,
-                          int64_t *out)
-{
-    walk_depth_range(nodes, offsets, tree_depths, n_trees, x, n_rows, d,
-                     out, 0, n_rows);
-}
-
-/* Stacked leaf lookup for the wave scheduler: group g owns tree_counts[g]
- * trees of the concatenated super-table (offsets already rebased into it)
- * and scores its own row_counts[g]-row slab of x.  One call walks every
- * group, writing each group's tree-major leaf block back to back — the
- * exact concatenation of per-group predict_leaves outputs.  Shallow
- * groups (max tree depth within ``depth_limit``) walk branchlessly by
- * per-tree depth; deeper ones use the early-exit lane walk. */
-void predict_leaves_grouped(const pnode_t *nodes, const int64_t *offsets,
-                            const int64_t *tree_counts,
-                            const int64_t *row_counts,
-                            const int64_t *tree_depths,
-                            const int64_t *depths, int64_t depth_limit,
-                            int64_t n_groups, int64_t d, const double *x,
-                            int64_t *out)
-{
-    const int64_t *off = offsets;
-    const int64_t *dep = tree_depths;
-    const double *xg = x;
-    int64_t *og = out;
-    for (int64_t g = 0; g < n_groups; g++) {
-        if (depths[g] <= depth_limit)
-            predict_leaves_depth(nodes, off, dep, tree_counts[g], xg,
-                                 row_counts[g], d, og);
-        else
-            predict_leaves(nodes, off, tree_counts[g], xg, row_counts[g],
-                           d, og);
-        off += tree_counts[g];
-        dep += tree_counts[g];
-        xg += row_counts[g] * d;
-        og += tree_counts[g] * row_counts[g];
-    }
-}
-
-/* ---- persistent worker pool for the threaded grouped walk ------------
- *
- * The stacked walk is pure comparisons with per-(tree, row) independent
- * output, so any partition of the work reproduces the serial result bit
- * for bit.  Tasks are (group, 64-row chunk) pairs enumerated by the
- * caller-provided prefix arrays; workers claim them through one atomic
- * cursor, so load balance is dynamic but the output bytes cannot depend
- * on the schedule.  Helper threads are created lazily on first threaded
- * call and persist for the process lifetime, parked on a condvar between
- * jobs; the caller's thread always participates, so n_threads = 1 + the
- * helpers actually woken.  fork() does not replicate helper threads, so
- * an atfork child handler resets the pool bookkeeping — a forked worker
- * process (run_spec mode="process") lazily rebuilds its own helpers
- * instead of deadlocking on ghosts. */
+/* One group of a walk: its trees' roots and depths, its row slab, its
+ * tree-major output block, and the number of its first ROW_CHUNK task. */
 typedef struct {
-    const pnode_t *nodes;
     const int64_t *offsets;
-    const int64_t *tree_counts;
-    const int64_t *row_counts;
     const int64_t *tree_depths;
-    const int64_t *depths;
-    const int64_t *tree_starts;   /* n_groups+1: prefix sum of tree_counts */
-    const int64_t *row_starts;    /* n_groups+1: prefix sum of row_counts */
-    const int64_t *out_starts;    /* n_groups+1: prefix of trees*rows */
-    const int64_t *chunk_starts;  /* n_groups+1: prefix of row chunks */
-    int64_t depth_limit;
-    int64_t n_groups;
-    int64_t d;
     const double *x;
     int64_t *out;
+    int64_t n_trees;
+    int64_t n_rows;
+    int64_t task0;
+    int64_t shallow;  /* deepest tree <= DEPTH_WALK_LIMIT */
+} group_t;
+
+static void walk_group(const pnode_t *nodes, const group_t *g, int64_t d,
+                       int64_t row0, int64_t row1)
+{
+    if (g->shallow)
+        walk_depth_range(nodes, g->offsets, g->tree_depths, g->n_trees,
+                         g->x, g->n_rows, d, g->out, row0, row1);
+    else
+        walk_lanes_range(nodes, g->offsets, g->n_trees, g->x, g->n_rows, d,
+                         g->out, row0, row1);
+}
+
+/* ---- persistent worker pool for threaded walks -----------------------
+ *
+ * The walk is pure comparisons with per-(tree, row) independent output,
+ * so any partition of the work reproduces the serial result bit for
+ * bit.  Tasks are (group, ROW_CHUNK-row chunk) pairs numbered group by
+ * group; workers claim them through one atomic cursor, so load balance
+ * is dynamic but the output bytes cannot depend on the schedule.  Helper
+ * threads are created lazily on first threaded call and persist for the
+ * process lifetime, parked on a condvar between jobs; the caller's
+ * thread always participates, so n_threads = 1 + the helpers actually
+ * woken.  fork() does not replicate helper threads, so an atfork child
+ * handler resets the pool bookkeeping — a forked worker process
+ * (run_spec mode="process") lazily rebuilds its own helpers instead of
+ * deadlocking on ghosts. */
+typedef struct {
+    const pnode_t *nodes;
+    const group_t *groups;
+    int64_t n_groups;
+    int64_t d;
     int64_t n_tasks;
 } walk_job_t;
-
-enum { MT_ROW_CHUNK = 64, POOL_MAX = 16 };
 
 static pthread_mutex_t pool_mu = PTHREAD_MUTEX_INITIALIZER;
 static pthread_cond_t pool_start_cv = PTHREAD_COND_INITIALIZER;
@@ -805,28 +769,17 @@ static int64_t pool_cursor;       /* atomic task cursor */
 
 static void walk_one_task(const walk_job_t *j, int64_t t)
 {
-    /* map the task to its group: last g with chunk_starts[g] <= t (an
-     * empty group has chunk_starts[g] == chunk_starts[g+1], so the
-     * search can never land on it) */
+    /* the task's group: last g with task0 <= t (an empty group shares
+     * its task0 with the next group, so the search never lands on it) */
     int64_t lo = 0, hi = j->n_groups;
     while (lo + 1 < hi) {
         const int64_t mid = lo + (hi - lo) / 2;
-        if (j->chunk_starts[mid] <= t) lo = mid; else hi = mid;
+        if (j->groups[mid].task0 <= t) lo = mid; else hi = mid;
     }
-    const int64_t g = lo;
-    const int64_t nr = j->row_counts[g];
-    const int64_t r0 = (t - j->chunk_starts[g]) * MT_ROW_CHUNK;
-    const int64_t r1 = r0 + MT_ROW_CHUNK < nr ? r0 + MT_ROW_CHUNK : nr;
-    const int64_t *off = j->offsets + j->tree_starts[g];
-    const int64_t *dep = j->tree_depths + j->tree_starts[g];
-    const double *xg = j->x + j->row_starts[g] * j->d;
-    int64_t *og = j->out + j->out_starts[g];
-    if (j->depths[g] <= j->depth_limit)
-        walk_depth_range(j->nodes, off, dep, j->tree_counts[g], xg, nr,
-                         j->d, og, r0, r1);
-    else
-        walk_lanes_range(j->nodes, off, j->tree_counts[g], xg, nr, j->d,
-                         og, r0, r1);
+    const group_t *g = j->groups + lo;
+    const int64_t r0 = (t - g->task0) * ROW_CHUNK;
+    const int64_t r1 = r0 + ROW_CHUNK < g->n_rows ? r0 + ROW_CHUNK : g->n_rows;
+    walk_group(j->nodes, g, j->d, r0, r1);
 }
 
 static void pool_run_tasks(const walk_job_t *job)
@@ -897,57 +850,20 @@ static int pool_ensure(int want)
     return pool_size < want ? pool_size : want;
 }
 
-/* Threaded stacked leaf lookup: identical output bytes to
- * predict_leaves_grouped (same walks over the same cells; only the
- * schedule differs).  The four *_starts arrays are inclusive prefix sums
- * with a leading 0 (length n_groups+1); chunk_starts counts
- * ceil(row_counts[g] / MT_ROW_CHUNK) tasks per group. */
-void predict_leaves_grouped_mt(const pnode_t *nodes, const int64_t *offsets,
-                               const int64_t *tree_counts,
-                               const int64_t *row_counts,
-                               const int64_t *tree_depths,
-                               const int64_t *depths, int64_t depth_limit,
-                               int64_t n_groups, int64_t d, const double *x,
-                               int64_t *out, const int64_t *tree_starts,
-                               const int64_t *row_starts,
-                               const int64_t *out_starts,
-                               const int64_t *chunk_starts,
-                               int64_t n_threads)
+/* Run the job's tasks on the caller plus up to n_threads - 1 helpers.
+ * Returns 0, having run nothing, when no helper thread is available. */
+static int pool_run(const walk_job_t *job, int64_t n_threads)
 {
-    const int64_t n_tasks = chunk_starts[n_groups];
-    if (n_threads < 2 || n_tasks < 2) {
-        predict_leaves_grouped(nodes, offsets, tree_counts, row_counts,
-                               tree_depths, depths, depth_limit, n_groups,
-                               d, x, out);
-        return;
-    }
+    int64_t want = n_threads - 1;
+    if (want > job->n_tasks - 1) want = job->n_tasks - 1;
+    if (want > POOL_MAX) want = POOL_MAX;
     pthread_mutex_lock(&pool_mu);
-    int want = (int)(n_threads - 1);
-    if ((int64_t)want > n_tasks - 1) want = (int)(n_tasks - 1);
-    const int helpers = pool_ensure(want);
+    const int helpers = pool_ensure((int)want);
     if (helpers == 0) {
         pthread_mutex_unlock(&pool_mu);
-        predict_leaves_grouped(nodes, offsets, tree_counts, row_counts,
-                               tree_depths, depths, depth_limit, n_groups,
-                               d, x, out);
-        return;
+        return 0;
     }
-    pool_job.nodes = nodes;
-    pool_job.offsets = offsets;
-    pool_job.tree_counts = tree_counts;
-    pool_job.row_counts = row_counts;
-    pool_job.tree_depths = tree_depths;
-    pool_job.depths = depths;
-    pool_job.tree_starts = tree_starts;
-    pool_job.row_starts = row_starts;
-    pool_job.out_starts = out_starts;
-    pool_job.chunk_starts = chunk_starts;
-    pool_job.depth_limit = depth_limit;
-    pool_job.n_groups = n_groups;
-    pool_job.d = d;
-    pool_job.x = x;
-    pool_job.out = out;
-    pool_job.n_tasks = n_tasks;
+    pool_job = *job;
     __atomic_store_n(&pool_cursor, 0, __ATOMIC_RELAXED);
     pool_helpers = helpers;
     pool_active = pool_size;  /* every parked helper wakes and reports */
@@ -961,6 +877,52 @@ void predict_leaves_grouped_mt(const pnode_t *nodes, const int64_t *offsets,
     while (pool_active != 0)
         pthread_cond_wait(&pool_done_cv, &pool_mu);
     pthread_mutex_unlock(&pool_mu);
+    return 1;
+}
+
+/* The leaf walk.  Group g owns tree_counts[g] trees of the node table —
+ * its slices of offsets (roots) and tree_depths, child indices global to
+ * the table — and scores its own row_counts[g]-row slab of x; each
+ * group's tree-major leaf block (out[t * rows + i]) is written back to
+ * back into out.  Each group takes the depth walk or the lane walk by
+ * its deepest tree.  With n_threads >= 2 the (group, ROW_CHUNK-row)
+ * tasks run on the worker pool; otherwise, or when no helper thread
+ * starts, the groups walk serially on the caller — the same cells either
+ * way.  Returns 0, or -1 when the group table cannot be allocated. */
+int64_t predict_leaves_grouped(const pnode_t *nodes, const int64_t *offsets,
+                               const int64_t *tree_counts,
+                               const int64_t *row_counts,
+                               const int64_t *tree_depths, int64_t n_groups,
+                               int64_t d, const double *x, int64_t *out,
+                               int64_t n_threads)
+{
+    /* one spare entry, so an empty call never asks for malloc(0) */
+    group_t *groups = malloc((size_t)(n_groups + 1) * sizeof(group_t));
+    if (groups == NULL) return -1;
+    int64_t n_tasks = 0;
+    for (int64_t g = 0; g < n_groups; g++) {
+        const int64_t nt = tree_counts[g], nr = row_counts[g];
+        int64_t dmax = 0;
+        for (int64_t t = 0; t < nt; t++)
+            if (tree_depths[t] > dmax) dmax = tree_depths[t];
+        groups[g] = (group_t){
+            .offsets = offsets, .tree_depths = tree_depths, .x = x,
+            .out = out, .n_trees = nt, .n_rows = nr, .task0 = n_tasks,
+            .shallow = dmax <= DEPTH_WALK_LIMIT,
+        };
+        n_tasks += (nr + ROW_CHUNK - 1) / ROW_CHUNK;
+        offsets += nt;
+        tree_depths += nt;
+        x += nr * d;
+        out += nt * nr;
+    }
+    const walk_job_t job = {nodes, groups, n_groups, d, n_tasks};
+    if (n_threads < 2 || n_tasks < 2 || !pool_run(&job, n_threads)) {
+        for (int64_t g = 0; g < n_groups; g++)
+            walk_group(nodes, groups + g, d, 0, groups[g].n_rows);
+    }
+    free(groups);
+    return 0;
 }
 """
 
@@ -1037,10 +999,13 @@ def _build_library() -> ctypes.CDLL | None:
                 if _sanitize_requested():
                     flags += _SANITIZE_FLAGS
                 for compiler in ("cc", "gcc", "clang"):
-                    result = subprocess.run(
-                        [compiler, *flags, "-o", str(tmp_so), str(c_path)],
-                        capture_output=True,
-                    )
+                    try:
+                        result = subprocess.run(
+                            [compiler, *flags, "-o", str(tmp_so), str(c_path)],
+                            capture_output=True,
+                        )
+                    except OSError:  # not on PATH: try the next compiler
+                        continue
                     if result.returncode == 0:
                         break
                 else:
@@ -1063,74 +1028,20 @@ def _build_library() -> ctypes.CDLL | None:
         return None
     lib.build_forest.restype = ctypes.c_int64
     lib.build_forest.argtypes = [ctypes.POINTER(_FParams)]
-    lib.predict_leaves.restype = None
-    lib.predict_leaves.argtypes = [
-        ctypes.c_void_p,  # nodes (packed 32-byte structs)
-        ctypes.c_void_p,  # offsets
-        ctypes.c_int64,   # n_trees
-        ctypes.c_void_p,  # x
-        ctypes.c_int64,   # n_rows
-        ctypes.c_int64,   # d
-        ctypes.c_void_p,  # out
-    ]
-    lib.predict_leaves_depth.restype = None
-    lib.predict_leaves_depth.argtypes = [
-        ctypes.c_void_p,  # nodes
-        ctypes.c_void_p,  # offsets
-        ctypes.c_void_p,  # tree_depths
-        ctypes.c_int64,   # n_trees
-        ctypes.c_void_p,  # x
-        ctypes.c_int64,   # n_rows
-        ctypes.c_int64,   # d
-        ctypes.c_void_p,  # out
-    ]
-    lib.predict_leaves_grouped.restype = None
+    lib.predict_leaves_grouped.restype = ctypes.c_int64
     lib.predict_leaves_grouped.argtypes = [
-        ctypes.c_void_p,  # nodes
-        ctypes.c_void_p,  # offsets (all groups, rebased)
+        ctypes.c_void_p,  # nodes (packed 32-byte structs)
+        ctypes.c_void_p,  # offsets (every group's tree roots)
         ctypes.c_void_p,  # tree_counts
         ctypes.c_void_p,  # row_counts
-        ctypes.c_void_p,  # tree_depths (all groups, concatenated)
-        ctypes.c_void_p,  # depths (per-group max, for dispatch)
-        ctypes.c_int64,   # depth_limit
+        ctypes.c_void_p,  # tree_depths (every group's trees)
         ctypes.c_int64,   # n_groups
         ctypes.c_int64,   # d
         ctypes.c_void_p,  # x (stacked row slabs)
         ctypes.c_void_p,  # out
-    ]
-    lib.predict_leaves_grouped_mt.restype = None
-    lib.predict_leaves_grouped_mt.argtypes = [
-        ctypes.c_void_p,  # nodes
-        ctypes.c_void_p,  # offsets (all groups, rebased)
-        ctypes.c_void_p,  # tree_counts
-        ctypes.c_void_p,  # row_counts
-        ctypes.c_void_p,  # tree_depths (all groups, concatenated)
-        ctypes.c_void_p,  # depths (per-group max, for dispatch)
-        ctypes.c_int64,   # depth_limit
-        ctypes.c_int64,   # n_groups
-        ctypes.c_int64,   # d
-        ctypes.c_void_p,  # x (stacked row slabs)
-        ctypes.c_void_p,  # out
-        ctypes.c_void_p,  # tree_starts (n_groups+1 prefix)
-        ctypes.c_void_p,  # row_starts (n_groups+1 prefix)
-        ctypes.c_void_p,  # out_starts (n_groups+1 prefix)
-        ctypes.c_void_p,  # chunk_starts (n_groups+1 prefix)
         ctypes.c_int64,   # n_threads
     ]
     return lib
-
-
-#: Forests whose deepest node is at or below this walk branchlessly for a
-#: fixed step count (leaves freeze via conditional moves); deeper forests
-#: keep the early-exit lane walk, whose cost tracks the *average* leaf
-#: depth instead of the maximum.
-DEPTH_WALK_LIMIT = 16
-
-#: Row granularity of the threaded grouped walk's work items — must match
-#: the C kernel's ``MT_ROW_CHUNK``.  Each task walks one group's 64-row
-#: slice, so the worker pool load-balances across groups of uneven size
-#: while every (tree, row) output cell keeps exactly one writer.
-MT_ROW_CHUNK = 64
 
 
 def load_kernel() -> ctypes.CDLL | None:
@@ -1308,128 +1219,51 @@ def build_forest(
     )
 
 
-def predict_leaves(
-    lib: ctypes.CDLL,
-    nodes: np.ndarray,
-    offsets: np.ndarray,
-    X: np.ndarray,
-    tree_depths: np.ndarray | None = None,
-) -> np.ndarray:
-    """Leaf index for every ``(tree, row)`` pair of the packed forest.
-
-    ``nodes`` is the :func:`pack_nodes` table.  Returns a flat int64 array
-    of length ``n_trees * n_rows`` in tree-major order — the exact layout
-    (and values) of the numpy frontier traversal's final ``node`` array, so
-    callers can share the downstream value/variance gather and reductions
-    between both paths.  When ``tree_depths`` (each tree's deepest level)
-    is known and the forest is shallow, the fixed-step branchless walk
-    runs instead of the early-exit lane walk — identical leaf indices,
-    fewer data-dependent branches.
-    """
-    nodes = np.ascontiguousarray(nodes, dtype=np.int64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    X = np.ascontiguousarray(X, dtype=float)
-    n_rows, d = X.shape
-    n_trees = len(offsets)
-    out = np.empty(n_trees * n_rows, dtype=np.int64)
-    if (
-        tree_depths is not None
-        and len(tree_depths)
-        and int(tree_depths.max()) <= DEPTH_WALK_LIMIT
-    ):
-        tree_depths = np.ascontiguousarray(tree_depths, dtype=np.int64)
-        lib.predict_leaves_depth(
-            nodes.ctypes.data,
-            offsets.ctypes.data,
-            tree_depths.ctypes.data,
-            n_trees,
-            X.ctypes.data,
-            n_rows,
-            d,
-            out.ctypes.data,
-        )
-        return out
-    lib.predict_leaves(
-        nodes.ctypes.data,
-        offsets.ctypes.data,
-        n_trees,
-        X.ctypes.data,
-        n_rows,
-        d,
-        out.ctypes.data,
-    )
-    return out
-
-
 def predict_leaves_grouped(
     lib: ctypes.CDLL,
     nodes: np.ndarray,
     offsets: np.ndarray,
-    tree_counts: np.ndarray,
-    row_counts: np.ndarray,
+    tree_counts: Sequence[int],
+    row_counts: Sequence[int],
     tree_depths: np.ndarray,
-    depths: np.ndarray,
     X: np.ndarray,
     n_threads: int = 1,
 ) -> np.ndarray:
-    """Stacked leaf lookup: group ``g`` owns ``tree_counts[g]`` trees of
-    the concatenated super-table and scores rows
-    ``[sum(row_counts[:g]), sum(row_counts[:g+1]))`` of ``X``.  Returns the
-    concatenation of each group's tree-major leaf block — byte-identical
-    to calling :func:`predict_leaves` per group on the same super-table.
+    """Leaf index for every (group, tree, row) triple of one walk.
 
-    With ``n_threads > 1`` the walk is partitioned into (group, 64-row
-    chunk) tasks claimed by the kernel's persistent worker pool.  The
-    walk is pure comparisons with one writer per output cell, so the
-    result bytes are identical under any schedule; ``n_threads=1`` takes
-    the serial entry point, untouched.
+    ``nodes`` is a :func:`pack_nodes` table whose child indices point into
+    the table itself.  Group ``g`` owns ``tree_counts[g]`` trees — its
+    slices of ``offsets`` (roots) and ``tree_depths`` (deepest level per
+    tree) — and scores rows ``[sum(row_counts[:g]), sum(row_counts[:g+1]))``
+    of ``X``.  Returns each group's tree-major leaf block back to back:
+    the layout, and the values, of the numpy frontier traversal.  The
+    kernel picks the depth walk or the lane walk per group from its
+    deepest tree; the indices are the same either way.
+
+    With ``n_threads > 1`` the walk is split into (group, 64-row) tasks on
+    the kernel's persistent worker pool.  Each output cell has one
+    writer, so the result is identical to the serial walk under any
+    schedule.
     """
     nodes = np.ascontiguousarray(nodes, dtype=np.int64)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     tree_counts = np.ascontiguousarray(tree_counts, dtype=np.int64)
     row_counts = np.ascontiguousarray(row_counts, dtype=np.int64)
     tree_depths = np.ascontiguousarray(tree_depths, dtype=np.int64)
-    depths = np.ascontiguousarray(depths, dtype=np.int64)
     X = np.ascontiguousarray(X, dtype=float)
-    d = X.shape[1]
-    out = np.empty(int((tree_counts * row_counts).sum()), dtype=np.int64)
-    if n_threads > 1:
-        zero = np.zeros(1, dtype=np.int64)
-        tree_starts = np.concatenate([zero, np.cumsum(tree_counts)])
-        row_starts = np.concatenate([zero, np.cumsum(row_counts)])
-        out_starts = np.concatenate([zero, np.cumsum(tree_counts * row_counts)])
-        chunks = (row_counts + MT_ROW_CHUNK - 1) // MT_ROW_CHUNK
-        chunk_starts = np.concatenate([zero, np.cumsum(chunks)])
-        lib.predict_leaves_grouped_mt(
-            nodes.ctypes.data,
-            offsets.ctypes.data,
-            tree_counts.ctypes.data,
-            row_counts.ctypes.data,
-            tree_depths.ctypes.data,
-            depths.ctypes.data,
-            DEPTH_WALK_LIMIT,
-            len(tree_counts),
-            d,
-            X.ctypes.data,
-            out.ctypes.data,
-            tree_starts.ctypes.data,
-            row_starts.ctypes.data,
-            out_starts.ctypes.data,
-            chunk_starts.ctypes.data,
-            int(n_threads),
-        )
-        return out
-    lib.predict_leaves_grouped(
+    out = np.empty(int(tree_counts @ row_counts), dtype=np.int64)
+    status = lib.predict_leaves_grouped(
         nodes.ctypes.data,
         offsets.ctypes.data,
         tree_counts.ctypes.data,
         row_counts.ctypes.data,
         tree_depths.ctypes.data,
-        depths.ctypes.data,
-        DEPTH_WALK_LIMIT,
         len(tree_counts),
-        d,
+        X.shape[1],
         X.ctypes.data,
         out.ctypes.data,
+        n_threads,
     )
+    if status < 0:
+        raise MemoryError("native leaf walk could not allocate its groups")
     return out

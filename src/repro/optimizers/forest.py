@@ -7,16 +7,17 @@ mean within-leaf variance), which is what SMAC feeds into expected
 improvement.
 
 Trees are stored as flat arrays, and the whole ensemble is additionally
-*packed* into one concatenated node table (:class:`_ForestArrays`) so that
-``predict_mean_var`` resolves all ``n_trees x N`` (tree, row) leaf lookups
-in one pass instead of a per-tree Python loop: through the native kernel's
-``predict_leaves`` walk when available, else a numpy simultaneous frontier
-traversal — both return the same leaf indices (the walk is pure
-comparisons), and the mean/variance reductions are shared numpy code, so
-the paths are byte-identical.  The fit side hoists the per-node ``argsort``
-into one stable presort per tree whose order arrays are filtered down the
-recursion, so split search costs a membership gather per node instead of
-an O(n log n) sort.
+*packed* into one concatenated node table (:class:`_ForestArrays`).  One
+scoring path serves one forest and many: :func:`predict_mean_var_stacked`
+resolves every (forest, tree, row) leaf lookup in one pass — through the
+native kernel's grouped walk when available, else a numpy simultaneous
+frontier traversal — and ``predict_mean_var`` is its one-forest call, on
+the forest's own table.  Both walks return the same leaf indices (they
+are pure comparisons), and the mean/variance reductions are shared numpy
+code, so the paths are byte-identical.  The fit side hoists the per-node
+``argsort`` into one stable presort per tree whose order arrays are
+filtered down the recursion, so split search costs a membership gather
+per node instead of an O(n log n) sort.
 
 Both halves are pinned byte-identical to the historical per-tree
 implementation: same RNG call sequence (bootstrap draw, per-node feature
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -65,8 +67,7 @@ class _ForestArrays:
     value: np.ndarray
     variance: np.ndarray
     offsets: np.ndarray  # (n_trees,) root index of each tree
-    tree_depths: np.ndarray | None = None  # (n_trees,) deepest level per tree
-    depth: int = 0  # deepest node level over the whole forest
+    tree_depths: np.ndarray  # (n_trees,) deepest level per tree
     _nodes4: np.ndarray | None = None  # native-kernel node layout (lazy)
 
     @property
@@ -88,8 +89,9 @@ class _ForestArrays:
         offsets: np.ndarray,
         tree_depths: np.ndarray,
     ) -> "_ForestArrays":
-        """Wrap the native builder's output: the node table arrives already
-        packed and rebased, so the column fields are views into it."""
+        """Wrap a packed node table whose child indices are already
+        global — the native builder's output, or a stacked super-table —
+        so the column fields are views into it."""
         return cls(
             feature=nodes4[:, 0],
             threshold=nodes4[:, 1].view(np.float64),
@@ -99,7 +101,6 @@ class _ForestArrays:
             variance=variance,
             offsets=offsets,
             tree_depths=tree_depths,
-            depth=int(tree_depths.max()) if len(tree_depths) else 0,
             _nodes4=nodes4,
         )
 
@@ -140,7 +141,6 @@ class _ForestArrays:
             variance=np.concatenate([t.variance for t in trees]),
             offsets=offsets,
             tree_depths=tree_depths,
-            depth=depth,
         )
 
 
@@ -512,56 +512,12 @@ class RandomForestRegressor:
         return mean
 
     def predict_mean_var(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ensemble mean and total variance (between + within trees).
-
-        The leaf lookup over all ``n_trees x N`` (tree, row) pairs runs in
-        the native kernel when available (a pure comparison walk — no float
-        arithmetic, so its leaf indices are exact) and otherwise falls back
-        to the numpy simultaneous frontier traversal, with the same silent
-        fallback / ``REPRO_FOREST_KERNEL=0`` semantics as the build kernel.
-        Both paths feed the *same* numpy value/variance gather and
-        reductions, so output is byte-identical across kernels and to
-        :meth:`predict_mean_var_per_tree`.
-        """
-        if self._packed is None:
-            raise RuntimeError("forest is not fitted")
-        p = self._packed
+        """Ensemble mean and total variance (between + within trees): the
+        one-forest call of :func:`predict_mean_var_stacked`, so output is
+        byte-identical across kernels and to
+        :meth:`predict_mean_var_per_tree`."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        n_rows = len(X)
-        n_trees = len(p.offsets)
-        lib = _forest_kernel.load_kernel()
-        if lib is not None and n_rows:
-            node = _forest_kernel.predict_leaves(
-                lib, p.nodes4, p.offsets, X, tree_depths=p.tree_depths
-            )
-        else:
-            node = self._leaf_nodes_numpy(X)
-        mean_stack = p.value[node].reshape(n_trees, n_rows)
-        var_stack = p.variance[node].reshape(n_trees, n_rows)
-        mean = mean_stack.mean(axis=0)
-        total_var = mean_stack.var(axis=0) + var_stack.mean(axis=0)
-        return mean, np.maximum(total_var, 1e-12)
-
-    def _leaf_nodes_numpy(self, X: np.ndarray) -> np.ndarray:
-        """Numpy reference leaf lookup: one simultaneous frontier traversal
-        over all ``n_trees x N`` (tree, row) pairs on the packed node table;
-        pairs that reach a leaf drop out of the frontier.  Returns the flat
-        tree-major leaf-index array (pair ``t * n_rows + i`` is (tree t,
-        row i)), identical to the native ``predict_leaves`` output."""
-        p = self._packed
-        assert p is not None
-        n_rows = len(X)
-        n_trees = len(p.offsets)
-        node = np.repeat(p.offsets, n_rows)
-        row = np.tile(np.arange(n_rows), n_trees)
-        active = np.flatnonzero(p.feature[node] >= 0)
-        while active.size:
-            nd = node[active]
-            go_left = X[row[active], p.feature[nd]] <= p.threshold[nd]
-            nd = np.where(go_left, p.left[nd], p.right[nd])
-            node[active] = nd
-            active = active[p.feature[nd] >= 0]
-        return node
+        return predict_mean_var_stacked([self], X, [len(X)])[0]
 
     def predict_mean_var_per_tree(
         self, X: np.ndarray
@@ -589,46 +545,72 @@ class RandomForestRegressor:
 def predict_mean_var_stacked(
     forests: list["RandomForestRegressor"],
     X: np.ndarray,
-    row_counts: np.ndarray,
+    row_counts: Sequence[int],
     n_threads: int = 1,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One stacked model-phase scoring pass across several forests.
+    """One model-phase scoring pass across one or more forests.
 
     Forest ``k`` scores only its own candidate slab — rows
     ``[sum(row_counts[:k]), sum(row_counts[:k+1]))`` of ``X`` — against its
-    own trees: the forests' packed node tables are concatenated into one
-    super-table (child indices and per-tree roots rebased by each forest's
-    node base, so every session occupies its own node-offset slab) and a
-    single grouped leaf walk resolves every (forest, tree, row) lookup in
-    one native call (or one numpy frontier traversal on the fallback
-    path).  The per-forest value/variance gathers and reductions are the
-    very numpy ops :meth:`RandomForestRegressor.predict_mean_var` runs, on
-    the same values, so each returned ``(mean, var)`` pair is
-    byte-identical to ``forests[k].predict_mean_var(X_k)`` — the wave
-    scheduler's cross-session contract.
+    own trees, in one grouped leaf walk over every (forest, tree, row)
+    lookup: one native call, or one numpy frontier traversal on the
+    fallback path.  The walk reads one node table (:func:`_super_table`):
+    a lone forest's own, or every forest's concatenated into its own
+    node-offset slab.  The per-forest value/variance gathers and
+    reductions are the same numpy ops for every forest count, so each
+    returned ``(mean, var)`` pair is byte-identical to scoring
+    ``forests[k]`` alone on ``X_k`` — the wave scheduler's cross-session
+    contract.
 
-    ``n_threads > 1`` runs the native grouped walk on the kernel's
-    worker-thread pool; the walk has one writer per (tree, row) cell, so
-    the leaf indices — and everything downstream — are byte-identical to
-    the serial walk.  The numpy fallback ignores the thread count.
+    ``n_threads > 1`` runs the native walk on the kernel's worker-thread
+    pool; the walk has one writer per (tree, row) cell, so the leaf
+    indices — and everything downstream — are byte-identical to the
+    serial walk.  The numpy fallback ignores the thread count.
     """
     if len(forests) != len(row_counts):
         raise ValueError("forests and row_counts length mismatch")
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    row_counts = np.asarray(row_counts, dtype=np.int64)
-    if int(row_counts.sum()) != len(X):
+    row_counts = [int(n) for n in row_counts]
+    if sum(row_counts) != len(X):
         raise ValueError("row_counts do not cover X")
     packs = []
     for forest in forests:
         if forest._packed is None:
             raise RuntimeError("forest is not fitted")
         packs.append(forest._packed)
+    table = _super_table(packs)
+    tree_counts = [len(p.offsets) for p in packs]
 
+    lib = _forest_kernel.load_kernel()
+    if lib is not None and len(X):
+        leaves = _forest_kernel.predict_leaves_grouped(
+            lib, table.nodes4, table.offsets, tree_counts, row_counts,
+            table.tree_depths, X, n_threads=n_threads
+        )
+    else:
+        leaves = _stacked_leaves_numpy(table, tree_counts, row_counts, X)
+
+    results: list[tuple[np.ndarray, np.ndarray]] = []
+    out_pos = 0
+    for n_trees, n_rows in zip(tree_counts, row_counts):
+        block = leaves[out_pos:out_pos + n_trees * n_rows]
+        out_pos += n_trees * n_rows
+        mean_stack = table.value[block].reshape(n_trees, n_rows)
+        var_stack = table.variance[block].reshape(n_trees, n_rows)
+        mean = mean_stack.mean(axis=0)
+        total_var = mean_stack.var(axis=0) + var_stack.mean(axis=0)
+        results.append((mean, np.maximum(total_var, 1e-12)))
+    return results
+
+
+def _super_table(packs: list[_ForestArrays]) -> _ForestArrays:
+    """The node table one grouped walk reads: a lone forest's own packed
+    table as it is, else every forest's table concatenated, with child
+    indices and per-tree roots rebased by the forest's node base."""
+    if len(packs) == 1:
+        return packs[0]
     sizes = np.array([len(p.feature) for p in packs], dtype=np.int64)
     bases = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    tree_counts = np.array([len(p.offsets) for p in packs], dtype=np.int64)
-    depths = np.array([p.depth for p in packs], dtype=np.int64)
-    tree_depths = np.concatenate([p.tree_depths for p in packs])
     nodes4 = np.concatenate([p.nodes4 for p in packs])
     # Rebase child indices into the super-table, leaves (-1) preserved.
     pos = 0
@@ -637,70 +619,45 @@ def predict_mean_var_stacked(
             block = nodes4[pos:pos + len(p.feature), 2:4]
             np.add(block, base, out=block, where=block >= 0)
         pos += len(p.feature)
-    offsets = np.concatenate(
-        [p.offsets + base for p, base in zip(packs, bases)]
+    return _ForestArrays.from_packed(
+        nodes4,
+        np.concatenate([p.value for p in packs]),
+        np.concatenate([p.variance for p in packs]),
+        np.concatenate([p.offsets + base for p, base in zip(packs, bases)]),
+        np.concatenate([p.tree_depths for p in packs]),
     )
-    value = np.concatenate([p.value for p in packs])
-    variance = np.concatenate([p.variance for p in packs])
-
-    lib = _forest_kernel.load_kernel()
-    if lib is not None and len(X):
-        leaves = _forest_kernel.predict_leaves_grouped(
-            lib, nodes4, offsets, tree_counts, row_counts, tree_depths,
-            depths, X, n_threads=n_threads
-        )
-    else:
-        leaves = _stacked_leaves_numpy(
-            nodes4[:, 0], nodes4[:, 1].view(np.float64), nodes4[:, 2],
-            nodes4[:, 3], offsets, tree_counts, row_counts, X
-        )
-
-    results: list[tuple[np.ndarray, np.ndarray]] = []
-    out_pos = 0
-    for n_trees, n_rows in zip(tree_counts, row_counts):
-        block = leaves[out_pos:out_pos + n_trees * n_rows]
-        out_pos += int(n_trees * n_rows)
-        mean_stack = value[block].reshape(n_trees, n_rows)
-        var_stack = variance[block].reshape(n_trees, n_rows)
-        mean = mean_stack.mean(axis=0)
-        total_var = mean_stack.var(axis=0) + var_stack.mean(axis=0)
-        results.append((mean, np.maximum(total_var, 1e-12)))
-    return results
 
 
 def _stacked_leaves_numpy(
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-    offsets: np.ndarray,
-    tree_counts: np.ndarray,
-    row_counts: np.ndarray,
+    table: _ForestArrays,
+    tree_counts: Sequence[int],
+    row_counts: Sequence[int],
     X: np.ndarray,
 ) -> np.ndarray:
     """Fallback grouped leaf lookup: one simultaneous frontier traversal
-    over every (forest, tree, row) pair of the super-table, laid out
-    exactly like the native ``predict_leaves_grouped`` output (groups back
-    to back, tree-major within each group)."""
+    over every (forest, tree, row) pair of the table; pairs that reach a
+    leaf drop out of the frontier.  Laid out exactly like the native
+    ``predict_leaves_grouped`` output (groups back to back, tree-major
+    within each group)."""
     node_parts = []
     row_parts = []
     row_start = 0
     tree_pos = 0
     for n_trees, n_rows in zip(tree_counts, row_counts):
-        roots = offsets[tree_pos:tree_pos + n_trees]
+        roots = table.offsets[tree_pos:tree_pos + n_trees]
         node_parts.append(np.repeat(roots, n_rows))
         row_parts.append(
             np.tile(np.arange(row_start, row_start + n_rows), n_trees)
         )
-        tree_pos += int(n_trees)
-        row_start += int(n_rows)
+        tree_pos += n_trees
+        row_start += n_rows
     node = np.concatenate(node_parts) if node_parts else np.empty(0, np.int64)
     row = np.concatenate(row_parts) if row_parts else np.empty(0, np.int64)
-    active = np.flatnonzero(feature[node] >= 0)
+    active = np.flatnonzero(table.feature[node] >= 0)
     while active.size:
         nd = node[active]
-        go_left = X[row[active], feature[nd]] <= threshold[nd]
-        nd = np.where(go_left, left[nd], right[nd])
+        go_left = X[row[active], table.feature[nd]] <= table.threshold[nd]
+        nd = np.where(go_left, table.left[nd], table.right[nd])
         node[active] = nd
-        active = active[feature[nd] >= 0]
+        active = active[table.feature[nd] >= 0]
     return node

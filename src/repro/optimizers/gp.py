@@ -27,18 +27,17 @@ run the exact full ``fit``.
 The incremental factor is *algebraically* exact but not bit-equal to one
 monolithic ``cholesky(K_full)`` (LAPACK's blocking differs — last-ulp
 shifts, same caveat class as above).  The determinism contract is defined
-against the *windowed* factorization itself: ``REPRO_GP_INCREMENTAL=0``
-makes ``update`` rebuild every tensor and factor block from scratch,
-replaying the identical per-window computation without trusting any cached
-state, and ``tests/test_gp_incremental.py`` pins that both modes produce
-byte-identical factors, posteriors, and GP-BO session trajectories — a
-cache-correctness proof by construction.
+against the *windowed* factorization itself: ``_factor_windows`` rebuilds
+every tensor and factor block from scratch, replaying the identical
+per-window computation without trusting any cached state, and
+``tests/test_gp_incremental.py`` pins that the cached factor, the
+posteriors, and GP-BO session trajectories are byte-identical to that
+replay — a cache-correctness proof by construction.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 from scipy import linalg, optimize
@@ -327,9 +326,9 @@ class GaussianProcess:
 
         The (f, g) values L-BFGS-B sees are byte-identical to what scipy's
         own jac-less finite differencing would produce, so the iterates —
-        and the selected hyperparameters — match the plain path exactly;
-        ``REPRO_GP_VECTOR_RESTARTS=0`` runs that plain path for the
-        equivalence pin in ``tests/test_gp.py``.
+        and the selected hyperparameters — match a plain jac-less
+        ``optimize.minimize`` restart exactly (pinned by
+        ``tests/test_gp_vectorized.py``).
         """
         memo: dict[str, object] = {}
 
@@ -381,22 +380,11 @@ class GaussianProcess:
         bounds = [(-3.0, 3.0), (-3.0, 2.0), (-3.0, 2.0), (-5.0, 1.0)]
         lb = np.array([b[0] for b in bounds])
         ub = np.array([b[1] for b in bounds])
-        vectorized = os.environ.get("REPRO_GP_VECTOR_RESTARTS", "1") != "0"
         for start in starts:
             x0 = np.clip(start, lb, ub)
-            if vectorized:
-                result = self._minimize_restart_vectorized(
-                    x0, sq_num, mismatch, n, z, lb, ub, bounds
-                )
-            else:
-                result = optimize.minimize(
-                    self._neg_log_marginal,
-                    x0,
-                    args=(sq_num, mismatch, n, z),
-                    method="L-BFGS-B",
-                    bounds=bounds,
-                    options={"maxiter": 50},
-                )
+            result = self._minimize_restart_vectorized(
+                x0, sq_num, mismatch, n, z, lb, ub, bounds
+            )
             if result.fun < best_nll:
                 best_nll, best_theta = result.fun, result.x
 
@@ -422,10 +410,6 @@ class GaussianProcess:
         non-extension (or a numerically non-PD extension block) falls back
         to an exact single-window re-factorization at the current
         hyperparameters.
-
-        With ``REPRO_GP_INCREMENTAL=0`` the same windowed computation is
-        replayed from scratch instead of reusing cached state; outputs are
-        byte-identical by construction (the cache-correctness reference).
         """
         if self._X is None or self._chol is None:
             raise RuntimeError("GP is not fitted")
@@ -444,10 +428,7 @@ class GaussianProcess:
             return self
         windows = self._windows + [len(X) - n_prev]
         try:
-            if os.environ.get("REPRO_GP_INCREMENTAL", "1") == "0":
-                chol = self._factor_windows(X, windows)
-            else:
-                chol = self._extend_window(self._chol, self._X, X[n_prev:])
+            chol = self._extend_window(self._chol, self._X, X[n_prev:])
         except linalg.LinAlgError:
             return self._refactor_theta_fixed(X, y)
         self._finish(X, y, chol, windows)

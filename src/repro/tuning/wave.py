@@ -6,10 +6,11 @@ execution strategy: :meth:`TuningSession.run
 one-member wave, :func:`run_wave` / :func:`run_wave_mixed` drive many,
 and the session server runs the same suggestion step
 (:func:`suggest_wave`: prepare → :func:`score_rounds` → adapter
-conversion) for its tenants.  A round of one has nothing to share, so it
-takes the cheapest path: a lone forest scores through its own
-``predict_mean_var``, a lone group member evaluates through its session's
-own dispatch, and ``run()`` starts no thread pool.
+conversion) for its tenants.  A round of one takes the same scoring
+path as a wave — one ``predict_mean_var_stacked`` call, whose one-forest
+walk reads the forest's own node table — while a lone group member
+evaluates through its session's own dispatch, and ``run()`` starts no
+thread pool.
 
 ``run_spec(spec, seeds, mode="wave")`` runs S same-spec sessions in
 *waves*: every iteration still fits S surrogates (each on its own seed's
@@ -18,9 +19,9 @@ of the round is executed **once** across all sessions:
 
 * the LHS init phase is one cross-session ``evaluate_batch_stacked`` pass
   over every session's decoded design;
-* each model round's candidate matrices (two or more forests) are
-  concatenated and scored in a single stacked ``predict_mean_var`` call
-  over one packed-forest super-table (per-session node-offset slabs; GP
+* each model round's forest candidate matrices are concatenated and
+  scored in a single ``predict_mean_var_stacked`` call over one
+  packed-forest super-table (per-session node-offset slabs; GP
   surrogates score per-session — dense linear algebra has no shared
   table to stack);
 * expected improvement runs as one pass with per-row incumbents;
@@ -64,7 +65,7 @@ equivalence checks ignore it.  One rule serves every driver (solo
 ``suggest_prepare`` wall-clock, its *row-proportional* share of each
 shared pass (the stacked forest predict and the single EI pass —
 proportional to its candidate-row count, since stacked cost scales with
-rows), and its own individually-timed predict (a lone forest, GPs) and
+rows), and its own individually-timed GP predict and
 ``suggest_select``; each of the round's configurations records that
 total divided by the round's size.  The init phase charges each design
 point an equal share of its ``suggest_init_batch`` call.  Per-member
@@ -424,14 +425,17 @@ def _pool_provider(
 def _stack_candidates(rounds: list[SuggestRound]) -> np.ndarray:
     """One candidate super-matrix across possibly mixed-width specs.
 
-    Same-width matrices concatenate directly (the fast path).  Mixed
-    widths zero-pad to the widest: forest ``k``'s leaf walk indexes
+    A lone round's matrix passes through uncopied, and same-width
+    matrices concatenate directly (the fast paths).  Mixed widths
+    zero-pad to the widest: forest ``k``'s leaf walk indexes
     ``X[row, feature]`` only for features the forest was trained on
     (all ``< k``'s own width), so the pad columns are never read and
     every slice's result is byte-identical to its solo predict.
     """
     candidates = [np.asarray(r.prepared.candidates, dtype=float)
                   for r in rounds]
+    if len(candidates) == 1:
+        return candidates[0]
     width = max(c.shape[1] for c in candidates)
     if all(c.shape[1] == width for c in candidates):
         return np.concatenate(candidates)
@@ -445,10 +449,10 @@ def _stack_candidates(rounds: list[SuggestRound]) -> np.ndarray:
 
 def score_rounds(rounds: Sequence[SuggestRound], n_threads: int = 1) -> None:
     """One stacked model phase over prepared rounds from any mix of
-    sessions/specs: two or more forest-backed rounds score in one
-    ``predict_mean_var_stacked`` super-table call (mixed candidate
-    widths zero-padded — byte-identical per slice); a lone forest, GP
-    and other non-stackable surrogates score through their own
+    sessions/specs: every forest-backed round — one or many — scores in
+    one ``predict_mean_var_stacked`` call (mixed candidate widths
+    zero-padded — byte-identical per slice); GPs and other
+    non-stackable surrogates score through their own
     ``predict_mean_var``; expected improvement runs as one pass with
     per-row incumbents, and each round's ``suggest_select`` finalizes
     its configs.  Resolved rounds (init points, random interleaves,
@@ -466,15 +470,12 @@ def score_rounds(rounds: Sequence[SuggestRound], n_threads: int = 1) -> None:
             r for r in scorable
             if isinstance(r.prepared.model, RandomForestRegressor)
         ]
-        if len(forest_rounds) > 1:
+        if forest_rounds:
             started = time.perf_counter()
             stacked = predict_mean_var_stacked(
                 [r.prepared.model for r in forest_rounds],
                 _stack_candidates(forest_rounds),
-                np.array(
-                    [len(r.prepared.candidates) for r in forest_rounds],
-                    dtype=np.int64,
-                ),
+                [len(r.prepared.candidates) for r in forest_rounds],
                 n_threads=n_threads,
             )
             elapsed = time.perf_counter() - started
@@ -485,7 +486,7 @@ def score_rounds(rounds: Sequence[SuggestRound], n_threads: int = 1) -> None:
                     len(r.prepared.candidates) / total_rows
                 )
         for r in scorable:
-            if r.mean is None:  # nothing to stack with
+            if r.mean is None:  # GPs: no node table to stack
                 started = time.perf_counter()
                 r.mean, r.var = r.prepared.model.predict_mean_var(
                     r.prepared.candidates

@@ -20,7 +20,10 @@ import pytest
 
 from repro.dbms.engine import PostgresSimulator
 from repro.optimizers import _forest_kernel
-from repro.optimizers.forest import RandomForestRegressor
+from repro.optimizers.forest import (
+    RandomForestRegressor,
+    _stacked_leaves_numpy,
+)
 from repro.optimizers.smac import SMACOptimizer
 from repro.space.configspace import ConfigurationSpace
 from repro.space.knob import CategoricalKnob, FloatKnob
@@ -86,9 +89,9 @@ class TestForestPins:
 
 class TestNativePredictPins:
     """Native predict against the pre-refactor pins, decoupled from the
-    build path: a native-built forest queried through the C leaf walk AND
-    through the numpy frontier traversal (and the per-tree reference) must
-    all reproduce the pinned predictions byte-for-byte."""
+    build path: a native-built forest queried through both C leaf walks
+    AND through the numpy frontier traversal (and the per-tree reference)
+    must all reproduce the pinned predictions byte-for-byte."""
 
     def test_native_predict_matches_pins(self, pins):
         if not _forest_kernel.kernel_available():
@@ -102,12 +105,14 @@ class TestNativePredictPins:
 
         lib = _forest_kernel.load_kernel()
         p = forest._packed
-        native_leaves = _forest_kernel.predict_leaves(
-            lib, p.nodes4, p.offsets, probes
-        )
-        np.testing.assert_array_equal(
-            native_leaves, forest._leaf_nodes_numpy(probes)
-        )
+        numpy_leaves = _stacked_leaves_numpy(p, [10], [25], probes)
+        # The recorded depths take the depth walk; depths above its limit
+        # force the lane walk on the same shallow trees.
+        for depths in (p.tree_depths, np.full_like(p.tree_depths, 1 << 20)):
+            native_leaves = _forest_kernel.predict_leaves_grouped(
+                lib, p.nodes4, p.offsets, [10], [25], depths, probes
+            )
+            np.testing.assert_array_equal(native_leaves, numpy_leaves)
 
         mean, var = forest.predict_mean_var(probes)  # routed natively
         np.testing.assert_array_equal(mean, np.array(pin["mean"]))

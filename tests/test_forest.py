@@ -1,12 +1,19 @@
 """Tests for the random-forest surrogate (SMAC's model)."""
 
+import subprocess
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.optimizers import _forest_kernel
-from repro.optimizers.forest import RandomForestRegressor, RegressionTree
+from repro.optimizers.forest import (
+    RandomForestRegressor,
+    RegressionTree,
+    _stacked_leaves_numpy,
+    _super_table,
+)
 
 
 def make_data(n=120, d=6, seed=0):
@@ -175,15 +182,52 @@ class TestPackedForest:
         np.testing.assert_allclose(var, 1e-12)
 
 
+#: A per-tree depth above the kernel's depth-walk limit: passed as every
+#: tree's depth, it sends a group down the early-exit lane walk however
+#: shallow its trees really are (the lane walk never reads the depths).
+LANE_WALK_DEPTH = 1 << 20
+
+
+def native_leaves(lib, forests, X, row_counts, depths=None, n_threads=1):
+    """The kernel's grouped walk over ``forests`` (their super-table, or
+    a lone forest's own table), with ``depths`` in place of the recorded
+    per-tree depths when given."""
+    table = _super_table([f._packed for f in forests])
+    return _forest_kernel.predict_leaves_grouped(
+        lib, table.nodes4, table.offsets,
+        [len(f._packed.offsets) for f in forests], row_counts,
+        table.tree_depths if depths is None else depths, X, n_threads,
+    )
+
+
+def numpy_leaves(forests, X, row_counts):
+    """The numpy frontier traversal over the same table: the oracle."""
+    return _stacked_leaves_numpy(
+        _super_table([f._packed for f in forests]),
+        [len(f._packed.offsets) for f in forests], row_counts, X,
+    )
+
+
 class TestNativePredict:
     """The native leaf walk must return the exact leaf indices of the numpy
     frontier traversal — predictions are then byte-identical by construction
-    (both paths share the same numpy reductions)."""
+    (both paths share the same numpy reductions).  Each case runs on both
+    walks: the recorded depths pick the depth walk for these shallow
+    forests, and ``LANE_WALK_DEPTH`` forces the lane walk."""
 
     def _require_kernel(self):
         if not _forest_kernel.kernel_available():
             pytest.skip("native forest kernel unavailable on this host")
         return _forest_kernel.load_kernel()
+
+    def _assert_both_walks_match(self, lib, forest, X):
+        p = forest._packed
+        assert p.tree_depths.max() <= 16  # the depth walk's domain
+        expected = numpy_leaves([forest], X, [len(X)])
+        for depths in (None, np.full_like(p.tree_depths, LANE_WALK_DEPTH)):
+            np.testing.assert_array_equal(
+                native_leaves(lib, [forest], X, [len(X)], depths), expected
+            )
 
     @pytest.mark.parametrize("batch", [1, 7, 63, 64, 65, 500])
     def test_leaf_indices_match_numpy(self, batch):
@@ -191,9 +235,7 @@ class TestNativePredict:
         X, y = make_data(n=90, d=8)
         forest = RandomForestRegressor(n_trees=12, seed=5).fit(X, y)
         probes = np.random.default_rng(1).random((batch, 8))
-        p = forest._packed
-        native = _forest_kernel.predict_leaves(lib, p.nodes4, p.offsets, probes)
-        np.testing.assert_array_equal(native, forest._leaf_nodes_numpy(probes))
+        self._assert_both_walks_match(lib, forest, probes)
 
     def test_many_trees_chunked(self):
         """More trees than the kernel's lane chunk (64) exercises the
@@ -202,9 +244,7 @@ class TestNativePredict:
         X, y = make_data(n=40, d=5)
         forest = RandomForestRegressor(n_trees=70, seed=2).fit(X, y)
         probes = np.random.default_rng(3).random((33, 5))
-        p = forest._packed
-        native = _forest_kernel.predict_leaves(lib, p.nodes4, p.offsets, probes)
-        np.testing.assert_array_equal(native, forest._leaf_nodes_numpy(probes))
+        self._assert_both_walks_match(lib, forest, probes)
 
     def test_nan_probes_go_right_like_numpy(self):
         """A NaN feature value fails ``<=`` and must take the right child
@@ -215,9 +255,7 @@ class TestNativePredict:
         probes = np.random.default_rng(4).random((40, 4))
         probes[::3, 1] = np.nan
         probes[1::5] = np.nan
-        p = forest._packed
-        native = _forest_kernel.predict_leaves(lib, p.nodes4, p.offsets, probes)
-        np.testing.assert_array_equal(native, forest._leaf_nodes_numpy(probes))
+        self._assert_both_walks_match(lib, forest, probes)
 
     def test_stump_forest_roots_are_leaves(self):
         """Root-only trees never enter the walk loop; the lane setup must
@@ -227,9 +265,33 @@ class TestNativePredict:
         forest = RandomForestRegressor(n_trees=5, seed=0).fit(
             X, np.full(20, 7.0)
         )
-        p = forest._packed
-        native = _forest_kernel.predict_leaves(lib, p.nodes4, p.offsets, X)
-        np.testing.assert_array_equal(native, forest._leaf_nodes_numpy(X))
+        self._assert_both_walks_match(lib, forest, X)
+
+    @pytest.mark.parametrize("n_threads", [1, 4])
+    def test_deep_shallow_and_empty_groups_in_one_call(self, n_threads):
+        """One call mixing a forest deeper than the depth-walk limit (lane
+        walk), shallow forests (depth walk) and empty groups: every
+        group's block matches the numpy frontier, serially and on the
+        worker pool."""
+        lib = self._require_kernel()
+        rng = np.random.default_rng(6)
+        X_deep = rng.random((300, 6))
+        deep = RandomForestRegressor(
+            n_trees=6, min_samples_split=2, seed=1
+        ).fit(X_deep, rng.normal(size=300))
+        assert deep._packed.tree_depths.max() > 16
+        shallow = [
+            RandomForestRegressor(n_trees=9, seed=k).fit(*make_data(60, 6, k))
+            for k in range(2)
+        ]
+        forests = [shallow[0], deep, shallow[1], deep, shallow[0]]
+        row_counts = [70, 130, 0, 0, 5]
+        X = rng.random((sum(row_counts), 6))
+        X[::7, 2] = np.nan
+        np.testing.assert_array_equal(
+            native_leaves(lib, forests, X, row_counts, n_threads=n_threads),
+            numpy_leaves(forests, X, row_counts),
+        )
 
     def test_predict_identical_across_kernel_setting(self, monkeypatch):
         """predict_mean_var under REPRO_FOREST_KERNEL=0 equals the native
@@ -255,6 +317,28 @@ class TestNativePredict:
         np.testing.assert_array_equal(nodes[:, 1].view(float), p.threshold)
         np.testing.assert_array_equal(nodes[:, 2], p.left)
         np.testing.assert_array_equal(nodes[:, 3], p.right)
+
+
+class TestKernelBuild:
+    def test_missing_compiler_falls_through_to_the_next(self, monkeypatch):
+        """A compiler absent from PATH makes ``subprocess.run`` raise; the
+        build must go on to the next compiler instead of giving up."""
+        # A fresh source digest, so no cached library short-cuts the build.
+        monkeypatch.setattr(
+            _forest_kernel, "_C_SOURCE",
+            _forest_kernel._C_SOURCE + "/* missing-compiler test */\n",
+        )
+        tried = []
+
+        def fake_run(cmd, **kwargs):
+            tried.append(cmd[0])
+            if cmd[0] == "cc":
+                raise FileNotFoundError(2, "No such file or directory", "cc")
+            return subprocess.CompletedProcess(cmd, 1, b"", b"")
+
+        monkeypatch.setattr(_forest_kernel.subprocess, "run", fake_run)
+        assert _forest_kernel._build_library() is None
+        assert tried == ["cc", "gcc", "clang"]
 
 
 class TestNativeKernelEquivalence:

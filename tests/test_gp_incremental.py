@@ -5,9 +5,9 @@ tensors by block updates instead of refitting.  Two distinct contracts are
 pinned here:
 
 * **cache correctness, byte-exact**: the incremental path (cached tensors
-  extended in place) must equal ``REPRO_GP_INCREMENTAL=0`` (the same
-  windowed factorization replayed from scratch, trusting nothing) down to
-  the last bit — factors, alphas, posteriors, and whole GP-BO session
+  extended in place) must equal ``_factor_windows`` (the same windowed
+  factorization replayed from scratch, trusting nothing) down to the
+  last bit — factors, alphas, posteriors, and whole GP-BO session
   trajectories with ``refit_every > 1``, across hyperparameter
   re-optimization boundaries (where the exact full ``fit`` still runs).
 * **mathematical correctness, tolerance-based**: the windowed factor is
@@ -63,6 +63,24 @@ def assert_state_equal(a: GaussianProcess, b: GaussianProcess) -> None:
             np.testing.assert_array_equal(x, y)
         else:
             assert x == y
+
+
+def replay_updates(monkeypatch) -> None:
+    """From here on, ``update`` is the from-scratch replay: the appended
+    rows' factor is ``_factor_windows`` over the extended windows, so no
+    cached factor is ever read."""
+
+    def update(self, X, y):
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n_prev = len(self._X)
+        # these tests only ever append rows
+        assert len(X) > n_prev and np.array_equal(X[:n_prev], self._X)
+        windows = self._windows + [len(X) - n_prev]
+        self._finish(X, y, self._factor_windows(X, windows), windows)
+        return self
+
+    monkeypatch.setattr(GaussianProcess, "update", update)
 
 
 class TestUpdateMath:
@@ -172,7 +190,7 @@ class TestUpdateContract:
 
 
 class TestIncrementalVsReplayByteIdentity:
-    """REPRO_GP_INCREMENTAL=0 replays the same windowed computation from
+    """``_factor_windows`` replays the same windowed computation from
     scratch; any byte of divergence means the cache is corrupt."""
 
     def test_state_identical_across_updates(self, monkeypatch):
@@ -182,7 +200,7 @@ class TestIncrementalVsReplayByteIdentity:
         steps = [(66, None), (71, None), (78, None)]
         for stop, _ in steps:
             inc.update(X[:stop], y[:stop])
-        monkeypatch.setenv("REPRO_GP_INCREMENTAL", "0")
+        replay_updates(monkeypatch)
         for stop, _ in steps:
             rep.update(X[:stop], y[:stop])
         assert_state_equal(inc, rep)
@@ -224,7 +242,7 @@ class TestGpboSessionByteIdentity:
     @pytest.mark.parametrize("refit_every", [2, 3])
     def test_trajectory_identical(self, monkeypatch, refit_every):
         inc_values, inc_state = drive_gpbo(refit_every)
-        monkeypatch.setenv("REPRO_GP_INCREMENTAL", "0")
+        replay_updates(monkeypatch)
         rep_values, rep_state = drive_gpbo(refit_every)
         np.testing.assert_array_equal(
             np.array(inc_values), np.array(rep_values)

@@ -3,8 +3,8 @@
 ``GaussianProcess.fit`` feeds L-BFGS-B a finite-difference gradient whose
 four stencil evaluations reuse the base point's kernel factors; the (f, g)
 bytes are identical to scipy's own jac-less differencing, so the selected
-hyperparameters — and the winning restart — must match the plain path
-(``REPRO_GP_VECTOR_RESTARTS=0``) exactly.  Any divergence means the FD
+hyperparameters — and the winning restart — must match a plain jac-less
+``optimize.minimize`` restart exactly.  Any divergence means the FD
 replica (step, bound adjustment, or factor reuse) drifted from scipy's
 scheme; fix the replica, don't loosen the comparison.
 """
@@ -32,13 +32,29 @@ def dataset(n: int, n_cat: int, seed: int = 0):
 CASES = [(60, 0), (60, 3), (40, 12), (25, 1)]
 
 
+def plain_restart(gp, x0, sq_num, mismatch, n, y, lb, ub, bounds):
+    """The reference restart: scipy's L-BFGS-B with its own jac-less
+    finite differences, in the signature of
+    ``GaussianProcess._minimize_restart_vectorized``."""
+    return optimize.minimize(
+        gp._neg_log_marginal,
+        x0,
+        args=(sq_num, mismatch, n, y),
+        method="L-BFGS-B",
+        bounds=bounds,
+        options={"maxiter": 50},
+    )
+
+
 class TestVectorizedFitByteIdentity:
     @pytest.mark.parametrize("n,n_cat", CASES)
     @pytest.mark.parametrize("seed", [0, 5])
     def test_matches_plain_path(self, monkeypatch, n, n_cat, seed):
         X, y, is_cat = dataset(n, n_cat, seed)
         fast = GaussianProcess(is_cat, seed=seed).fit(X, y)
-        monkeypatch.setenv("REPRO_GP_VECTOR_RESTARTS", "0")
+        monkeypatch.setattr(
+            GaussianProcess, "_minimize_restart_vectorized", plain_restart
+        )
         plain = GaussianProcess(is_cat, seed=seed).fit(X, y)
         np.testing.assert_array_equal(fast._theta, plain._theta)
         np.testing.assert_array_equal(fast._chol, plain._chol)
@@ -69,13 +85,8 @@ class TestVectorizedFitByteIdentity:
             fast = gp._minimize_restart_vectorized(
                 x0, sq_num, mismatch, len(X), z, lb, ub, bounds
             )
-            plain = optimize.minimize(
-                gp._neg_log_marginal,
-                x0,
-                args=(sq_num, mismatch, len(X), z),
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"maxiter": 50},
+            plain = plain_restart(
+                gp, x0, sq_num, mismatch, len(X), z, lb, ub, bounds
             )
             assert fast.fun == plain.fun
             np.testing.assert_array_equal(fast.x, plain.x)

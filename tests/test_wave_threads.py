@@ -285,7 +285,7 @@ class TestParallelLeafWalk:
         row_counts = np.array([len(s) for s in slabs], dtype=np.int64)
         stacked = predict_mean_var_stacked(forests, X, row_counts, n_threads=4)
         for forest, slab, (mean, var) in zip(forests, slabs, stacked):
-            m, v = forest.predict_mean_var(slab)
+            m, v = forest.predict_mean_var_per_tree(slab)
             assert np.array_equal(m, mean)
             assert np.array_equal(v, var)
 
