@@ -33,6 +33,32 @@ per-window computation without trusting any cached state, and
 ``tests/test_gp_incremental.py`` pins that the cached factor, the
 posteriors, and GP-BO session trajectories are byte-identical to that
 replay — a cache-correctness proof by construction.
+
+The numeric core computes exactly what scipy's checked wrappers
+(``linalg.cholesky``/``cho_solve``/``solve_triangular``) and the textbook
+Matérn expression compute, with less work around the arithmetic:
+
+* One private LAPACK seam (``_lapack``, and ``_cholesky`` and
+  ``_solve_lower`` on top of it) calls ``dpotrf(lower=1, clean=1)``,
+  ``dpotrs`` and ``dtrtrs`` directly on the bytes the wrappers would
+  pass, and keeps
+  every check they make: ``ValueError`` on a NaN or inf operand,
+  ``LinAlgError`` when ``info > 0``, ``ValueError`` when ``info < 0``,
+  and ``solve_triangular``'s layout rule — an F-ordered factor (from
+  ``dpotrf``) is solved lower/no-trans, a C-ordered one (an extended
+  window, or a factor restored by ``load_state``) through its transpose,
+  upper/trans.
+* The Matérn and kernel builds run in place (``out=``); the noise is added
+  to the diagonal in place.
+* The training side's numeric columns and squared norms are cached with
+  the factor (``_finish``; ``load_state`` rebuilds them, the checkpoint
+  never holds them), taken from the same ``X[:, num]`` copy the
+  distance computation reads.
+* The finite-difference stencil skips the lengthscale whose kernel factor
+  a space lacks: its objective value is the base point's, bit for bit.
+
+``tests/gp_reference.py`` keeps the plain scipy-wrapper implementation,
+and ``tests/test_gp_reference.py`` pins this one to it byte for byte.
 """
 
 from __future__ import annotations
@@ -40,14 +66,76 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import optimize
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+
+# --- LAPACK seam -------------------------------------------------------------
 
 
-def matern52(sq_dist: np.ndarray) -> np.ndarray:
-    """Matérn 5/2 correlation given *squared* scaled distances."""
-    d = np.sqrt(np.maximum(sq_dist, 0.0))
-    sqrt5_d = np.sqrt(5.0) * d
-    return (1.0 + sqrt5_d + 5.0 / 3.0 * sq_dist) * np.exp(-sqrt5_d)
+def _lapack(routine, *arrays: np.ndarray, **options) -> np.ndarray:
+    """Call ``routine`` on ``arrays`` with the checks scipy's wrappers make:
+    ``ValueError`` if an operand holds a NaN or an inf (``check_finite``),
+    ``LinAlgError`` when LAPACK reports ``info > 0`` (a matrix that is not
+    positive definite, or a zero on a triangle's diagonal), and
+    ``ValueError`` when it reports ``info < 0``."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+    x, info = routine(*arrays, **options)
+    if info > 0:
+        raise LinAlgError(f"LAPACK {routine.__name__} returned info = {info}")
+    if info < 0:
+        raise ValueError(f"LAPACK {routine.__name__} returned info = {info}")
+    return x
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """``linalg.cholesky(a, lower=True)``: the F-ordered lower factor,
+    upper triangle zeroed (``a`` is copied, not overwritten)."""
+    return _lapack(dpotrf, a, lower=1, clean=1)
+
+
+def _solve_lower(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``linalg.solve_triangular(c, b, lower=True)`` for a scratch ``b``,
+    which is overwritten when it is F-ordered.
+
+    The layout rule is scipy's: ``dtrtrs`` wants an F-ordered matrix, so
+    a factor that is not F-ordered is solved as its transpose (an F-ordered
+    view) with ``lower=0, trans=1``, which LAPACK computes differently.
+    """
+    if c.flags.f_contiguous:
+        return _lapack(dtrtrs, c, b, lower=1, overwrite_b=1)
+    return _lapack(dtrtrs, c.T, b, lower=0, trans=1, overwrite_b=1)
+
+
+# --- kernel -------------------------------------------------------------------
+
+
+def matern52(sq_dist: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Matérn 5/2 correlation given *squared* scaled distances.
+
+    ``(1 + sqrt(5) d + 5/3 d^2) exp(-sqrt(5) d)``, op for op and in the same
+    order, through two scratch arrays instead of one temporary per step;
+    ``out`` may be ``sq_dist`` itself.
+    """
+    s = np.maximum(sq_dist, 0.0, out=np.empty_like(sq_dist, dtype=float))
+    np.sqrt(s, out=s)
+    s *= np.sqrt(5.0)
+    e = np.negative(s, out=np.empty_like(s))
+    np.exp(e, out=e)
+    s += 1.0
+    out = np.multiply(sq_dist, 5.0 / 3.0, out=out)
+    out += s
+    out *= e
+    return out
+
+
+def _add_noise(K: np.ndarray, noise: float) -> np.ndarray:
+    """``K + noise * I`` in place.  Kernel entries are never ``-0.0``, so
+    the off-diagonal ``+ 0.0`` adds this skips changed no bit."""
+    K.flat[:: len(K) + 1] += noise
+    return K
 
 
 class GaussianProcess:
@@ -73,11 +161,29 @@ class GaussianProcess:
         # factor block (fit window + one window per update).
         self._y_raw: np.ndarray | None = None
         self._windows: list[int] = []
+        # ``_columns(self._X)``, kept with the factor.
+        self._cols: tuple | None = None
 
     # --- kernel --------------------------------------------------------------
 
-    def _distance_parts(
-        self, A: np.ndarray, B: np.ndarray
+    def _columns(self, X: np.ndarray) -> tuple:
+        """A point set's kernel inputs: its numeric columns with their
+        squared norms, and its categorical columns (``None`` where the
+        space has none).  Boolean column indexing returns an F-ordered
+        copy, and the norms are row sums over that copy — the rounding
+        of a row sum depends on the layout it runs over."""
+        num = ~self.is_categorical
+        a = sq_norms = cat = None
+        if num.any():
+            a = X[:, num]
+            sq_norms = np.sum(a**2, axis=1)
+        if self.is_categorical.any():
+            cat = X[:, self.is_categorical]
+        return a, sq_norms, cat
+
+    @staticmethod
+    def _parts(
+        cols_a: tuple, cols_b: tuple
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Theta-independent kernel precursors between two point sets.
 
@@ -86,27 +192,52 @@ class GaussianProcess:
         the 16-d synthetic and 90-d original spaces), and the categorical
         mismatch fraction.  Both depend only on the data, so ``fit``
         computes them once and reuses them across every hyperparameter
-        restart and ``_neg_log_marginal`` evaluation — the kernel per theta
-        is then two cheap elementwise transforms instead of an O(n^2 d)
-        rebuild from raw X.
+        restart and objective evaluation — the kernel per theta is then
+        two cheap elementwise transforms instead of an O(n^2 d) rebuild
+        from raw X.
         """
-        num = ~self.is_categorical
+        a, a_sq, a_cat = cols_a
+        b, b_sq, b_cat = cols_b
         sq_num = None
-        if num.any():
-            a, b = A[:, num], B[:, num]
-            sq = (
-                np.sum(a**2, axis=1)[:, None]
-                + np.sum(b**2, axis=1)[None, :]
-                - 2.0 * a @ b.T
-            )
-            sq_num = np.maximum(sq, 0.0) / max(1, num.sum())
+        if a is not None:
+            sq_num = a_sq[:, None] + b_sq[None, :]
+            sq_num -= 2.0 * a @ b.T
+            np.maximum(sq_num, 0.0, out=sq_num)
+            sq_num /= a.shape[1]
         mismatch = None
-        if self.is_categorical.any():
-            cat = self.is_categorical
-            mismatch = (A[:, cat][:, None, :] != B[:, cat][None, :, :]).mean(
-                axis=2
-            )
+        if a_cat is not None:
+            mismatch = (a_cat[:, None, :] != b_cat[None, :, :]).mean(axis=2)
         return sq_num, mismatch
+
+    def _distance_parts(
+        self, A: np.ndarray, B: np.ndarray
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        return self._parts(self._columns(A), self._columns(B))
+
+    @staticmethod
+    def _matern_factor(
+        sq_num: np.ndarray, log_ls: float, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
+        r = np.divide(sq_num, math.exp(log_ls) ** 2, out=out)
+        return matern52(r, out=r)
+
+    @staticmethod
+    def _hamming_factor(mismatch: np.ndarray, log_ls: float) -> np.ndarray:
+        h = np.negative(mismatch)
+        # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
+        h /= math.exp(log_ls)
+        return np.exp(h, out=h)
+
+    @staticmethod
+    def _amp2(theta: np.ndarray) -> float:
+        # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
+        return math.exp(2.0 * theta[0])
+
+    @staticmethod
+    def _noise(theta: np.ndarray) -> float:
+        # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
+        return math.exp(2.0 * theta[3]) + 1e-8
 
     def _kernel_from_parts(
         self,
@@ -114,60 +245,35 @@ class GaussianProcess:
         mismatch: np.ndarray | None,
         shape: tuple[int, int],
         theta: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-        amp2 = math.exp(2.0 * theta[0])
-        # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-        ls_num = math.exp(theta[1])
-        # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-        ls_cat = math.exp(theta[2])
-        k = np.ones(shape)
+        """``amp2 * matern * hamming``, built in ``out`` when it is given
+        (``out`` may be ``sq_num`` itself); the parts are otherwise only
+        read."""
+        k = None
         if sq_num is not None:
-            k *= matern52(sq_num / ls_num**2)
+            k = self._matern_factor(sq_num, theta[1], out=out)
         if mismatch is not None:
-            k *= np.exp(-mismatch / ls_cat)
-        return amp2 * k
-
-    def _kernel(self, A: np.ndarray, B: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        sq_num, mismatch = self._distance_parts(A, B)
-        return self._kernel_from_parts(
-            sq_num, mismatch, (len(A), len(B)), theta
-        )
+            h = self._hamming_factor(mismatch, theta[2])
+            if k is None:
+                k = h
+            else:
+                k *= h
+        if k is None:
+            k = np.ones(shape)
+        k *= self._amp2(theta)
+        return k
 
     # --- fitting ---------------------------------------------------------------
 
-    def _neg_log_marginal(
-        self,
-        theta: np.ndarray,
-        sq_num: np.ndarray | None,
-        mismatch: np.ndarray | None,
-        n: int,
-        y: np.ndarray,
-    ) -> float:
-        # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-        noise = math.exp(2.0 * theta[3]) + 1e-8
-        K = self._kernel_from_parts(
-            sq_num, mismatch, (n, n), theta
-        ) + noise * np.eye(n)
-        try:
-            chol = linalg.cholesky(K, lower=True)
-        except linalg.LinAlgError:
-            return 1e12
-        alpha = linalg.cho_solve((chol, True), y)
-        return float(
-            0.5 * y @ alpha
-            + np.log(np.diag(chol)).sum()
-            + 0.5 * len(y) * math.log(2.0 * math.pi)
-        )
-
     def _chol_nll(self, K: np.ndarray, y: np.ndarray) -> float:
-        """The Cholesky half of ``_neg_log_marginal`` (shared with the
-        factor-reusing stencil evaluations, op for op)."""
+        """Negative log marginal likelihood of ``y`` under the noisy
+        kernel ``K`` (``1e12`` where ``K`` is not positive definite)."""
         try:
-            chol = linalg.cholesky(K, lower=True)
-        except linalg.LinAlgError:
+            chol = _cholesky(K)
+        except LinAlgError:
             return 1e12
-        alpha = linalg.cho_solve((chol, True), y)
+        alpha = _lapack(dpotrs, chol, y, lower=1)
         return float(
             0.5 * y @ alpha
             + np.log(np.diag(chol)).sum()
@@ -182,32 +288,25 @@ class GaussianProcess:
         n: int,
         y: np.ndarray,
     ) -> tuple[float, tuple]:
-        """``_neg_log_marginal`` that also returns its kernel factors.
+        """The objective at ``theta``, plus its kernel factors.
 
-        Same ops in the same order (``ones *= matern``, ``*= hamming``,
-        ``amp2 *``, ``+ noise I``, Cholesky), so the value is
-        byte-identical; the returned ``(matern, hamming, product,
-        amp-scaled)`` intermediates let the finite-difference stencil skip
-        rebuilding whatever its single perturbed hyperparameter does not
-        touch.
+        The ``(matern, hamming, product)`` factors let the
+        finite-difference stencil skip rebuilding whatever its single
+        perturbed hyperparameter does not touch.
         """
-        # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-        amp2 = math.exp(2.0 * theta[0])
-        # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-        noise = math.exp(2.0 * theta[3]) + 1e-8
-        k = np.ones((n, n))
         m_f = c_f = None
         if sq_num is not None:
-            # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-            m_f = matern52(sq_num / math.exp(theta[1]) ** 2)
-            k *= m_f
+            m_f = self._matern_factor(sq_num, theta[1])
         if mismatch is not None:
-            # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-            c_f = np.exp(-mismatch / math.exp(theta[2]))
-            k *= c_f
-        scaled = amp2 * k
-        value = self._chol_nll(scaled + noise * np.eye(n), y)
-        return value, (m_f, c_f, k, scaled)
+            c_f = self._hamming_factor(mismatch, theta[2])
+        if m_f is None:
+            product = np.ones((n, n)) if c_f is None else c_f
+        elif c_f is None:
+            product = m_f
+        else:
+            product = m_f * c_f
+        K = _add_noise(product * self._amp2(theta), self._noise(theta))
+        return self._chol_nll(K, y), (m_f, c_f, product)
 
     def _stencil_nll(
         self,
@@ -216,44 +315,30 @@ class GaussianProcess:
         factors: tuple,
         sq_num: np.ndarray | None,
         mismatch: np.ndarray | None,
-        n: int,
         y: np.ndarray,
     ) -> float:
         """One finite-difference stencil point: ``theta_i`` differs from
         the base theta in coordinate ``i`` only, so every kernel factor
         the perturbed hyperparameter does not touch is reused from the
-        base evaluation — bit-identical to a from-scratch
-        ``_neg_log_marginal`` call (the reused arrays hold exactly the
-        values that call would recompute, and the combining ops run in the
-        same order)."""
-        m_f, c_f, product, scaled = factors
-        # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-        noise = math.exp(2.0 * theta_i[3]) + 1e-8
-        eye = np.eye(n)
-        if i == 0:
-            # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-            K = math.exp(2.0 * theta_i[0]) * product
-        elif i == 1 and sq_num is not None:
-            k = np.ones((n, n))
-            # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-            k *= matern52(sq_num / math.exp(theta_i[1]) ** 2)
+        base evaluation — bit-identical to a from-scratch evaluation (the
+        reused arrays hold exactly the values it would recompute, and the
+        combining ops run in the same order).  ``i`` is never a
+        lengthscale whose factor is absent (see ``_fd_grad_stencil``)."""
+        m_f, c_f, product = factors
+        if i == 1:
+            k = self._matern_factor(sq_num, theta_i[1])
             if c_f is not None:
                 k *= c_f
-            # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-            K = math.exp(2.0 * theta_i[0]) * k
-        elif i == 2 and mismatch is not None:
-            k = np.ones((n, n))
+            k *= self._amp2(theta_i)
+        elif i == 2:
+            k = self._hamming_factor(mismatch, theta_i[2])
             if m_f is not None:
                 k *= m_f
-            # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-            k *= np.exp(-mismatch / math.exp(theta_i[2]))
-            # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-            K = math.exp(2.0 * theta_i[0]) * k
+            k *= self._amp2(theta_i)
         else:
-            # The perturbed coordinate is the noise level, or a
-            # lengthscale absent from this space's kernel.
-            K = scaled
-        return self._chol_nll(K + noise * eye, y)
+            # The amplitude or the noise level: every factor is reused.
+            k = product * self._amp2(theta_i)
+        return self._chol_nll(_add_noise(k, self._noise(theta_i)), y)
 
     #: sqrt(machine epsilon): scipy's relative fallback step for 2-point
     #: forward differences (``_eps_for_method`` for float64 in/out).
@@ -271,7 +356,6 @@ class GaussianProcess:
         factors: tuple,
         sq_num: np.ndarray | None,
         mismatch: np.ndarray | None,
-        n: int,
         y: np.ndarray,
         lb: np.ndarray,
         ub: np.ndarray,
@@ -282,8 +366,13 @@ class GaussianProcess:
         the same bound adjustment (``_adjust_scheme_to_bounds``, 1-sided),
         and the same difference formula (``_dense_difference``) — but each
         stencil point reuses the base evaluation's kernel factors, so the
-        four objective values cost roughly one kernel rebuild plus four
-        Cholesky factorizations instead of four full rebuilds."""
+        objective values cost roughly one kernel rebuild plus one Cholesky
+        factorization each instead of full rebuilds.
+
+        A lengthscale whose kernel factor the space lacks (the categorical
+        one on a numeric-only space, the numeric one on a categorical-only
+        space) leaves the kernel unchanged, so its stencil value is ``f0``
+        bit for bit and is not recomputed."""
         sign_x0 = (theta >= 0).astype(float) * 2 - 1
         h = np.full(len(theta), self._FD_ABS_STEP)
         dx0 = (theta + h) - theta
@@ -301,12 +390,16 @@ class GaussianProcess:
         backward = (ub - theta < theta - lb) & ~fitting
         h[backward] = -(theta - lb)[backward]
 
+        absent = (False, sq_num is None, mismatch is None, False)
         f_evals = np.empty(len(theta))
         for i in range(len(theta)):
+            if absent[i]:
+                f_evals[i] = f0
+                continue
             theta_i = np.copy(theta)
             theta_i[i] = theta[i] + h[i]
             f_evals[i] = self._stencil_nll(
-                theta_i, i, factors, sq_num, mismatch, n, y
+                theta_i, i, factors, sq_num, mismatch, y
             )
         dx = (theta + h) - theta
         return (f_evals - f0) / dx
@@ -347,7 +440,7 @@ class GaussianProcess:
                 fun(theta)  # pragma: no cover - L-BFGS-B pairs fun/grad
             return self._fd_grad_stencil(
                 np.copy(theta), memo["f"], memo["factors"],
-                sq_num, mismatch, n, y, lb, ub,
+                sq_num, mismatch, y, lb, ub,
             )
 
         return optimize.minimize(
@@ -389,12 +482,8 @@ class GaussianProcess:
                 best_nll, best_theta = result.fun, result.x
 
         self._theta = best_theta
-        # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-        noise = math.exp(2.0 * best_theta[3]) + 1e-8
-        K = self._kernel_from_parts(
-            sq_num, mismatch, (n, n), best_theta
-        ) + noise * np.eye(n)
-        chol = linalg.cholesky(K, lower=True)
+        K = self._kernel_from_parts(sq_num, mismatch, (n, n), best_theta)
+        chol = _cholesky(_add_noise(K, self._noise(best_theta)))
         self._finish(X, y, chol, [n])
         return self
 
@@ -428,8 +517,8 @@ class GaussianProcess:
             return self
         windows = self._windows + [len(X) - n_prev]
         try:
-            chol = self._extend_window(self._chol, self._X, X[n_prev:])
-        except linalg.LinAlgError:
+            chol = self._extend_window(self._chol, self._cols, X[n_prev:])
+        except LinAlgError:
             return self._refactor_theta_fixed(X, y)
         self._finish(X, y, chol, windows)
         return self
@@ -437,29 +526,30 @@ class GaussianProcess:
     def _extend_window(
         self,
         chol: np.ndarray,
-        X_prev: np.ndarray,
+        prev: tuple,
         X_new: np.ndarray,
     ) -> np.ndarray:
         """One block step: extend the factor by ``X_new``'s rows.
 
-        ``chol`` covers ``X_prev``; the returned factor covers the
-        concatenation.  Only the cross and new-diagonal kernel blocks are
-        computed — the cached factor already encodes everything about the
-        old rows.  Raises ``LinAlgError`` when the Schur complement of the
-        new block is not positive definite.
+        ``chol`` covers the rows whose ``_columns`` are ``prev``; the
+        returned factor covers those rows followed by ``X_new``'s.  Only
+        the cross and new-diagonal kernel blocks are computed — the cached
+        factor already encodes everything about the old rows.  Raises
+        ``LinAlgError`` when the Schur complement of the new block is not
+        positive definite.
         """
-        n, k = len(X_prev), len(X_new)
+        n, k = len(chol), len(X_new)
         theta = self._theta
-        # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-        noise = math.exp(2.0 * theta[3]) + 1e-8
-        sq_cross, mis_cross = self._distance_parts(X_prev, X_new)
+        new = self._columns(X_new)
+        sq_cross, mis_cross = self._parts(prev, new)
         sq_new, mis_new = self._distance_parts(X_new, X_new)
         k_cross = self._kernel_from_parts(sq_cross, mis_cross, (n, k), theta)
-        k_new = self._kernel_from_parts(
-            sq_new, mis_new, (k, k), theta
-        ) + noise * np.eye(k)
-        B = linalg.solve_triangular(chol, k_cross, lower=True)
-        S = linalg.cholesky(k_new - B.T @ B, lower=True)
+        k_new = _add_noise(
+            self._kernel_from_parts(sq_new, mis_new, (k, k), theta),
+            self._noise(theta),
+        )
+        B = _solve_lower(chol, k_cross)
+        S = _cholesky(k_new - B.T @ B)
         L = np.zeros((n + k, n + k))
         L[:n, :n] = chol
         L[n:, :n] = B.T
@@ -477,16 +567,14 @@ class GaussianProcess:
         """
         n0 = windows[0]
         theta = self._theta
-        # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-        noise = math.exp(2.0 * theta[3]) + 1e-8
         sq, mis = self._distance_parts(X[:n0], X[:n0])
-        K = self._kernel_from_parts(
-            sq, mis, (n0, n0), theta
-        ) + noise * np.eye(n0)
-        chol = linalg.cholesky(K, lower=True)
+        K = self._kernel_from_parts(sq, mis, (n0, n0), theta)
+        chol = _cholesky(_add_noise(K, self._noise(theta)))
         pos = n0
         for w in windows[1:]:
-            chol = self._extend_window(chol, X[:pos], X[pos:pos + w])
+            chol = self._extend_window(
+                chol, self._columns(X[:pos]), X[pos:pos + w]
+            )
             pos += w
         return chol
 
@@ -512,8 +600,9 @@ class GaussianProcess:
         self._y_std = float(y.std()) or 1.0
         z = (y - self._y_mean) / self._y_std
         self._chol = chol
-        self._alpha = linalg.cho_solve((chol, True), z)
+        self._alpha = _lapack(dpotrs, chol, z, lower=1)
         self._X = X
+        self._cols = self._columns(X)
         self._y_raw = y
         self._windows = windows
 
@@ -547,7 +636,9 @@ class GaussianProcess:
 
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (same ``is_categorical``
-        mask)."""
+        mask).  The restored factor is C-ordered, which routes its
+        triangular solves through the transposed call (see
+        ``_solve_lower``)."""
 
         def arr(value):
             return None if value is None else np.asarray(value, dtype=float)
@@ -555,6 +646,7 @@ class GaussianProcess:
         self._theta = np.asarray(state["theta"], dtype=float)
         self.rng.bit_generator.state = state["rng"]
         self._X = arr(state["X"])
+        self._cols = None if self._X is None else self._columns(self._X)
         self._y_raw = arr(state["y_raw"])
         self._windows = [int(w) for w in state["windows"]]
         self._y_mean = float(state["y_mean"])
@@ -568,12 +660,16 @@ class GaussianProcess:
         if self._X is None or self._alpha is None or self._chol is None:
             raise RuntimeError("GP is not fitted")
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        k_star = self._kernel(X, self._X, self._theta)
+        sq_num, mismatch = self._parts(self._columns(X), self._cols)
+        k_star = self._kernel_from_parts(
+            sq_num, mismatch, (len(X), len(self._X)), self._theta, out=sq_num
+        )
         mean_z = k_star @ self._alpha
-        v = linalg.solve_triangular(self._chol, k_star.T, lower=True)
-        # repro-lint: allow[ulp] reason=scalar-only theta transform; np.exp can differ from math.exp in the last ulp and would shift the pinned GP trajectories
-        amp2 = math.exp(2.0 * self._theta[0])
-        var_z = np.maximum(amp2 - np.sum(v**2, axis=0), 1e-12)
+        v = _solve_lower(self._chol, k_star.T)  # k_star's buffer
+        var_z = np.maximum(
+            self._amp2(self._theta) - np.sum(np.square(v, out=v), axis=0),
+            1e-12,
+        )
         mean = mean_z * self._y_std + self._y_mean
         var = var_z * self._y_std**2
         return mean, var

@@ -92,7 +92,9 @@ class TestUpdateMath:
         gp.update(X[:66], y[:66])
         gp.update(X, y)
         noise = np.exp(2.0 * gp._theta[3]) + 1e-8
-        K = gp._kernel(X, X, gp._theta) + noise * np.eye(len(X))
+        sq, mis = gp._distance_parts(X, X)
+        K = gp._kernel_from_parts(sq, mis, (len(X), len(X)), gp._theta)
+        K += noise * np.eye(len(X))
         L = linalg.cholesky(K, lower=True)
         np.testing.assert_allclose(
             np.tril(gp._chol), np.tril(L), rtol=0, atol=1e-9
