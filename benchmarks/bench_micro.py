@@ -63,6 +63,26 @@ def test_forest_fit_50x90(benchmark):
     benchmark(lambda: RandomForestRegressor(n_trees=20, seed=0).fit(X, y))
 
 
+def test_forest_fit_smac_55x16(benchmark):
+    """The refit a SMAC + LlamaTune session makes mid-run: 55 rows on the
+    16 projected dimensions, collected the way SMAC collects them — 10
+    random initial rows, then mostly one-coordinate local-search steps
+    (std 0.08) from earlier rows, clipped to [0, 1], with every third row
+    a fresh random one.  About 70 % of the cells sit in tie runs (61 % in
+    recorded sessions), where the build's presort and split search spend
+    their time; the uniform 90-column benches above have none."""
+    rng = np.random.default_rng(0)
+    X = rng.random((55, 16))
+    for i in range(10, 55):
+        if i % 3 == 0:
+            continue
+        X[i] = X[rng.integers(i)]
+        j = rng.integers(16)
+        X[i, j] = np.clip(X[i, j] + rng.normal(0.0, 0.08), 0.0, 1.0)
+    y = rng.normal(size=55)
+    benchmark(lambda: RandomForestRegressor(n_trees=20, seed=0).fit(X, y))
+
+
 def test_forest_predict_1000_candidates(benchmark):
     rng = np.random.default_rng(0)
     X = rng.random((100, 90))

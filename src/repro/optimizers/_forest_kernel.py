@@ -22,19 +22,31 @@ Bit-exactness contract (enforced by ``tests/test_forest.py`` and
   ``random()`` keys are ``(next_uint64 >> 11) * 2**-53`` in fill order.
   The Generator's stream position after a native fit is therefore
   byte-identical to the numpy builder's.
-* the per-tree stable presort is *derived* from one per-fit
-  ``np.argsort(kind="stable")`` of the raw feature columns: a bootstrap
-  column's stable order is the original column's stable order with each
-  row expanded to its bootstrap positions in ascending order (equal-value
-  runs — categorical columns — and the NaN tail merge their position
-  lists by one ordered membership scan), which is exactly the unique
-  stable permutation numpy would produce;
+* every tree's stable presort is *derived* from one per-fit
+  ``np.argsort(kind="stable")`` of the raw feature columns: the kernel
+  ranks each column's values once per fit along that order (equal values
+  share a rank, as do the NaNs numpy sorts last), and one counting sort
+  per column and tree places each bootstrap position into its rank's
+  bucket in ascending position order.  That is the unique stable
+  permutation numpy would produce for the resampled column, and the
+  sorted X and y tables fill in the same pass;
 * float arithmetic replicates numpy ufunc loops operation-for-operation:
   sequential ``add.accumulate``, numpy's pairwise summation for
   ``add.reduce`` (mean/variance), IEEE ``+ - * /`` per element with FMA
-  contraction disabled (``-ffp-contract=off``), and the candidate argmin
-  uses numpy's first-minimum / NaN-first semantics in the historical
-  position-major order.
+  contraction disabled (``-ffp-contract=off``).  A split score is
+  computed only where numpy's would survive the validity and
+  random-key masks (a masked score is ``inf`` there, and scoring draws
+  nothing, so the keys are drawn first), and the winner is numpy's
+  argmin over the historical position-major order: the first minimum,
+  and no split when a NaN is present;
+* the split search's hot loops are branch-free: node rows are gathered
+  and partitioned by storing every element and advancing the output
+  cursor on a condition.  Each such loop's last store lands one slot past
+  its output, on a slot that is dead at that point; ``_BuildWorkspace``
+  sizes every region for it.  All regions share one buffer per type, so
+  a sizing error would corrupt a neighbouring region without any
+  sanitizer noticing — the native == numpy property in
+  ``tests/test_forest.py`` is the check.
 
 The same shared library exports one leaf walk, ``predict_leaves_grouped``,
 behind every forest predict: groups of trees — one group per forest —
@@ -52,9 +64,10 @@ persistent in-library pthread pool: work is split into (group, 64-row
 chunk) tasks with one writer per output cell, so the threaded result is
 byte-identical to the serial walk under any schedule.
 
-If no compiler is available (or ``REPRO_FOREST_KERNEL=0``), everything
-silently falls back to the numpy implementation — results are identical,
-only slower.
+If no compiler is available, everything falls back to the numpy
+implementation with one ``RuntimeWarning`` per process — results are
+identical, only slower; ``REPRO_FOREST_KERNEL=0`` selects numpy without
+a warning.
 """
 
 from __future__ import annotations
@@ -66,6 +79,7 @@ import pathlib
 import subprocess
 import tempfile
 import threading
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -169,18 +183,6 @@ static double pairwise_sum(const double *a, int64_t n)
     }
 }
 
-/* k-th smallest (0-based) by insertion sort; columns are <= n-1 long. */
-static double kth_smallest(double *a, int64_t n, int64_t k)
-{
-    for (int64_t i = 1; i < n; i++) {
-        double v = a[i];
-        int64_t j = i - 1;
-        while (j >= 0 && a[j] > v) { a[j + 1] = a[j]; j--; }
-        a[j + 1] = v;
-    }
-    return a[k < n ? k : n - 1];
-}
-
 typedef struct {
     int64_t n, d, m, min_split, max_depth, n_thresholds, bootstrap;
     int64_t n_trees, cap_total;
@@ -194,11 +196,34 @@ typedef struct {
     int64_t *offsets;        /* n_trees: global root index per tree */
     int64_t *counts;         /* n_trees: node count per tree */
     int64_t *tree_depths;    /* n_trees: deepest node level per tree */
-    double *ws_d;
-    int64_t *ws_i;
-    uint8_t *member;         /* n */
-    uint8_t *runflag;        /* n */
+    double *ws_d;            /* double scratch, laid out per tree */
+    int64_t *ws_i;           /* int64 scratch: per-fit ranks, then per tree */
+    uint8_t *member;         /* n node-membership flags, zero between nodes */
 } fparams_t;
+
+/* Rank every column's values once per fit by walking its stable presort:
+ * equal values share a rank (numpy's sort compares -0.0 == 0.0), and so
+ * does the NaN tail, which numpy sorts last.  rank[j*n + r] is row r's
+ * rank in column j; n_ranks[j] counts column j's ranks. */
+static void rank_columns(const fparams_t *p, int64_t *rank, int64_t *n_ranks)
+{
+    const int64_t n = p->n;
+    for (int64_t j = 0; j < p->d; j++) {
+        const int64_t *ord = p->presort0 + j * n;
+        const double *col = p->x_t + j * n;
+        int64_t *rk = rank + j * n;
+        double prev = col[ord[0]];
+        int64_t k = 0;
+        rk[ord[0]] = 0;
+        for (int64_t i = 1; i < n; i++) {
+            const double v = col[ord[i]];
+            k += !(v == prev || (isnan(v) && isnan(prev)));
+            rk[ord[i]] = k;
+            prev = v;
+        }
+        n_ranks[j] = k + 1;
+    }
+}
 
 static void store_node(int64_t *nodes4, double *value, double *variance,
                        int64_t g)
@@ -216,124 +241,82 @@ static void store_node(int64_t *nodes4, double *value, double *variance,
  * Child indices are stored *global* (rebased), matching the packed
  * _ForestArrays layout directly.  Returns the node count, or -1 on
  * capacity overflow. */
-static int64_t build_tree_packed(fparams_t *p, int64_t base,
-                                 int64_t *depth_out)
+static int64_t build_tree_packed(fparams_t *p, const int64_t *rank,
+                                 const int64_t *n_ranks, int64_t *tables,
+                                 int64_t base, int64_t *depth_out)
 {
     const int64_t n = p->n, d = p->d, m = p->m;
     const int64_t min_split = p->min_split, max_depth = p->max_depth;
     const int64_t nt = p->n_thresholds;
     bitgen_t *bg = p->bitgen;
+    uint8_t *member = p->member;
 
-    /* --- workspace layout ------------------------------------------- */
-    double *xb_t = p->ws_d;             /* d*n bootstrapped X, f-major */
-    double *xsort = xb_t + d * n;       /* d*n X values, sorted/feature */
+    /* --- workspace layout: _BuildWorkspace.ensure sizes both regions.
+     * Several loops below store unconditionally and advance their cursor
+     * on a condition; the trailing store of such a loop lands one slot
+     * past its output, so that slot must belong to the same region and
+     * be dead there (see each loop). */
+    double *xsort = p->ws_d;            /* d*n X values, sorted/feature */
     double *ysort = xsort + d * n;      /* d*n y values, sorted/feature */
     double *yb = ysort + d * n;         /* n bootstrapped y */
-    double *xs = yb + n;                /* m*n node X rows */
-    double *ys = xs + m * n;            /* m*n node y rows */
-    double *cum = ys + m * n;           /* m*n */
-    double *cumsq = cum + m * n;        /* m*n */
-    double *scores = cumsq + m * n;     /* m*(n-1) */
-    double *colbuf = scores + m * n;    /* n */
+    double *xs = yb + n;                /* m*n+1 node X rows */
+    double *ys = xs + m * n + 1;        /* m*n+1 node y rows */
+    double *cum = ys + m * n + 1;       /* n */
+    double *cumsq = cum + n;            /* n */
+    double *colbuf = cumsq + n;         /* n split-feature values */
     double *ybuf = colbuf + n;          /* n */
     double *prodbuf = ybuf + n;         /* n */
-    double *keys = prodbuf + n;         /* (n-1)*m threshold keys */
+    double *slots = prodbuf + n;        /* nt smallest keys, ascending */
+    double *keys = slots + nt;          /* (n-1)*m threshold keys */
 
-    int64_t *presort = p->ws_i;         /* d*n per-tree stable presort */
+    const int64_t depth_cap =
+        max_depth < 0 ? 0 : (max_depth < n ? max_depth : n);
+    int64_t *presort = tables;          /* d*n per-tree stable presort */
     int64_t *boot = presort + d * n;    /* n bootstrap row indices */
-    int64_t *bucket = boot + n;         /* n positions grouped by row */
-    int64_t *start = bucket + n;        /* n+1 bucket starts */
-    int64_t *perm = start + n + 1;      /* d feature permutation */
-    int64_t *arena = perm + d;          /* n*(max_depth+3) member lists */
-    int64_t *meta = arena + n * (max_depth + 3);  /* stack: 5 per entry */
-    uint8_t *member = p->member;
-    uint8_t *runflag = p->runflag;
+    int64_t *rb = boot + n;             /* n ranks of one column's rows */
+    int64_t *hist = rb + n;             /* n+1 counting-sort cursors */
+    int64_t *perm = hist + n + 1;       /* d feature permutation */
+    int64_t *surv = perm + d;           /* n surviving split positions */
+    int64_t *meta = surv + n;           /* stack: 5 per entry */
+    int64_t *arena = meta + 5 * (depth_cap + 2);  /* member lists:
+                                           n*(depth_cap+1)+1 */
 
     memset(member, 0, (size_t)n);
-    memset(runflag, 0, (size_t)n);
 
     /* --- per-tree tables --------------------------------------------- */
-    if (p->bootstrap) {
+    if (p->bootstrap && n > 1) {
         /* rng.integers(0, n, size=n): n Lemire draws in fill order
          * (numpy draws nothing when the range holds a single value). */
-        if (n == 1) {
-            boot[0] = 0;
-        } else {
-            for (int64_t g = 0; g < n; g++)
-                boot[g] = (int64_t)rng_lemire32(bg, (uint32_t)n);
-        }
-        for (int64_t j = 0; j < d; j++) {
-            const double *src = p->x_t + j * n;
-            double *dst = xb_t + j * n;
-            for (int64_t g = 0; g < n; g++) dst[g] = src[boot[g]];
-        }
-        for (int64_t g = 0; g < n; g++) yb[g] = p->y[boot[g]];
-
-        /* Bucket the bootstrap positions by original row, positions kept
-         * ascending — the building block of the stable-presort expansion. */
-        memset(start, 0, (size_t)(n + 1) * sizeof(int64_t));
-        for (int64_t g = 0; g < n; g++) start[boot[g] + 1]++;
-        for (int64_t r = 0; r < n; r++) start[r + 1] += start[r];
-        /* place positions: walk g ascending with a running cursor per
-         * row.  The cursor borrows the arena head, free until the DFS
-         * initializes it below. */
-        {
-            int64_t *cursor = arena;  /* n entries, free at this point */
-            for (int64_t r = 0; r < n; r++) cursor[r] = start[r];
-            for (int64_t g = 0; g < n; g++) bucket[cursor[boot[g]]++] = g;
-        }
-
-        /* Expand the per-fit stable presort to this bootstrap: walk the
-         * original rows in stable order; a unique-valued row contributes
-         * its positions (already ascending); an equal-value run — ties,
-         * e.g. categorical columns — and the NaN tail contribute their
-         * positions merged in ascending order via one flagged scan, which
-         * is exactly how numpy's stable sort orders tied elements. */
-        for (int64_t j = 0; j < d; j++) {
-            const int64_t *ord = p->presort0 + j * n;
-            const double *col = p->x_t + j * n;
-            int64_t *out = presort + j * n;
-            int64_t w = 0;
-            int64_t i = 0;
-            while (i < n) {
-                const int64_t r0 = ord[i];
-                const double v0 = col[r0];
-                int64_t i1 = i + 1;
-                if (isnan(v0)) {
-                    i1 = n;  /* NaNs sort last: the tail is one run */
-                } else {
-                    while (i1 < n && col[ord[i1]] == v0) i1++;
-                }
-                if (i1 == i + 1) {
-                    for (int64_t q = start[r0]; q < start[r0 + 1]; q++)
-                        out[w++] = bucket[q];
-                } else {
-                    int64_t run_total = 0;
-                    for (int64_t q = i; q < i1; q++) {
-                        runflag[ord[q]] = 1;
-                        run_total += start[ord[q] + 1] - start[ord[q]];
-                    }
-                    if (run_total) {
-                        for (int64_t g = 0; g < n; g++)
-                            if (runflag[boot[g]]) out[w++] = g;
-                    }
-                    for (int64_t q = i; q < i1; q++) runflag[ord[q]] = 0;
-                }
-                i = i1;
-            }
-        }
+        for (int64_t g = 0; g < n; g++)
+            boot[g] = (int64_t)rng_lemire32(bg, (uint32_t)n);
     } else {
-        memcpy(xb_t, p->x_t, (size_t)(d * n) * sizeof(double));
-        memcpy(yb, p->y, (size_t)n * sizeof(double));
-        memcpy(presort, p->presort0, (size_t)(d * n) * sizeof(int64_t));
+        for (int64_t g = 0; g < n; g++) boot[g] = g;
     }
+    for (int64_t g = 0; g < n; g++) yb[g] = p->y[boot[g]];
+
+    /* Every column's stable presort of this resample in one counting
+     * sort over the per-fit ranks: positions go into their rank's bucket
+     * in ascending order, so equal values keep position order and the
+     * NaN tail comes last — exactly numpy's stable argsort of the
+     * resampled column.  The sorted X and y tables fill in the same
+     * pass. */
     for (int64_t j = 0; j < d; j++) {
-        const int64_t *ord = presort + j * n;
-        const double *xcol = xb_t + j * n;
+        const int64_t *rk = rank + j * n;
+        const int64_t nr = n_ranks[j];
+        const double *xcol = p->x_t + j * n;
+        int64_t *ord = presort + j * n;
         double *xdst = xsort + j * n, *ydst = ysort + j * n;
-        for (int64_t i = 0; i < n; i++) {
-            xdst[i] = xcol[ord[i]];
-            ydst[i] = yb[ord[i]];
+        memset(hist, 0, (size_t)(nr + 1) * sizeof(int64_t));
+        for (int64_t g = 0; g < n; g++) {
+            rb[g] = rk[boot[g]];
+            hist[rb[g] + 1]++;
+        }
+        for (int64_t r = 1; r < nr; r++) hist[r] += hist[r - 1];
+        for (int64_t g = 0; g < n; g++) {
+            const int64_t q = hist[rb[g]]++;
+            ord[q] = g;
+            xdst[q] = xcol[boot[g]];
+            ydst[q] = yb[g];
         }
     }
 
@@ -361,40 +344,41 @@ static int64_t build_tree_packed(fparams_t *p, int64_t base,
         store_node(p->nodes4, p->value, p->variance, gnode);
 
         int split_found = 0;
-        int64_t best_f = -1;
+        int64_t best_f = -1, n_left = 0;
         double best_t = 0.0;
 
         int try_split = depth < max_depth && cnt >= min_split;
         if (try_split) {
             /* ptp == 0 check: max/min are order-independent, NaN poisons */
             double mn = yb[idx[0]], mx = mn;
-            int has_nan = isnan(mn);
-            for (int64_t i = 1; i < cnt && !has_nan; i++) {
-                double v = yb[idx[i]];
-                if (isnan(v)) { has_nan = 1; break; }
-                if (v < mn) mn = v;
-                if (v > mx) mx = v;
+            int has_nan = 0;
+            for (int64_t i = 0; i < cnt; i++) {
+                const double v = yb[idx[i]];
+                has_nan |= isnan(v);
+                mn = v < mn ? v : mn;
+                mx = v > mx ? v : mx;
             }
             if (!has_nan && mx - mn == 0.0) try_split = 0;
         }
 
         if (try_split) {
             rng_permutation(bg, perm, d);  /* rng.permutation(d) */
-            const int64_t *feats = perm;
 
+            /* The node's rows in each chosen feature's sorted order: store
+             * every presorted row, advance past members only.  Row c's
+             * trailing store lands on row c+1's first slot before row c+1
+             * writes it, the last row's on its region's spare slot. */
             for (int64_t i = 0; i < cnt; i++) member[idx[i]] = 1;
             for (int64_t c = 0; c < m; c++) {
-                const int64_t j = feats[c];
+                const int64_t j = perm[c];
                 const int64_t *ord = presort + j * n;
                 const double *xo = xsort + j * n, *yo = ysort + j * n;
                 double *xrow = xs + c * cnt, *yrow = ys + c * cnt;
                 int64_t r = 0;
                 for (int64_t g = 0; g < n; g++) {
-                    if (member[ord[g]]) {
-                        xrow[r] = xo[g];
-                        yrow[r] = yo[g];
-                        r++;
-                    }
+                    xrow[r] = xo[g];
+                    yrow[r] = yo[g];
+                    r += member[ord[g]];
                 }
             }
             for (int64_t i = 0; i < cnt; i++) member[idx[i]] = 0;
@@ -404,92 +388,91 @@ static int64_t build_tree_packed(fparams_t *p, int64_t base,
                 const double *xrow = xs + c * cnt;
                 int64_t rv = 0;
                 for (int64_t q = 0; q + 1 < cnt; q++)
-                    if (xrow[q] < xrow[q + 1]) rv++;
+                    rv += xrow[q] < xrow[q + 1];
                 n_valid += rv;
-                if (rv > max_row) max_row = rv;
+                max_row = rv > max_row ? rv : max_row;
             }
 
             if (n_valid > 0) {
+                /* Keys first (scoring draws nothing, so the stream order
+                 * is unchanged): drawn flat in the historical (n-1, m) C
+                 * order, element (q, c) at q*m + c. */
+                const int masked = n_valid > nt && max_row > nt;
+                if (masked) rng_double_fill(bg, keys, (cnt - 1) * m);
+
+                /* First minimum in position-major order over the
+                 * positions that survive the mask: the lexicographic
+                 * minimum of (score, q, c).  numpy's argmin returns a NaN
+                 * first, and a NaN winner never splits. */
                 const double nn = (double)cnt;
+                double best = INFINITY;
+                int64_t bq = INT64_MAX, bc = 0;
+                int any_nan = 0;
                 for (int64_t c = 0; c < m; c++) {
-                    const double *yrow = ys + c * cnt;
-                    double *cu = cum + c * cnt, *cs = cumsq + c * cnt;
-                    double s = yrow[0];
-                    cu[0] = s;
-                    for (int64_t q = 1; q < cnt; q++) {
-                        s = s + yrow[q];
-                        cu[q] = s;
-                    }
-                    double yq = yrow[0] * yrow[0];
-                    double s2 = yq;
-                    cs[0] = s2;
-                    for (int64_t q = 1; q < cnt; q++) {
-                        yq = yrow[q] * yrow[q];
-                        s2 = s2 + yq;
-                        cs[q] = s2;
-                    }
-                    const double total = cu[cnt - 1];
-                    const double total_sq = cs[cnt - 1];
                     const double *xrow = xs + c * cnt;
-                    double *sc = scores + c * (cnt - 1);
-                    for (int64_t q = 0; q + 1 < cnt; q++) {
-                        if (xrow[q] < xrow[q + 1]) {
-                            const double kk = (double)(q + 1);
-                            const double l =
-                                cs[q] - (cu[q] * cu[q]) / kk;
-                            const double tc = total - cu[q];
-                            const double r_ = (total_sq - cs[q])
-                                - (tc * tc) / (nn - kk);
-                            sc[q] = l + r_;
-                        }
-                        else {
-                            sc[q] = INFINITY;
-                        }
-                    }
-                }
-
-                if (n_valid > nt && max_row > nt) {
-                    /* keys drawn flat in the historical (n-1, m) C order:
-                     * element (q, c) at q*m + c */
-                    rng_double_fill(bg, keys, (cnt - 1) * m);
-                    for (int64_t c = 0; c < m; c++) {
-                        const double *xrow = xs + c * cnt;
-                        for (int64_t q = 0; q + 1 < cnt; q++)
-                            colbuf[q] = xrow[q] < xrow[q + 1]
-                                ? keys[q * m + c] : INFINITY;
-                        const double kth =
-                            kth_smallest(colbuf, cnt - 1, nt - 1);
-                        double *sc = scores + c * (cnt - 1);
+                    const double *yrow = ys + c * cnt;
+                    double kth = INFINITY;
+                    if (masked) {
+                        /* the nt-th smallest valid key, by bounded
+                         * insertion into nt slots (INFINITY when fewer
+                         * than nt positions are valid) */
+                        for (int64_t k = 0; k < nt; k++) slots[k] = INFINITY;
                         for (int64_t q = 0; q + 1 < cnt; q++) {
-                            const double kv = xrow[q] < xrow[q + 1]
-                                ? keys[q * m + c] : INFINITY;
-                            if (kv > kth) sc[q] = INFINITY;
+                            const double kv = keys[q * m + c];
+                            if (xrow[q] < xrow[q + 1] && kv < slots[nt - 1]) {
+                                int64_t k = nt - 1;
+                                while (k > 0 && slots[k - 1] > kv) {
+                                    slots[k] = slots[k - 1];
+                                    k--;
+                                }
+                                slots[k] = kv;
+                            }
                         }
+                        kth = slots[nt - 1];
                     }
-                }
-
-                /* first minimum in position-major order, NaN-first
-                 * (numpy argmin semantics) */
-                double best = scores[0];
-                int64_t bq = 0, bc = 0;
-                for (int64_t q = 0; q + 1 < cnt; q++) {
-                    for (int64_t c = 0; c < m; c++) {
-                        const double v = scores[c * (cnt - 1) + q];
-                        if (v < best || (isnan(v) && !isnan(best))) {
-                            best = v;
+                    /* one pass: the surviving positions (valid, and
+                     * within the key mask when there is one) and the
+                     * cumulative sums the scores read */
+                    int64_t ns = 0;
+                    double s = yrow[0], s2 = yrow[0] * yrow[0];
+                    cum[0] = s;
+                    cumsq[0] = s2;
+                    for (int64_t q = 0; q + 1 < cnt; q++) {
+                        surv[ns] = q;
+                        ns += (xrow[q] < xrow[q + 1])
+                            & (!masked || keys[q * m + c] <= kth);
+                        const double yv = yrow[q + 1];
+                        s = s + yv;
+                        s2 = s2 + yv * yv;
+                        cum[q + 1] = s;
+                        cumsq[q + 1] = s2;
+                    }
+                    const double total = s, total_sq = s2;
+                    for (int64_t k = 0; k < ns; k++) {
+                        const int64_t q = surv[k];
+                        const double kk = (double)(q + 1);
+                        const double l = cumsq[q] - (cum[q] * cum[q]) / kk;
+                        const double tc = total - cum[q];
+                        const double r_ = (total_sq - cumsq[q])
+                            - (tc * tc) / (nn - kk);
+                        const double sc = l + r_;
+                        any_nan |= isnan(sc);
+                        if (sc < best || (sc == best && q < bq)) {
+                            best = sc;
                             bq = q;
                             bc = c;
                         }
                     }
                 }
-                if (isfinite(best)) {
-                    const int64_t f = feats[bc];
+                if (!any_nan && isfinite(best)) {
+                    const int64_t f = perm[bc];
                     const double *xrow = xs + bc * cnt;
                     const double t = (xrow[bq] + xrow[bq + 1]) / 2.0;
-                    const double *xcol = xb_t + f * n;
-                    int64_t n_left = 0;
-                    for (int64_t i = 0; i < cnt; i++)
-                        if (xcol[idx[i]] <= t) n_left++;
+                    const double *xcol = p->x_t + f * n;
+                    for (int64_t i = 0; i < cnt; i++) {
+                        colbuf[i] = xcol[boot[idx[i]]];
+                        n_left += colbuf[i] <= t;
+                    }
                     if (n_left != 0 && n_left != cnt) {
                         split_found = 1;
                         best_f = f;
@@ -514,15 +497,21 @@ static int64_t build_tree_packed(fparams_t *p, int64_t base,
             double thr = best_t;
             row[0] = best_f;
             memcpy(&row[1], &thr, sizeof(double));
-            const double *xcol = xb_t + best_f * n;
-            int64_t *lw = arena + arena_top;
-            int64_t nl = 0;
-            for (int64_t i = 0; i < cnt; i++)
-                if (xcol[idx[i]] <= best_t) lw[nl++] = idx[i];
-            int64_t *rw = lw + nl;
-            int64_t nr = 0;
-            for (int64_t i = 0; i < cnt; i++)
-                if (!(xcol[idx[i]] <= best_t)) rw[nr++] = idx[i];
+            /* Partition the node's rows, order kept, in two passes that
+             * store every row and advance on its side.  The left pass's
+             * trailing store lands on the right list's first slot before
+             * the right pass writes it, the right pass's on the arena's
+             * next free slot (its spare slot at the end). */
+            int64_t *lw = arena + arena_top, *rw = lw + n_left;
+            int64_t nl = 0, nr = 0;
+            for (int64_t i = 0; i < cnt; i++) {
+                lw[nl] = idx[i];
+                nl += colbuf[i] <= best_t;
+            }
+            for (int64_t i = 0; i < cnt; i++) {
+                rw[nr] = idx[i];
+                nr += !(colbuf[i] <= best_t);
+            }
             const int64_t loff = arena_top, roff = arena_top + nl;
             arena_top += cnt;
             /* push right first so the left subtree is built first */
@@ -545,11 +534,16 @@ static int64_t build_tree_packed(fparams_t *p, int64_t base,
  * Returns the total node count, or -1 on capacity overflow. */
 int64_t build_forest(fparams_t *p)
 {
+    int64_t *rank = p->ws_i;                 /* d*n, per fit */
+    int64_t *n_ranks = rank + p->d * p->n;   /* d, per fit */
+    rank_columns(p, rank, n_ranks);
     int64_t total = 0;
     for (int64_t t = 0; t < p->n_trees; t++) {
         p->offsets[t] = total;
         p->tree_depths[t] = 0;
-        const int64_t cnt = build_tree_packed(p, total, &p->tree_depths[t]);
+        const int64_t cnt = build_tree_packed(p, rank, n_ranks,
+                                              n_ranks + p->d, total,
+                                              &p->tree_depths[t]);
         if (cnt < 0) return -1;
         p->counts[t] = cnt;
         total += cnt;
@@ -951,7 +945,6 @@ class _FParams(ctypes.Structure):
         ("ws_d", ctypes.c_void_p),
         ("ws_i", ctypes.c_void_p),
         ("member", ctypes.c_void_p),
-        ("runflag", ctypes.c_void_p),
     ]
 
 
@@ -960,9 +953,15 @@ _lib_failed = False
 _lib_lock = threading.Lock()
 
 
+#: Every build's code-generation flags.  ``-ffp-contract=off`` keeps each
+#: ``a * b + c`` two roundings, as numpy's ufunc loops compute it.
+_BUILD_FLAGS = ("-O2", "-fPIC", "-shared", "-pthread", "-ffp-contract=off")
+
 #: The kernel source must stay warning-clean: every build runs with
-#: ``-Wall -Wextra -Werror`` (the CI lint job compiles it too, so a new
-#: warning fails the build everywhere, not just on strict toolchains).
+#: ``-Wall -Wextra -Werror``, and the CI lint job compiles the source with
+#: gcc and clang under these flags (``tools/compile_forest_kernel.py``),
+#: so a new warning fails CI even where the loader's first compiler
+#: accepts it.
 _STRICT_FLAGS = ("-Wall", "-Wextra", "-Werror")
 
 #: Opt-in instrumented build (``REPRO_FOREST_KERNEL_SANITIZE=1``): ASan +
@@ -994,8 +993,7 @@ def _build_library() -> ctypes.CDLL | None:
                 # repro-lint: allow[atomic-write] reason=scratch file in a private TemporaryDirectory, published below via an atomic replace
                 c_path.write_text(_C_SOURCE)
                 tmp_so = pathlib.Path(tmp) / "forest_kernel.so"
-                flags = ["-O2", "-fPIC", "-shared", "-pthread",
-                         "-ffp-contract=off", *_STRICT_FLAGS]
+                flags = [*_BUILD_FLAGS, *_STRICT_FLAGS]
                 if _sanitize_requested():
                     flags += _SANITIZE_FLAGS
                 for compiler in ("cc", "gcc", "clang"):
@@ -1045,7 +1043,13 @@ def _build_library() -> ctypes.CDLL | None:
 
 
 def load_kernel() -> ctypes.CDLL | None:
-    """The compiled kernel, or ``None`` when disabled or unavailable."""
+    """The compiled kernel, or ``None`` when disabled or unavailable.
+
+    A kernel that fails to build or load warns once per process
+    (``RuntimeWarning``): the numpy fallback gives the same results
+    several times slower.  ``REPRO_FOREST_KERNEL=0`` asks for numpy and
+    warns nothing.
+    """
     # repro-lint: allow[module-state] reason=process-wide compiled-kernel cache; both rebinds happen under _lib_lock and the value is schedule-independent
     global _lib, _lib_failed
     if os.environ.get("REPRO_FOREST_KERNEL", "1") == "0":
@@ -1059,6 +1063,13 @@ def load_kernel() -> ctypes.CDLL | None:
                 _lib = _build_library()
                 if _lib is None:
                     _lib_failed = True
+                    warnings.warn(
+                        "the native forest kernel could not be compiled or "
+                        "loaded; forests fall back to numpy (same results, "
+                        "several times slower)",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
     return _lib
 
 
@@ -1098,39 +1109,64 @@ class _BuildWorkspace:
     each round; reusing (and geometrically growing) the scratch and
     output buffers turns ~10 allocations per fit into attribute reads.
     Cached per-thread (`threading.local`) so the thread-pool runner's
-    concurrent fits never share scratch.
+    concurrent fits never share scratch.  ``params`` is the kernel's
+    argument struct, its buffer pointers set whenever a buffer moves.
     """
 
     def __init__(self) -> None:
+        self.params = _FParams()
         self.cap_total = -1
         self.n = -1
-        self.d = -1
         self.ws_d_size = -1
         self.ws_i_size = -1
 
     def ensure(self, n: int, d: int, m: int, n_trees: int,
-               max_depth: int) -> None:
+               max_depth: int, n_thresholds: int) -> None:
+        """Grow every buffer to the layout ``build_tree_packed`` carves
+        out of it for an ``n x d`` fit.  The kernel's unconditional stores
+        rely on the exact spare slots counted here, and an overrun would
+        land in the next region of the same buffer, where no sanitizer
+        sees it."""
         if n_trees * (2 * n + 4) > self.cap_total:
             self.cap_total = max(n_trees * (2 * n + 4), 2 * self.cap_total)
             self.nodes4 = np.empty((self.cap_total, 4), dtype=np.int64)
             self.value = np.empty(self.cap_total, dtype=float)
             self.variance = np.empty(self.cap_total, dtype=float)
-        if 3 * d * n + 6 * m * n + 4 * n + 64 > self.ws_d_size:
-            self.ws_d_size = max(
-                3 * d * n + 6 * m * n + 4 * n + 64, 2 * self.ws_d_size
-            )
+            self.params.cap_total = self.cap_total
+            self.params.nodes4 = self.nodes4.ctypes.data
+            self.params.value = self.value.ctypes.data
+            self.params.variance = self.variance.ctypes.data
+        ws_d_size = (
+            2 * d * n             # xsort, ysort
+            + n                   # yb
+            + 2 * (m * n + 1)     # xs, ys (+1: the gather's spare slot)
+            + 5 * n               # cum, cumsq, colbuf, ybuf, prodbuf
+            + n_thresholds        # slots
+            + (n - 1) * m         # keys
+        )
+        if ws_d_size > self.ws_d_size:
+            self.ws_d_size = max(ws_d_size, 2 * self.ws_d_size)
             self.ws_d = np.empty(self.ws_d_size, dtype=float)
+            self.params.ws_d = self.ws_d.ctypes.data
+        depth_cap = min(max(max_depth, 0), n)
         ws_i_size = (
-            d * n + 3 * n + 1 + d + n * (max_depth + 3)
-            + 5 * (2 * max_depth + 16)
+            d * n + d             # rank, n_ranks (per fit)
+            + d * n               # presort
+            + 2 * n               # boot, rb
+            + n + 1               # hist
+            + d                   # perm
+            + n                   # surv
+            + 5 * (depth_cap + 2)           # meta
+            + n * (depth_cap + 1) + 1       # arena (+1: partition's spare)
         )
         if ws_i_size > self.ws_i_size:
             self.ws_i_size = max(ws_i_size, 2 * self.ws_i_size)
             self.ws_i = np.empty(self.ws_i_size, dtype=np.int64)
+            self.params.ws_i = self.ws_i.ctypes.data
         if n > self.n:
             self.n = max(n, 2 * self.n)
             self.member = np.empty(self.n, dtype=np.uint8)
-            self.runflag = np.empty(self.n, dtype=np.uint8)
+            self.params.member = self.member.ctypes.data
 
 
 _workspaces = threading.local()
@@ -1177,34 +1213,25 @@ def build_forest(
     presort0 = np.argsort(x_t, axis=1, kind="stable")
 
     ws = _workspace()
-    ws.ensure(n, d, m, n_trees, max_depth)
-    cap_total = ws.cap_total
-    offsets = np.empty(n_trees, dtype=np.int64)
-    counts = np.empty(n_trees, dtype=np.int64)
-    tree_depths = np.empty(n_trees, dtype=np.int64)
+    ws.ensure(n, d, m, n_trees, max_depth, n_thresholds)
+    # offsets, counts and tree_depths: one allocation, three rows
+    per_tree = np.empty((3, n_trees), dtype=np.int64)
+    per_tree_ptr = per_tree.ctypes.data
 
-    p = _FParams()
+    p = ws.params
     p.n, p.d, p.m = n, d, m
     p.min_split = min_samples_split
     p.max_depth = max_depth
     p.n_thresholds = n_thresholds
     p.bootstrap = int(bootstrap)
     p.n_trees = n_trees
-    p.cap_total = cap_total
     p.bitgen = bitgen_address(rng)
     p.x_t = x_t.ctypes.data
     p.y = y.ctypes.data
     p.presort0 = presort0.ctypes.data
-    p.nodes4 = ws.nodes4.ctypes.data
-    p.value = ws.value.ctypes.data
-    p.variance = ws.variance.ctypes.data
-    p.offsets = offsets.ctypes.data
-    p.counts = counts.ctypes.data
-    p.tree_depths = tree_depths.ctypes.data
-    p.ws_d = ws.ws_d.ctypes.data
-    p.ws_i = ws.ws_i.ctypes.data
-    p.member = ws.member.ctypes.data
-    p.runflag = ws.runflag.ctypes.data
+    p.offsets = per_tree_ptr
+    p.counts = per_tree_ptr + 8 * n_trees
+    p.tree_depths = per_tree_ptr + 16 * n_trees
 
     total = int(lib.build_forest(ctypes.byref(p)))
     if total < 0:
@@ -1213,9 +1240,7 @@ def build_forest(
         ws.nodes4[:total].copy(),
         ws.value[:total].copy(),
         ws.variance[:total].copy(),
-        offsets,
-        counts,
-        tree_depths,
+        *per_tree,
     )
 
 

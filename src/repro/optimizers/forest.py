@@ -355,22 +355,6 @@ class RegressionTree:
         )
         return self
 
-    def predict_with_variance(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Leaf mean and leaf variance for each row of ``X``."""
-        if self._arrays is None:
-            raise RuntimeError("tree is not fitted")
-        a = self._arrays
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        node = np.zeros(len(X), dtype=int)
-        active = a.feature[node] >= 0
-        while active.any():
-            rows = np.flatnonzero(active)
-            nd = node[rows]
-            go_left = X[rows, a.feature[nd]] <= a.threshold[nd]
-            node[rows] = np.where(go_left, a.left[nd], a.right[nd])
-            active = a.feature[node] >= 0
-        return a.value[node], a.variance[node]
-
 
 class RandomForestRegressor:
     """Bagged ensemble of :class:`RegressionTree` with uncertainty."""
@@ -396,8 +380,9 @@ class RandomForestRegressor:
 
     @property
     def _trees(self) -> list[RegressionTree]:
-        """Per-tree views (the reference representation for tests and
-        :meth:`predict_mean_var_per_tree`).  The native builder emits the
+        """Per-tree views: the numpy builder's output, and the
+        representation the per-tree reference predict in
+        ``tests/forest_reference.py`` walks.  The native builder emits the
         packed table directly, so the per-tree arrays are reconstructed
         lazily by slicing it and un-rebasing the child indices."""
         if self._tree_storage is None and self._packed is not None:
@@ -514,32 +499,10 @@ class RandomForestRegressor:
     def predict_mean_var(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ensemble mean and total variance (between + within trees): the
         one-forest call of :func:`predict_mean_var_stacked`, so output is
-        byte-identical across kernels and to
-        :meth:`predict_mean_var_per_tree`."""
+        byte-identical across kernels and to the per-tree reference in
+        ``tests/forest_reference.py``."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return predict_mean_var_stacked([self], X, [len(X)])[0]
-
-    def predict_mean_var_per_tree(
-        self, X: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Reference per-tree implementation of :meth:`predict_mean_var`.
-
-        Kept as the ground truth the packed traversal is tested against
-        (exact array equality); not used on the hot path.
-        """
-        if not self._trees:
-            raise RuntimeError("forest is not fitted")
-        means = []
-        variances = []
-        for tree in self._trees:
-            m, v = tree.predict_with_variance(X)
-            means.append(m)
-            variances.append(v)
-        mean_stack = np.stack(means)
-        var_stack = np.stack(variances)
-        mean = mean_stack.mean(axis=0)
-        total_var = mean_stack.var(axis=0) + var_stack.mean(axis=0)
-        return mean, np.maximum(total_var, 1e-12)
 
 
 def predict_mean_var_stacked(

@@ -18,6 +18,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from forest_reference import predict_mean_var_per_tree
 from repro.dbms.engine import PostgresSimulator
 from repro.optimizers import _forest_kernel
 from repro.optimizers.forest import (
@@ -117,7 +118,7 @@ class TestNativePredictPins:
         mean, var = forest.predict_mean_var(probes)  # routed natively
         np.testing.assert_array_equal(mean, np.array(pin["mean"]))
         np.testing.assert_array_equal(var, np.array(pin["var"]))
-        ref_mean, ref_var = forest.predict_mean_var_per_tree(probes)
+        ref_mean, ref_var = predict_mean_var_per_tree(forest, probes)
         np.testing.assert_array_equal(mean, ref_mean)
         np.testing.assert_array_equal(var, ref_var)
 

@@ -1,12 +1,23 @@
 """Tests for the random-forest surrogate (SMAC's model)."""
 
+import importlib.util
+import os
+import pathlib
+import shutil
 import subprocess
+import warnings
+from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from forest_reference import (
+    predict_mean_var_per_tree,
+    tree_predict_with_variance,
+)
 from repro.optimizers import _forest_kernel
 from repro.optimizers.forest import (
     RandomForestRegressor,
@@ -27,7 +38,7 @@ class TestRegressionTree:
     def test_fits_and_predicts(self):
         X, y = make_data()
         tree = RegressionTree(rng=np.random.default_rng(0)).fit(X, y)
-        mean, var = tree.predict_with_variance(X)
+        mean, var = tree_predict_with_variance(tree, X)
         assert mean.shape == (len(X),)
         assert np.all(var >= 0)
 
@@ -35,27 +46,27 @@ class TestRegressionTree:
         X = np.random.default_rng(0).random((20, 3))
         y = np.full(20, 7.0)
         tree = RegressionTree(rng=np.random.default_rng(0)).fit(X, y)
-        mean, var = tree.predict_with_variance(X[:5])
+        mean, var = tree_predict_with_variance(tree, X[:5])
         np.testing.assert_allclose(mean, 7.0)
         np.testing.assert_allclose(var, 0.0)
 
     def test_single_sample(self):
         tree = RegressionTree(rng=np.random.default_rng(0))
         tree.fit(np.array([[0.5, 0.5]]), np.array([3.0]))
-        mean, __ = tree.predict_with_variance(np.array([[0.1, 0.9]]))
+        mean, __ = tree_predict_with_variance(tree, np.array([[0.1, 0.9]]))
         assert mean[0] == 3.0
 
     def test_unfitted_predict_raises(self):
         with pytest.raises(RuntimeError):
-            RegressionTree(rng=np.random.default_rng(0)).predict_with_variance(
-                np.zeros((1, 2))
+            tree_predict_with_variance(
+                RegressionTree(rng=np.random.default_rng(0)), np.zeros((1, 2))
             )
 
     def test_max_depth_respected(self):
         X, y = make_data(n=200)
         tree = RegressionTree(max_depth=1, rng=np.random.default_rng(0)).fit(X, y)
         # Depth-1 tree has at most 2 leaves -> at most 2 distinct predictions.
-        mean, __ = tree.predict_with_variance(X)
+        mean, __ = tree_predict_with_variance(tree, X)
         assert len(np.unique(mean)) <= 2
 
     def test_learns_dominant_feature(self):
@@ -64,8 +75,12 @@ class TestRegressionTree:
         X = rng.random((300, 5))
         y = 10.0 * (X[:, 2] > 0.5).astype(float)
         tree = RegressionTree(max_features=5, rng=rng).fit(X, y)
-        lo, __ = tree.predict_with_variance(np.array([[0.5, 0.5, 0.1, 0.5, 0.5]]))
-        hi, __ = tree.predict_with_variance(np.array([[0.5, 0.5, 0.9, 0.5, 0.5]]))
+        lo, __ = tree_predict_with_variance(
+            tree, np.array([[0.5, 0.5, 0.1, 0.5, 0.5]])
+        )
+        hi, __ = tree_predict_with_variance(
+            tree, np.array([[0.5, 0.5, 0.9, 0.5, 0.5]])
+        )
         assert hi[0] - lo[0] > 5.0
 
 
@@ -138,7 +153,7 @@ class TestPackedForest:
         forest = RandomForestRegressor(n_trees=12, seed=5).fit(X, y)
         probes = np.random.default_rng(1).random((batch, 8))
         mean_packed, var_packed = forest.predict_mean_var(probes)
-        mean_ref, var_ref = forest.predict_mean_var_per_tree(probes)
+        mean_ref, var_ref = predict_mean_var_per_tree(forest, probes)
         np.testing.assert_array_equal(mean_packed, mean_ref)
         np.testing.assert_array_equal(var_packed, var_ref)
 
@@ -152,7 +167,7 @@ class TestPackedForest:
         X, y = make_data()
         forest = RandomForestRegressor(n_trees=4, seed=0).fit(X, y)
         a = forest.predict_mean_var(X[0])
-        b = forest.predict_mean_var_per_tree(X[0])
+        b = predict_mean_var_per_tree(forest, X[0])
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -166,7 +181,7 @@ class TestPackedForest:
             n_trees=6, min_samples_split=2, seed=3
         ).fit(X, y)
         a = forest.predict_mean_var(X)
-        b = forest.predict_mean_var_per_tree(X)
+        b = predict_mean_var_per_tree(forest, X)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -319,6 +334,19 @@ class TestNativePredict:
         np.testing.assert_array_equal(nodes[:, 3], p.right)
 
 
+def load_compile_tool():
+    path = (
+        pathlib.Path(__file__).parent.parent / "tools"
+        / "compile_forest_kernel.py"
+    )
+    spec = importlib.util.spec_from_file_location(
+        "compile_forest_kernel", path
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 class TestKernelBuild:
     def test_missing_compiler_falls_through_to_the_next(self, monkeypatch):
         """A compiler absent from PATH makes ``subprocess.run`` raise; the
@@ -340,41 +368,183 @@ class TestKernelBuild:
         assert _forest_kernel._build_library() is None
         assert tried == ["cc", "gcc", "clang"]
 
+    @pytest.fixture
+    def unloaded(self, monkeypatch):
+        """A process that has not tried to load the kernel yet."""
+        monkeypatch.setattr(_forest_kernel, "_lib", None)
+        monkeypatch.setattr(_forest_kernel, "_lib_failed", False)
+        monkeypatch.delenv("REPRO_FOREST_KERNEL", raising=False)
+        return monkeypatch
+
+    def test_failed_build_warns_once(self, unloaded):
+        """The fallback to numpy is loud: the first load that finds no
+        usable kernel warns, and later loads stay quiet."""
+        builds = []
+        unloaded.setattr(
+            _forest_kernel, "_build_library", lambda: builds.append(1)
+        )
+        with pytest.warns(RuntimeWarning, match="fall back to numpy") as rec:
+            for _ in range(3):
+                assert _forest_kernel.load_kernel() is None
+        assert len(builds) == 1
+        assert [w.category for w in rec] == [RuntimeWarning]
+
+    def test_numpy_request_neither_builds_nor_warns(self, unloaded):
+        def build():
+            raise AssertionError("REPRO_FOREST_KERNEL=0 must not build")
+
+        unloaded.setattr(_forest_kernel, "_build_library", build)
+        unloaded.setenv("REPRO_FOREST_KERNEL", "0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _forest_kernel.load_kernel() is None
+            assert not _forest_kernel.kernel_available()
+
+    def test_compile_tool_reads_the_loader_constants(self):
+        """CI compiles the kernel from the literals the tool reads with
+        ``ast``; they must be the loader's own."""
+        constants = load_compile_tool().kernel_constants()
+        assert constants["_C_SOURCE"] == _forest_kernel._C_SOURCE
+        assert constants["_BUILD_FLAGS"] == _forest_kernel._BUILD_FLAGS
+        assert constants["_STRICT_FLAGS"] == _forest_kernel._STRICT_FLAGS
+
+    @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc")
+    def test_compile_tool_fails_on_a_warning(self):
+        tool = load_compile_tool()
+        constants = dict(tool.kernel_constants())
+        constants["_C_SOURCE"] = "int f(void) { int unused; return 0; }\n"
+        ok, diagnostics = tool.compile_kernel("gcc", constants)
+        assert not ok and "unused" in diagnostics
+
+
+@dataclass(frozen=True)
+class FitCase:
+    """One forest fit: training data, probes, the forest's seed and its
+    shape knobs."""
+
+    X: np.ndarray
+    y: np.ndarray
+    probes: np.ndarray
+    seed: int
+    n_trees: int = 6
+    bootstrap: bool = True
+    min_samples_split: int = 3
+    max_depth: int = 20
+
+    def forest(self) -> RandomForestRegressor:
+        return RandomForestRegressor(
+            n_trees=self.n_trees,
+            min_samples_split=self.min_samples_split,
+            max_depth=self.max_depth,
+            bootstrap=self.bootstrap,
+            seed=self.seed,
+        )
+
+
+def legacy_case(trial_seed: int) -> FitCase:
+    """The four rounded-tie fits the equivalence test drew before it
+    became a property, kept as explicit examples."""
+    rng = np.random.default_rng(trial_seed)
+    n = int(rng.integers(5, 150))
+    d = int(rng.integers(1, 40))
+    X = np.round(rng.random((n, d)), 1)
+    y = np.round(rng.normal(size=n), 1)
+    seed = int(rng.integers(2**31))
+    return FitCase(X, y, rng.random((25, d)), seed)
+
+
+def smac_like_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """Rows the way a SMAC session collects them: a random initial design
+    of 10, then one-coordinate Gaussian steps from earlier rows clipped
+    to [0, 1] — the clip piles values onto 0 and 1, and each step leaves
+    the other coordinates tied with the row it came from."""
+    X = rng.random((n, d))
+    for i in range(min(10, n), n):
+        X[i] = X[rng.integers(i)]
+        j = rng.integers(d)
+        X[i, j] = np.clip(X[i, j] + rng.normal(0.0, 0.3), 0.0, 1.0)
+    return X
+
+
+@st.composite
+def fit_cases(draw) -> FitCase:
+    n = draw(st.integers(1, 150))
+    d = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["uniform", "rounded", "smac"]))
+    if layout == "smac":
+        X = smac_like_rows(rng, n, d)
+    else:
+        X = rng.random((n, d))
+        if layout == "rounded":
+            X = np.round(X, draw(st.integers(0, 2)))
+    if draw(st.booleans()):  # constant columns
+        X[:, rng.random(d) < 0.3] = 0.5
+    if draw(st.booleans()):  # -0.0 next to 0.0 in the same columns
+        zeros = rng.random((n, d)) < 0.2
+        X[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    if draw(st.booleans()):  # NaN cells
+        X[rng.random((n, d)) < 0.1] = np.nan
+    y = rng.normal(size=n)
+    target = draw(
+        st.sampled_from(["normal", "rounded", "wide", "nan", "constant"])
+    )
+    if target == "rounded":
+        y = np.round(y, 1)
+    elif target == "wide":  # magnitudes where summation order shows
+        y *= 10.0 ** rng.integers(-8, 9, size=n)
+    elif target == "nan":
+        y[rng.integers(n, size=max(1, n // 20))] = np.nan
+    elif target == "constant":
+        y[:] = 2.5
+    probes = rng.random((25, d))
+    probes[::6, rng.integers(d)] = np.nan
+    return FitCase(
+        X, y, probes,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n_trees=draw(st.integers(1, 8)),
+        bootstrap=draw(st.booleans()),
+        min_samples_split=draw(st.sampled_from([2, 3, 5])),
+        max_depth=draw(st.sampled_from([20, 2, 1])),
+    )
+
+
+#: Every column of the packed forest, compared as raw bytes.
+PACKED_FIELDS = ("feature", "threshold", "left", "right", "value",
+                 "variance", "offsets", "tree_depths")
+
 
 class TestNativeKernelEquivalence:
-    """The optional C kernel must be byte-identical to the numpy builder:
-    same trees, same predictions, same RNG stream afterwards."""
+    """The C build must be byte-identical to the numpy builder: same node
+    columns and tree depths, same predictions, same RNG stream afterwards.
 
-    @pytest.mark.parametrize("trial_seed", [0, 1, 2, 3])
-    def test_native_matches_numpy(self, monkeypatch, trial_seed):
+    This property is also the only net for the kernel's unconditional
+    stores: its scratch regions share one numpy buffer per type, so a
+    store that overruns one region lands in the next, where ASan cannot
+    see it but the trees change."""
+
+    @given(case=fit_cases())
+    @example(case=legacy_case(0))
+    @example(case=legacy_case(1))
+    @example(case=legacy_case(2))
+    @example(case=legacy_case(3))
+    @settings(max_examples=200, deadline=None)
+    def test_native_build_matches_numpy(self, case):
         if not _forest_kernel.kernel_available():
             pytest.skip("native forest kernel unavailable on this host")
-        rng = np.random.default_rng(trial_seed)
-        n = int(rng.integers(5, 150))
-        d = int(rng.integers(1, 40))
-        # rounding forces tied feature/target values — the stable-sort and
-        # tie-break paths are where implementations diverge first
-        X = np.round(rng.random((n, d)), 1)
-        y = np.round(rng.normal(size=n), 1)
-        seed = int(rng.integers(2**31))
-
-        native = RandomForestRegressor(n_trees=6, seed=seed).fit(X, y)
-        monkeypatch.setenv("REPRO_FOREST_KERNEL", "0")
-        fallback = RandomForestRegressor(n_trees=6, seed=seed).fit(X, y)
+        native = case.forest().fit(case.X, case.y)
+        with mock.patch.dict(os.environ, {"REPRO_FOREST_KERNEL": "0"}):
+            fallback = case.forest().fit(case.X, case.y)
 
         assert (
             native.rng.bit_generator.state
             == fallback.rng.bit_generator.state
         )
-        for t_native, t_fallback in zip(native._trees, fallback._trees):
-            a, b = t_native._arrays, t_fallback._arrays
-            for field in ("feature", "threshold", "left", "right", "value",
-                          "variance"):
-                np.testing.assert_array_equal(
-                    getattr(a, field), getattr(b, field), err_msg=field
-                )
-        probes = rng.random((25, d))
-        np.testing.assert_array_equal(
-            native.predict_mean_var(probes)[0],
-            fallback.predict_mean_var(probes)[0],
-        )
+        for field in PACKED_FIELDS:
+            a = getattr(native._packed, field)
+            b = getattr(fallback._packed, field)
+            assert a.dtype == b.dtype, field
+            assert a.tobytes() == b.tobytes(), field
+        for a, b in zip(native.predict_mean_var(case.probes),
+                        fallback.predict_mean_var(case.probes)):
+            assert a.tobytes() == b.tobytes()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from forest_reference import predict_mean_var_per_tree
 from repro.optimizers import _forest_kernel
 from repro.optimizers.forest import (
     RandomForestRegressor,
@@ -285,7 +286,7 @@ class TestParallelLeafWalk:
         row_counts = np.array([len(s) for s in slabs], dtype=np.int64)
         stacked = predict_mean_var_stacked(forests, X, row_counts, n_threads=4)
         for forest, slab, (mean, var) in zip(forests, slabs, stacked):
-            m, v = forest.predict_mean_var_per_tree(slab)
+            m, v = predict_mean_var_per_tree(forest, slab)
             assert np.array_equal(m, mean)
             assert np.array_equal(v, var)
 
