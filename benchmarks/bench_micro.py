@@ -20,6 +20,7 @@ from repro.optimizers.smac import SMACOptimizer
 from repro.space.postgres import postgres_v96_space
 from repro.space.sampling import uniform_configurations
 from repro.tuning.runner import SessionSpec, llamatune_factory, run_spec
+from repro.tuning.wave import run_wave
 from repro.workloads import get_workload
 
 
@@ -184,10 +185,10 @@ def test_wave_runner_8seeds(benchmark):
         workload="ycsb-a", optimizer="smac", adapter=llamatune_factory(),
         n_iterations=24, n_init=8,
     )
-    run_spec(spec, [1], mode="wave")  # warm calibration + kernel
+    run_wave(spec, [1])  # warm calibration + kernel
     seeds = list(range(1, 9))
     benchmark.pedantic(
-        lambda: run_spec(spec, seeds, mode="wave"), rounds=5, warmup_rounds=1
+        lambda: run_wave(spec, seeds), rounds=5, warmup_rounds=1
     )
 
 
@@ -202,10 +203,10 @@ def test_wave_runner_8seeds_mt(benchmark):
         workload="ycsb-a", optimizer="smac", adapter=llamatune_factory(),
         n_iterations=24, n_init=8, wave_threads=4,
     )
-    run_spec(spec, [1], mode="wave")  # warm calibration + kernel
+    run_wave(spec, [1])  # warm calibration + kernel
     seeds = list(range(1, 9))
     benchmark.pedantic(
-        lambda: run_spec(spec, seeds, mode="wave"), rounds=5, warmup_rounds=1
+        lambda: run_wave(spec, seeds), rounds=5, warmup_rounds=1
     )
 
 

@@ -7,9 +7,9 @@ the tuner minimizes 95th-percentile latency instead of maximizing
 throughput.  Demonstrates the `objective="latency"` / `target_rate` knobs
 of the public API.
 
-The seeds of each arm run concurrently through the parallel multi-seed
-runner (``run_spec(..., parallel=True)``; the CLI equivalent is
-``python -m repro --seeds 1,2,3 --parallel``).  Results are identical to
+The seeds of each arm run in lockstep waves sharded over two worker
+processes (``run_spec(..., workers=2)``; the CLI equivalent is
+``python -m repro --seeds 1,2,3 --workers 2``).  Results are identical to
 sequential execution — sessions share no mutable state.
 
 Usage::
@@ -41,8 +41,8 @@ def main() -> None:
     )
     baseline_spec = SessionSpec(adapter=None, **common)
     treatment_spec = SessionSpec(adapter=llamatune_factory(), **common)
-    baselines = run_spec(baseline_spec, SEEDS, parallel=True)
-    treatments = run_spec(treatment_spec, SEEDS, parallel=True)
+    baselines = run_spec(baseline_spec, SEEDS, workers=2)
+    treatments = run_spec(treatment_spec, SEEDS, workers=2)
     base_curve = np.mean([r.best_curve for r in baselines], axis=0)
     treat_curve = np.mean([r.best_curve for r in treatments], axis=0)
 

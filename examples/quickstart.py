@@ -10,9 +10,9 @@ Usage::
 
     python examples/quickstart.py [workload] [seed]
 
-For the paper's full five-seed protocol, use the CLI's parallel multi-seed
-runner instead: ``python -m repro --workload ycsb-a --seeds 1,2,3,4,5
---parallel`` (see also ``examples/latency_tuning.py``).
+For the paper's full five-seed protocol, use the CLI's multi-seed runner
+instead: ``python -m repro --workload ycsb-a --seeds 1,2,3,4,5
+--workers 2`` (see also ``examples/latency_tuning.py``).
 """
 
 import sys

@@ -12,9 +12,13 @@ Examples::
     python -m repro --workload seats --no-llamatune        # vanilla baseline
     python -m repro --workload tpcc --objective latency --rate 2000
     python -m repro --workload ycsb-b --conf-out best.conf --kb-out kb.json
-    python -m repro --workload tpcc --seeds 1,2,3,4,5 --parallel
-    python -m repro --workload ycsb-a --seeds 1,2,3,4,5,6,7,8 --wave
+    python -m repro --workload tpcc --seeds 1,2,3,4,5 --workers 2
+    python -m repro --workload ycsb-a --seeds 1,2,3,4,5,6,7,8 --workers 1
     python -m repro serve --workloads ycsb-a,tpcc --tenants 4 --seeds 1,2
+
+``--seeds`` runs one session per seed: sequentially by default, in one
+lockstep wave with ``--workers 1``, or in waves sharded over N worker
+processes with ``--workers N``; every strategy prints the same results.
 
 The ``serve`` subcommand runs the asyncio tuning-as-a-service front end
 (:class:`repro.tuning.server.SessionServer`) with in-process demo
@@ -76,29 +80,17 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="run several seeds (overrides --seed) and report "
                              "the seed-averaged curve and overall best")
-    parser.add_argument("--parallel", action="store_true",
-                        help="with --seeds, run the seeds concurrently via "
-                             "the parallel multi-seed runner")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="with --parallel, cap the pool at N workers "
-                             "(default: the CPUs available to this "
-                             "process); with --wave, run the wave's "
-                             "per-seed surrogate fits and the stacked "
-                             "leaf walk on N threads — trajectories stay "
-                             "byte-identical at any N")
-    parser.add_argument("--process-pool", action="store_true",
-                        help="with --parallel, use a process pool instead "
-                             "of threads (sidesteps the GIL for simulated "
-                             "seeds)")
-    parser.add_argument("--wave", action="store_true",
-                        help="with --seeds, run the seeds in lockstep waves: "
-                             "one stacked surrogate-scoring pass and one "
-                             "cross-session simulator pass per round, with "
-                             "per-seed trajectories byte-identical to the "
-                             "sequential runner (the fast path for "
-                             "multi-seed sweeps on one core)")
+                        help="run the seeds in lockstep waves (one stacked "
+                             "surrogate-scoring pass and one cross-session "
+                             "simulator pass per round): N=1 in one wave "
+                             "in this process, N>=2 in waves sharded "
+                             "round-robin over N worker processes "
+                             "(default: sequentially); per-seed "
+                             "trajectories are byte-identical to the "
+                             "sequential run at any N")
     parser.add_argument("--wave-shared-pool", action="store_true",
-                        help="with --wave, share one per-wave candidate "
+                        help="with --workers, share one per-wave candidate "
                              "pool (drawn from a dedicated pool RNG) across "
                              "seeds; trajectories then differ from "
                              "sequential runs but stay reproducible per "
@@ -360,29 +352,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.workers is not None and args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
-    if args.workers is not None and not (args.parallel or args.wave):
-        print(
-            "error: --workers requires --parallel or --wave (it would "
-            "otherwise be silently ignored)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.process_pool and not (args.parallel and args.seeds and len(args.seeds) > 1):
-        print(
-            "error: --process-pool requires --parallel and a multi-seed "
-            "--seeds list (it would otherwise silently run sequentially)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.wave and (args.parallel or args.process_pool):
-        print(
-            "error: --wave is its own execution strategy; drop "
-            "--parallel/--process-pool",
-            file=sys.stderr,
-        )
-        return 2
-    if args.wave_shared_pool and not args.wave:
-        print("error: --wave-shared-pool requires --wave", file=sys.stderr)
+    if args.wave_shared_pool and args.workers is None:
+        print("error: --wave-shared-pool requires --workers", file=sys.stderr)
         return 2
     if args.checkpoint_every < 0:
         print("error: --checkpoint-every must be >= 0", file=sys.stderr)
@@ -415,12 +386,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.record_trace and args.backend != "live":
         print("error: --record-trace requires --backend live", file=sys.stderr)
         return 2
-    if args.backend == "live" and args.parallel:
+    if args.backend == "live" and args.workers is not None and args.workers >= 2:
         print(
-            "error: --backend live cannot run seeds in parallel: they would "
-            "reconfigure and restart the same server concurrently; drop "
-            "--parallel (sequential and --wave runs evaluate one seed at a "
-            "time)",
+            "error: --backend live cannot run seeds in parallel: every "
+            "worker process would reconfigure and restart the same server "
+            "concurrently; drop --workers or use --workers 1 (they "
+            "evaluate one seed at a time)",
             file=sys.stderr,
         )
         return 2
@@ -431,10 +402,10 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.record_trace and (args.parallel or args.process_pool or args.wave):
+    if args.record_trace and args.workers is not None:
         print(
             "error: --record-trace captures traces sequentially; drop "
-            "--parallel/--process-pool/--wave",
+            "--workers",
             file=sys.stderr,
         )
         return 2
@@ -486,23 +457,13 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"Tuning {args.workload} with {label} {args.optimizer} "
         f"({args.iterations} iterations, PostgreSQL v{args.dbms_version}, "
-        f"{len(seeds)} seed{'s' if len(seeds) > 1 else ''}"
-        f"{', parallel' if args.parallel and len(seeds) > 1 else ''}"
-        f"{', wave' if args.wave else ''})"
+        f"{len(seeds)} seed{'s' if len(seeds) > 1 else ''})"
     )
-    if args.wave:
-        mode = "wave"
-    elif args.process_pool:
-        mode = "process"
-    else:
-        mode = "thread"
     try:
         results = run_spec(
             spec,
             seeds,
-            parallel=args.parallel,
-            max_workers=args.workers,
-            mode=mode,
+            workers=args.workers,
             wave_shared_pool=args.wave_shared_pool,
         )
     except QuarantinedSessionError as exc:

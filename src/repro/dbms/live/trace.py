@@ -43,6 +43,7 @@ class TraceMissError(DbmsError):
 
     def __init__(self, fingerprint: str, trace: "EvalTrace"):
         self.fingerprint = fingerprint
+        self.trace = trace
         super().__init__(
             f"trace miss: configuration {fingerprint} is not among the "
             f"{len(trace.entries)} recorded entries of trace "
@@ -51,6 +52,11 @@ class TraceMissError(DbmsError):
             "under; after changing the spec, adapter stack, or knob "
             "catalog, re-record with --backend live --record-trace."
         )
+
+    def __reduce__(self):
+        # Exceptions unpickle as cls(*args), and args holds the message;
+        # rebuild from the fields so the error survives a worker process.
+        return type(self), (self.fingerprint, self.trace)
 
 
 @dataclass

@@ -11,7 +11,6 @@ import time
 
 from repro.experiments import EXPERIMENTS, Scale, run_experiment
 from repro.tuning.persistence import atomic_write_text
-from repro.tuning.runner import spec_overrides
 
 #: Unique experiment ids in a sensible execution order (aliases removed).
 ORDERED_IDS = (
@@ -55,22 +54,19 @@ def main(argv: list[str] | None = None) -> int:
         help="also write each report's machine-readable data to DIR/<id>.json",
     )
     parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run the seeds of every tuning arm concurrently (thread pool)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
         metavar="N",
-        help="with --parallel, cap each arm's seed pool at N workers "
-             "(default: the CPUs available to this process)",
+        help="run each tuning arm's seeds in lockstep waves: N=1 in one "
+             "wave, N>=2 in waves sharded over N worker processes "
+             "(default: sequentially); results are byte-identical either "
+             "way, and Table 10 always runs sequentially",
     )
     parser.add_argument(
         "--checkpoint-every",
         type=int,
-        default=None,
+        default=0,
         metavar="K",
         help="checkpoint every tuning session at K-iteration round "
              "boundaries (requires --checkpoint-dir)",
@@ -96,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--fault-rate",
         type=float,
-        default=None,
+        default=0.0,
         metavar="P",
         help="inject evaluation faults with probability P per evaluation "
              "(reproducible per (spec, seed, fault seed))",
@@ -104,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--fault-seed",
         type=int,
-        default=None,
+        default=0,
         help="dedicated seed for the fault schedule",
     )
     args = parser.parse_args(argv)
@@ -114,48 +110,43 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--force-resume requires --resume")
     if args.workers is not None and args.workers < 1:
         parser.error("--workers must be >= 1")
-    if args.workers is not None and not args.parallel:
-        parser.error("--workers requires --parallel")
     scale = {"paper": Scale.paper, "default": Scale.default, "quick": Scale.quick}[
         args.scale
     ]()
-    if args.parallel:
-        scale = dataclasses.replace(
-            scale, parallel=True, workers=args.workers
-        )
-
-    ids = ORDERED_IDS if args.experiment == "all" else (args.experiment,)
-    # Resilience flags reach every SessionSpec the experiment modules build
-    # through the runner's spec-override seam; None leaves a field at its
-    # spec default, so unset flags change nothing.
-    with spec_overrides(
+    # Every arm's SessionSpec takes the resilience fields from the scale
+    # (Scale.arm); unset flags leave the spec defaults.
+    scale = dataclasses.replace(
+        scale,
+        workers=args.workers,
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
-        resume=True if args.resume else None,
-        force_resume=True if args.force_resume else None,
+        resume=args.resume,
+        force_resume=args.force_resume,
         fault_rate=args.fault_rate,
         fault_seed=args.fault_seed,
-    ):
-        for experiment_id in ids:
-            started = time.perf_counter()
-            report = run_experiment(experiment_id, scale)
-            elapsed = time.perf_counter() - started
-            print(report.text())
-            print(f"[{experiment_id} completed in {elapsed:.1f}s]")
-            print()
-            if args.json:
-                out_dir = pathlib.Path(args.json)
-                out_dir.mkdir(parents=True, exist_ok=True)
-                payload = {
-                    "experiment": report.experiment_id,
-                    "title": report.title,
-                    "elapsed_seconds": elapsed,
-                    "data": report.data,
-                }
-                path = out_dir / f"{experiment_id}.json"
-                atomic_write_text(
-                    path, json.dumps(payload, indent=2, default=float)
-                )
+    )
+
+    ids = ORDERED_IDS if args.experiment == "all" else (args.experiment,)
+    for experiment_id in ids:
+        started = time.perf_counter()
+        report = run_experiment(experiment_id, scale)
+        elapsed = time.perf_counter() - started
+        print(report.text())
+        print(f"[{experiment_id} completed in {elapsed:.1f}s]")
+        print()
+        if args.json:
+            out_dir = pathlib.Path(args.json)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            payload = {
+                "experiment": report.experiment_id,
+                "title": report.title,
+                "elapsed_seconds": elapsed,
+                "data": report.data,
+            }
+            path = out_dir / f"{experiment_id}.json"
+            atomic_write_text(
+                path, json.dumps(payload, indent=2, default=float)
+            )
     return 0
 
 

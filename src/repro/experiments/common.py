@@ -8,27 +8,50 @@ pytest-benchmark use ``Scale.quick()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
+
+from repro.tuning.runner import SessionSpec
 
 
 @dataclass(frozen=True)
 class Scale:
     """Execution scale of an experiment.
 
-    ``parallel`` runs the seeds of every tuning arm concurrently through
-    :func:`repro.tuning.runner.run_spec` (results are identical to the
-    sequential order; see the ``--parallel`` CLI flag).  ``workers`` caps
-    that pool (``--workers``; None sizes it by the CPUs available to the
-    process) — execution strategy only, results unchanged.
+    ``workers`` is the multi-seed strategy every tuning arm hands to
+    :func:`repro.tuning.runner.run_spec` (``--workers``): None runs the
+    seeds sequentially, 1 in one wave, N >= 2 in waves sharded over N
+    worker processes — execution strategy only, results unchanged.
+
+    The resilience fields (``--checkpoint-every``, ``--checkpoint-dir``,
+    ``--resume``, ``--force-resume``, ``--fault-rate``, ``--fault-seed``)
+    reach every arm's :class:`SessionSpec` through :meth:`arm`; their
+    defaults are the spec's own.
     """
 
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     n_iterations: int = 100
     lhs_samples: int = 2000  # importance-study sample count (paper: 2500)
     shap_permutations: int = 600
-    parallel: bool = False
     workers: int | None = None
+    checkpoint_every: int = 0
+    checkpoint_dir: str | None = None
+    resume: bool = False
+    force_resume: bool = False
+    fault_rate: float = 0.0
+    fault_seed: int = 0
+
+    def arm(self, spec: SessionSpec) -> SessionSpec:
+        """``spec`` with this scale's resilience fields."""
+        return replace(
+            spec,
+            checkpoint_every=self.checkpoint_every,
+            checkpoint_dir=self.checkpoint_dir,
+            resume=self.resume,
+            force_resume=self.force_resume,
+            fault_rate=self.fault_rate,
+            fault_seed=self.fault_seed,
+        )
 
     @classmethod
     def paper(cls) -> "Scale":

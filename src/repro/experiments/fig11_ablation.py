@@ -43,10 +43,9 @@ def run(scale: Scale | None = None) -> ExperimentReport:
                 adapter=adapter,
                 n_iterations=scale.n_iterations,
             )
-            curve = mean_best_curve(run_spec(
-                spec, scale.seeds, parallel=scale.parallel,
-                max_workers=scale.workers,
-            ))
+            curve = mean_best_curve(
+                run_spec(scale.arm(spec), scale.seeds, workers=scale.workers)
+            )
             finals[label] = float(curve[-1])
             report.add(format_series(label, curve))
         baseline = finals["SMAC"]

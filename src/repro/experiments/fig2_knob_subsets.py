@@ -14,17 +14,29 @@ transfer-failure to deviate.  EXPERIMENTS.md records the measured outcome.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.core.pipeline import SubspaceAdapter
 from repro.experiments.common import ExperimentReport, Scale, format_series
 from repro.experiments.table1_importance import HAND_PICKED_YCSB_A, shap_ranking
+from repro.space.configspace import ConfigurationSpace
 from repro.tuning.runner import SessionSpec, mean_best_curve, run_spec
 
 
-def _subset_factory(names):
-    def factory(space, seed):
-        return SubspaceAdapter(space, names)
+@dataclass(frozen=True)
+class SubsetFactory:
+    """Adapter factory tuning only the knobs in ``names``.
 
-    return factory
+    A module-level dataclass, like
+    :class:`~repro.tuning.runner.LlamaTuneFactory`: it pickles into
+    worker processes, and its ``repr`` names the subset, so each arm's
+    spec fingerprint (and checkpoint file) is its own.
+    """
+
+    names: tuple[str, ...]
+
+    def __call__(self, space: ConfigurationSpace, seed: int) -> SubspaceAdapter:
+        return SubspaceAdapter(space, self.names)
 
 
 def run(scale: Scale | None = None) -> ExperimentReport:
@@ -36,8 +48,8 @@ def run(scale: Scale | None = None) -> ExperimentReport:
 
     arms = {
         "All knobs": None,
-        "Hand-picked (top-8)": _subset_factory(HAND_PICKED_YCSB_A),
-        "SHAP (top-8)": _subset_factory(shap_top8),
+        "Hand-picked (top-8)": SubsetFactory(HAND_PICKED_YCSB_A),
+        "SHAP (top-8)": SubsetFactory(shap_top8),
     }
 
     report.data = {"shap_top8": list(shap_top8)}
@@ -45,14 +57,13 @@ def run(scale: Scale | None = None) -> ExperimentReport:
         report.add(f"{panel}: best throughput, SMAC, {scale.n_iterations} iters")
         finals = {}
         for label, adapter in arms.items():
-            spec = SessionSpec(
+            spec = scale.arm(SessionSpec(
                 workload=workload,
                 optimizer="smac",
                 adapter=adapter,
                 n_iterations=scale.n_iterations,
-            )
-            results = run_spec(spec, scale.seeds, parallel=scale.parallel,
-                               max_workers=scale.workers)
+            ))
+            results = run_spec(spec, scale.seeds, workers=scale.workers)
             curve = mean_best_curve(results)
             finals[label] = float(curve[-1])
             report.add(format_series(label, curve))

@@ -40,10 +40,9 @@ def run(scale: Scale | None = None) -> ExperimentReport:
 
     finals = {}
     for label, spec in arms.items():
-        curve = mean_best_curve(run_spec(
-            spec, scale.seeds, parallel=scale.parallel,
-            max_workers=scale.workers,
-        ))
+        curve = mean_best_curve(
+            run_spec(scale.arm(spec), scale.seeds, workers=scale.workers)
+        )
         finals[label] = float(curve[-1])
         report.add(format_series(label, curve))
 

@@ -44,10 +44,10 @@ def compare_on_workload(
         target_rate=target_rate,
         optimizer_kwargs=optimizer_kwargs,
     )
-    baseline = SessionSpec(adapter=None, **common)
-    treatment = SessionSpec(adapter=llamatune_factory(), **common)
+    baseline = scale.arm(SessionSpec(adapter=None, **common))
+    treatment = scale.arm(SessionSpec(adapter=llamatune_factory(), **common))
     return compare_specs(baseline, treatment, scale.seeds,
-                         parallel=scale.parallel, max_workers=scale.workers)
+                         workers=scale.workers)
 
 
 def main_table(

@@ -29,18 +29,18 @@ def run(scale: Scale | None = None) -> ExperimentReport:
     # outcome; use the first two seeds and average.
     seeds = scale.seeds[:2]
     for optimizer in OPTIMIZERS:
-        base_spec = SessionSpec(
+        base_spec = scale.arm(SessionSpec(
             workload="ycsb-a", optimizer=optimizer, n_iterations=scale.n_iterations
-        )
-        lt_spec = SessionSpec(
+        ))
+        lt_spec = scale.arm(SessionSpec(
             workload="ycsb-a",
             optimizer=optimizer,
             adapter=llamatune_factory(),
             n_iterations=scale.n_iterations,
-        )
-        # Always sequential, even under Scale.parallel: this experiment
-        # measures per-suggestion wall-clock time, which concurrent seed
-        # sessions would contaminate.
+        ))
+        # Always sequential, whatever Scale.workers says: this experiment
+        # measures per-suggestion wall-clock time, which a wave attributes
+        # across its members and concurrent shards would contaminate.
         base_time = sum(
             r.suggest_seconds_total for r in run_spec(base_spec, seeds)
         ) / len(seeds)

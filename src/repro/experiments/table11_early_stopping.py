@@ -33,10 +33,11 @@ def run(scale: Scale | None = None) -> ExperimentReport:
 
     for workload in WORKLOADS:
         baseline = run_spec(
-            SessionSpec(workload=workload, n_iterations=scale.n_iterations),
+            scale.arm(
+                SessionSpec(workload=workload, n_iterations=scale.n_iterations)
+            ),
             scale.seeds,
-            parallel=scale.parallel,
-            max_workers=scale.workers,
+            workers=scale.workers,
         )
         baseline_final = float(np.mean([r.best_value for r in baseline]))
         cells = []
@@ -48,8 +49,9 @@ def run(scale: Scale | None = None) -> ExperimentReport:
                 n_iterations=scale.n_iterations,
                 early_stopping=EarlyStoppingPolicy(min_improvement, patience),
             )
-            results = run_spec(spec, scale.seeds, parallel=scale.parallel,
-                               max_workers=scale.workers)
+            results = run_spec(
+                scale.arm(spec), scale.seeds, workers=scale.workers
+            )
             improvement = float(
                 np.mean([r.best_value / baseline_final - 1.0 for r in results])
             )

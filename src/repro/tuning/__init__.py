@@ -35,7 +35,6 @@ from repro.tuning.runner import (
     mean_best_curve,
     run_spec,
     space_for_version,
-    spec_overrides,
 )
 from repro.tuning.server import (
     ExternalMeasurement,
@@ -86,7 +85,6 @@ __all__ = [
     "save_checkpoint",
     "save_result",
     "space_for_version",
-    "spec_overrides",
     "summarize_comparison",
     "time_to_optimal_iteration",
     "time_to_optimal_speedup",

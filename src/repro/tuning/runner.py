@@ -8,13 +8,10 @@ module turns the curves into Table-style rows.
 
 from __future__ import annotations
 
-import contextlib
-import dataclasses
 import hashlib
-import os
 import pathlib
 import zlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -308,8 +305,8 @@ class SessionSpec:
             suggest_batch=self.suggest_batch,
             seed=seed + 10_000,  # evaluation noise stream, distinct from optimizer
             # Policies carry per-session mutable state; every session gets
-            # its own copy so seeds neither contaminate each other nor race
-            # under the parallel runner.
+            # its own copy so seeds sharing a wave cannot contaminate each
+            # other.
             early_stopping=(
                 self.early_stopping.fresh() if self.early_stopping else None
             ),
@@ -336,7 +333,8 @@ class LlamaTuneFactory:
 
     A plain module-level class (not a closure) so ``SessionSpec`` instances
     carrying it can cross process boundaries — the requirement for
-    ``run_spec(..., mode="process")``.
+    ``run_spec(..., workers=N)`` with N >= 2 — and fingerprint by their
+    fields (:meth:`SessionSpec.spec_canonical` reads the ``repr``).
     """
 
     projection: str | None = "hesbo"
@@ -370,143 +368,75 @@ def llamatune_factory(
     )
 
 
-def _run_seed(spec: SessionSpec, seed: int) -> TuningResult:
-    """Module-level worker so process pools can pickle the call (the
-    result comes back through the pool's own pickling)."""
-    return spec.build(seed).run()
-
-
-def available_cpus() -> int:
-    """CPUs actually available to *this process*: ``os.process_cpu_count``
-    (3.13+) when present, else the scheduler affinity mask, else the raw
-    CPU count — so a cgroup/taskset-restricted runner sizes its pools by
-    what it may schedule on instead of oversubscribing the host."""
-    counter = getattr(os, "process_cpu_count", None)
-    if counter is not None:
-        return int(counter() or 1)
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
-#: Active :func:`spec_overrides` fields, applied to every spec entering
-#: :func:`run_spec` (before pool dispatch, so process pools pickle the
-#: already-overridden spec).
-# repro-lint: allow[module-state] reason=deliberate seam: mutated only by the spec_overrides context manager, entered sequentially before any pool dispatch (documented there)
-_SPEC_OVERRIDES: dict[str, object] = {}
-
-
-@contextlib.contextmanager
-def spec_overrides(**fields):
-    """Temporarily overlay :class:`SessionSpec` fields on every spec that
-    passes through :func:`run_spec`/:func:`compare_specs`.
-
-    The seam that lets the experiments CLI thread resilience flags
-    (``--checkpoint-every``, ``--fault-rate``, ...) through the ~14
-    experiment modules without widening each module's spec construction.
-    ``None`` values are ignored, so argparse defaults pass straight in.
-    Not thread-safe across concurrently *entered* contexts (experiment
-    runs are sequential; the parallel seed pools start strictly inside
-    one context).
-    """
-    previous = dict(_SPEC_OVERRIDES)
-    _SPEC_OVERRIDES.update(
-        {name: value for name, value in fields.items() if value is not None}
-    )
-    try:
-        yield
-    finally:
-        _SPEC_OVERRIDES.clear()
-        _SPEC_OVERRIDES.update(previous)
-
-
-def _apply_overrides(spec: SessionSpec) -> SessionSpec:
-    if not _SPEC_OVERRIDES:
-        return spec
-    return dataclasses.replace(spec, **_SPEC_OVERRIDES)
-
-
 def run_spec(
     spec: SessionSpec,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    parallel: bool = False,
-    max_workers: int | None = None,
-    mode: str = "thread",
+    workers: int | None = None,
     wave_shared_pool: bool = False,
     wave_pool_seed: int = 0,
 ) -> list[TuningResult]:
-    """Run one arm across seeds.
+    """Run one arm across seeds; one :class:`TuningResult` per seed, in
+    ``seeds`` order.
 
-    With ``parallel=True`` the seeds run concurrently (one session per
-    seed; sessions share no mutable state, so results are identical to the
-    sequential order).  ``max_workers`` defaults to
-    ``min(len(seeds), cpu_count)``.  Every session runs the same round
-    loop (:func:`repro.tuning.wave.drive`) whichever ``mode`` runs it.
+    ``workers`` picks the execution strategy.  ``None`` (the default) runs
+    the seeds one after another — the paper's loop.  ``workers=1`` runs
+    them in lockstep waves in this process
+    (:func:`repro.tuning.wave.run_wave`: one stacked model phase and one
+    cross-session evaluation per round).  ``workers >= 2`` deals the
+    seeds round-robin into ``min(workers, len(seeds))`` shards and runs
+    each shard as one wave in its own worker process (a lone shard runs
+    in this process).  Per-seed trajectories do not depend on the wave
+    roster, so every strategy returns results byte-identical to the
+    sequential loop.  The wave's thread count comes from
+    ``spec.wave_threads``/``REPRO_WAVE_THREADS`` in every shard.
 
-    ``mode`` picks the execution strategy: ``"thread"`` (default) helps
-    when evaluations block — a real DBMS benchmark run, the paper's
-    5-minute workloads — but the microsecond-scale simulator is GIL-bound,
-    so simulated seeds run at parity there; threads are also the only
-    pool for specs that do not pickle.  ``"process"`` sidesteps the GIL
-    entirely: specs, adapters (:class:`LlamaTuneFactory`), and results
-    are all picklable, so each seed runs in its own interpreter and
-    returns its :class:`TuningResult` through the pool's own pickling —
-    the only multi-core path for simulated sweeps (worker startup is the
-    overhead to amortize — use it for full-length sessions, not
-    micro-runs).  ``"wave"`` runs the seeds in lockstep waves with one
-    stacked model phase and one cross-session evaluation per round
-    (:func:`repro.tuning.wave.run_wave`): per-seed trajectories stay
-    byte-identical to the sequential order, and the per-iteration
-    fixed costs are paid once per wave instead of once per seed —
-    the fast path for simulated multi-seed sweeps on one core.
-    ``wave_shared_pool``/``wave_pool_seed`` opt into the wave scheduler's
-    shared candidate-pool protocol (trajectories then differ from
-    sequential but remain reproducible per ``(spec, seed, pool_seed)``).
-    In ``"wave"`` mode ``max_workers`` sets the wave's worker-thread
-    count (``spec.wave_threads``/``REPRO_WAVE_THREADS`` otherwise;
-    byte-identical trajectories at any value).
+    ``wave_shared_pool``/``wave_pool_seed`` opt the waves into the shared
+    candidate-pool protocol: trajectories then differ from sequential
+    runs but stay reproducible per ``(spec, seed, pool_seed)``, whatever
+    the shards.
 
-    ``backend="live"`` refuses ``parallel=True``: every seed's driver
+    ``backend="live"`` refuses ``workers >= 2``: every shard's driver
     would ``ALTER SYSTEM`` and restart the same server concurrently, so
     one seed could measure under another seed's configuration.
-    Sequential and wave runs evaluate live members one at a time.
+    Sequential and one-wave runs evaluate live members one at a time.
+    ``record_trace`` refuses any ``workers``: the trace file is merged
+    after each evaluation, in seed order.
     """
-    if mode not in ("thread", "process", "wave"):
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1 (got {workers})")
+    if spec.record_trace is not None and workers is not None:
         raise ValueError(
-            f"unknown mode {mode!r}; use 'thread', 'process', or 'wave'"
+            "record_trace captures traces sequentially; drop workers="
         )
-    spec = _apply_overrides(spec)
-    if spec.record_trace is not None and (parallel or mode != "thread"):
-        # Each seed's driver would merge-save into the same trace file
-        # concurrently (or from another process); record sequentially,
-        # then replay scales out freely.
+    if spec.backend == "live" and workers is not None and workers >= 2:
         raise ValueError(
-            "record_trace captures traces sequentially; drop parallel=True "
-            "and use the default mode='thread'"
+            "backend='live' cannot run seeds in parallel: every worker "
+            "process would reconfigure and restart the same server "
+            "concurrently; use workers=None or workers=1 (they evaluate "
+            "one seed at a time)"
         )
-    if mode == "wave":
-        if parallel:
-            raise ValueError(
-                "mode='wave' is its own execution strategy; drop parallel=True"
-            )
+    if workers is None:
+        if wave_shared_pool:
+            raise ValueError("wave_shared_pool requires workers=")
+        return [spec.build(seed).run() for seed in seeds]
+    seeds = list(seeds)
+    n_shards = min(workers, len(seeds))
+    if n_shards <= 1:
         return run_wave(
-            spec, seeds, shared_pool=wave_shared_pool,
-            pool_seed=wave_pool_seed, threads=max_workers,
+            spec, seeds, shared_pool=wave_shared_pool, pool_seed=wave_pool_seed
         )
-    if parallel and spec.backend == "live":
-        raise ValueError(
-            "backend='live' cannot run seeds in parallel: they would "
-            "reconfigure and restart the same server concurrently; drop "
-            "parallel=True (sequential and mode='wave' runs evaluate one "
-            "seed at a time)"
-        )
-    if parallel and len(seeds) > 1:
-        workers = max_workers or min(len(seeds), available_cpus())
-        pool = ProcessPoolExecutor if mode == "process" else ThreadPoolExecutor
-        with pool(max_workers=workers) as executor:
-            return list(executor.map(_run_seed, [spec] * len(seeds), seeds))
-    return [_run_seed(spec, seed) for seed in seeds]
+    with ProcessPoolExecutor(max_workers=n_shards) as pool:
+        futures = [
+            pool.submit(
+                run_wave, spec, seeds[i::n_shards], wave_shared_pool,
+                wave_pool_seed,
+            )
+            for i in range(n_shards)
+        ]
+        results: list = [None] * len(seeds)
+        for i, future in enumerate(futures):
+            results[i::n_shards] = future.result()
+    return results
 
 
 def mean_best_curve(results: Sequence[TuningResult]) -> np.ndarray:
@@ -527,16 +457,12 @@ def compare_specs(
     baseline: SessionSpec,
     treatment: SessionSpec,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    parallel: bool = False,
-    max_workers: int | None = None,
+    workers: int | None = None,
 ) -> tuple[ComparisonSummary, list[TuningResult], list[TuningResult]]:
-    """Run both arms and summarize treatment vs. baseline."""
-    baseline_results = run_spec(
-        baseline, seeds, parallel=parallel, max_workers=max_workers
-    )
-    treatment_results = run_spec(
-        treatment, seeds, parallel=parallel, max_workers=max_workers
-    )
+    """Run both arms (``workers`` as in :func:`run_spec`) and summarize
+    treatment vs. baseline."""
+    baseline_results = run_spec(baseline, seeds, workers=workers)
+    treatment_results = run_spec(treatment, seeds, workers=workers)
     summary = summarize_comparison(
         baseline.workload,
         [r.best_curve for r in baseline_results],

@@ -78,6 +78,11 @@ class QuarantinedSessionError(RuntimeError):
             "force_quarantined=True (--force-resume) to do that explicitly"
         )
 
+    def __reduce__(self):
+        # Exceptions unpickle as cls(*args), and args holds the message;
+        # rebuild from the fields so the error survives a worker process.
+        return type(self), (self.quarantined_at, self.path)
+
 
 @dataclass
 class TuningResult:

@@ -12,10 +12,14 @@ walk reads the forest's own node table — while a lone group member
 evaluates through its session's own dispatch, and ``run()`` starts no
 thread pool.
 
-``run_spec(spec, seeds, mode="wave")`` runs S same-spec sessions in
-*waves*: every iteration still fits S surrogates (each on its own seed's
-data and RNG stream — that part is irreducibly per-session), but the rest
-of the round is executed **once** across all sessions:
+``run_spec(spec, seeds, workers=N)`` runs S same-spec sessions in
+*waves*: one wave in this process at ``N=1``, or one wave per shard of
+a round-robin split of the seeds over N worker processes (a seed's
+trajectory does not depend on its wave's roster, so the shards return
+what one wave would).  Every iteration still fits S surrogates (each on
+its own seed's data and RNG stream — that part is irreducibly
+per-session), but the rest of the round is executed **once** across all
+sessions:
 
 * the LHS init phase is one cross-session ``evaluate_batch_stacked`` pass
   over every session's decoded design;
@@ -103,7 +107,7 @@ the whole wave roster.  :func:`run_wave_mixed` therefore rejects
 ``shared_pool=True`` across distinct specs.
 
 **Multicore mode** (``REPRO_WAVE_THREADS=N``, or ``wave_threads`` on the
-spec, or ``--workers`` with ``--wave``): the per-member
+spec, or ``threads=`` on :func:`run_wave`): the per-member
 ``suggest_prepare`` calls — dominated by each session's one
 ``build_forest`` ctypes call, which drops the GIL — run on a thread
 pool, and the stacked grouped leaf walk runs on the C kernel's

@@ -492,7 +492,7 @@ class TestParallelRunnerEquivalence:
             n_iterations=6,
         )
         sequential = run_spec(spec, seeds=(1, 2, 3))
-        parallel = run_spec(spec, seeds=(1, 2, 3), parallel=True)
+        parallel = run_spec(spec, seeds=(1, 2, 3), workers=2)
         for s, p in zip(sequential, parallel):
             np.testing.assert_array_equal(s.best_curve, p.best_curve)
             assert s.default_value == p.default_value

@@ -8,11 +8,12 @@ the optimizer streams.  The "kill" is simulated by running a truncated
 budget (n_iterations = k with checkpoint_every = k, so the terminal
 checkpoint lands exactly at iteration k) and resuming a *freshly built*
 session to the full budget; ``test_process_pool_resume`` additionally
-restores in brand-new interpreters.
+restores in worker processes.
 """
 
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -126,16 +127,16 @@ class TestResumeByteIdentity:
         """Killed wave sweeps resume per member: every seed's trajectory
         matches its uninterrupted wave (== sequential) counterpart."""
         seeds = [1, 2, 3]
-        full = run_spec(make_spec("smac"), seeds, mode="wave")
+        full = run_spec(make_spec("smac"), seeds, workers=1)
 
         truncated = make_spec(
             "smac", tmp_path, n_iterations=N_CUT, checkpoint_every=N_CUT
         )
-        run_spec(truncated, seeds, mode="wave")
+        run_spec(truncated, seeds, workers=1)
         resumed_spec = make_spec(
             "smac", tmp_path, checkpoint_every=N_CUT, resume=True
         )
-        resumed = run_spec(resumed_spec, seeds, mode="wave")
+        resumed = run_spec(resumed_spec, seeds, workers=1)
 
         for f, r in zip(full, resumed):
             assert np.array_equal(f.values, r.values)
@@ -145,8 +146,8 @@ class TestResumeByteIdentity:
             ]
 
     def test_process_pool_resume(self, tmp_path):
-        """Resume in fresh interpreters: the checkpoint file alone carries
-        the state across the process boundary."""
+        """Resume in worker processes (one shard per seed): the checkpoint
+        file alone carries the state across the process boundary."""
         seeds = [1, 2]
         full = run_spec(make_spec("smac"), seeds)
 
@@ -157,7 +158,7 @@ class TestResumeByteIdentity:
         resumed_spec = make_spec(
             "smac", tmp_path, checkpoint_every=N_CUT, resume=True
         )
-        resumed = run_spec(resumed_spec, seeds, parallel=True, mode="process")
+        resumed = run_spec(resumed_spec, seeds, workers=2)
 
         for f, r in zip(full, resumed):
             assert np.array_equal(f.values, r.values)
@@ -385,6 +386,28 @@ class TestQuarantinedCheckpoints:
         assert spec.checkpoint_path(1).exists()
         with pytest.raises(QuarantinedSessionError, match="force"):
             self.quarantined_spec(tmp_path, resume=True).build(1)
+
+    def test_refusal_survives_worker_processes(self, tmp_path):
+        """A shard's refusal reaches the caller as the same error, so
+        the CLI's ``except QuarantinedSessionError`` (exit 3 and the
+        ``--force-resume`` hint) catches it under ``--workers``."""
+        from repro.tuning.session import QuarantinedSessionError
+
+        error = pickle.loads(
+            pickle.dumps(QuarantinedSessionError(7, tmp_path / "x.json"))
+        )
+        assert error.quarantined_at == 7
+        assert error.path == tmp_path / "x.json"
+        assert "force_quarantined" in str(error)
+
+        run_spec(self.quarantined_spec(tmp_path), (1, 2))
+        with pytest.raises(QuarantinedSessionError) as raised:
+            run_spec(
+                self.quarantined_spec(tmp_path, resume=True), (1, 2),
+                workers=2,
+            )
+        assert raised.value.quarantined_at == 0
+        assert raised.value.path is not None
 
     def test_force_resume_reenters_and_retries(self, tmp_path):
         spec = self.quarantined_spec(tmp_path)

@@ -181,6 +181,27 @@ class TestCli:
         )
         assert code == 0
 
+    def test_every_strategy_prints_the_same_results(self, capsys):
+        argv = ["--workload", "ycsb-a", "--iterations", "8", "--no-plot",
+                "--optimizer", "smac", "--seeds", "1,2,3"]
+        outputs = []
+        for strategy in ([], ["--workers", "1"], ["--workers", "2"]):
+            assert main(argv + strategy) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--workers", "0"],
+            ["--seeds", "1,2", "--wave-shared-pool"],
+        ],
+        ids=["workers-0", "shared-pool-without-workers"],
+    )
+    def test_strategy_flag_errors(self, argv, capsys):
+        assert main(argv + ["--iterations", "4", "--no-plot"]) == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_plot_output(self, capsys):
         code = main(["--workload", "ycsb-a", "--iterations", "5",
                      "--optimizer", "random"])

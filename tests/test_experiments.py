@@ -1,11 +1,17 @@
 """Smoke tests for the experiment harness (tiny scale)."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.experiments import EXPERIMENTS, Scale, run_experiment
+from repro.experiments import __main__ as experiments_cli
 from repro.experiments.common import ExperimentReport, format_series
+from repro.experiments.fig2_knob_subsets import SubsetFactory
 from repro.experiments.fig4_special_value import sweep
 from repro.experiments.table1_importance import HAND_PICKED_YCSB_A
+from repro.tuning.runner import SessionSpec
 
 TINY = Scale(seeds=(1,), n_iterations=12, lhs_samples=60, shap_permutations=30)
 
@@ -61,3 +67,84 @@ class TestFastExperiments:
     def test_fig9_fig10_alias_table5(self):
         assert EXPERIMENTS["fig9"] is EXPERIMENTS["table5"]
         assert EXPERIMENTS["fig10"] is EXPERIMENTS["table5"]
+
+
+class TestFig2Specs:
+    SHAP_LIKE = (
+        "shared_buffers", "huge_pages", "autovacuum_vacuum_threshold",
+        "geqo_generations", "cpu_operator_cost", "fsync", "seq_page_cost",
+        "autovacuum_vacuum_cost_delay",
+    )
+
+    def test_subset_arms_fingerprint_apart(self):
+        hand = SessionSpec(
+            workload="ycsb-a", adapter=SubsetFactory(HAND_PICKED_YCSB_A)
+        )
+        shap = SessionSpec(
+            workload="ycsb-a", adapter=SubsetFactory(self.SHAP_LIKE)
+        )
+        assert hand.spec_fingerprint() != shap.spec_fingerprint()
+
+    def test_spec_round_trips_through_pickle(self):
+        spec = SessionSpec(
+            workload="tpcc", adapter=SubsetFactory(HAND_PICKED_YCSB_A)
+        )
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
+        assert clone.spec_fingerprint() == spec.spec_fingerprint()
+        space = clone.build(1).adapter.optimizer_space
+        assert tuple(space.names) == HAND_PICKED_YCSB_A
+
+
+class TestResilienceFlags:
+    """The experiments CLI's resilience flags ride on the Scale and reach
+    every arm's spec through ``Scale.arm``."""
+
+    @pytest.fixture
+    def scales(self, monkeypatch):
+        """The Scale each experiment would run at (the CLI's
+        ``run_experiment`` replaced by a stub)."""
+        seen = []
+
+        def fake_run(experiment_id, scale):
+            seen.append(scale)
+            return ExperimentReport(experiment_id, "stub")
+
+        monkeypatch.setattr(experiments_cli, "run_experiment", fake_run)
+        return seen
+
+    def test_cli_flags_reach_every_arm(self, scales, tmp_path, capsys):
+        assert experiments_cli.main([
+            "fig2", "--scale", "quick", "--workers", "2",
+            "--checkpoint-every", "4", "--checkpoint-dir", str(tmp_path),
+            "--resume", "--force-resume", "--fault-rate", "0.1",
+            "--fault-seed", "3",
+        ]) == 0
+        (scale,) = scales
+        assert scale.workers == 2
+        assert scale.seeds == Scale.quick().seeds
+        spec = scale.arm(SessionSpec(workload="ycsb-a"))
+        assert (
+            spec.checkpoint_every, spec.checkpoint_dir, spec.resume,
+            spec.force_resume, spec.fault_rate, spec.fault_seed,
+        ) == (4, str(tmp_path), True, True, 0.1, 3)
+
+    def test_unset_flags_leave_specs_unchanged(self, scales, capsys):
+        assert experiments_cli.main(["table5", "--scale", "quick"]) == 0
+        (scale,) = scales
+        assert scale == Scale.quick()
+        spec = SessionSpec(workload="ycsb-a")
+        assert scale.arm(spec) == spec
+
+    def test_one_checkpoint_per_arm_and_seed(self, tmp_path):
+        """fig2 at tiny scale, sharded: 3 arms x 2 workloads x 2 seeds,
+        each arm with its own checkpoint files."""
+        scale = dataclasses.replace(
+            TINY, seeds=(1, 2), workers=2, checkpoint_every=6,
+            checkpoint_dir=str(tmp_path),
+        )
+        run_experiment("fig2", scale)
+        files = sorted(path.name for path in tmp_path.iterdir())
+        assert len(files) == 12, files
+        assert sum(name.startswith("ycsb-a-") for name in files) == 6
+        assert sum(name.endswith("-seed2.ckpt.json") for name in files) == 6

@@ -319,7 +319,7 @@ class TestWaveQuarantine:
     def test_quarantined_member_leaves_survivors_byte_identical(self):
         spec = faulty_spec(**self.SPEC_KW)
         solo = {seed: run_spec(spec, [seed])[0] for seed in (1, 2, 3)}
-        wave = run_spec(spec, [1, 2, 3], mode="wave")
+        wave = run_spec(spec, [1, 2, 3], workers=1)
 
         assert solo[1].quarantined_at == 9
         assert wave[0].quarantined_at == 9

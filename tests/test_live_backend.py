@@ -15,6 +15,7 @@ models on a virtual clock, no PostgreSQL, no psycopg, no real sleeping:
   across a SIGKILL mid-run + checkpoint resume in a fresh interpreter.
 """
 
+import dataclasses
 import os
 import signal
 import subprocess
@@ -458,26 +459,34 @@ class TestParallelSeedsRefused:
         backend="live", live_transport=FakePg,
     )
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_run_spec_refuses_parallel_seeds(self, mode):
+    @pytest.mark.parametrize("workers", [pytest.param(2, id="process")])
+    def test_run_spec_refuses_parallel_seeds(self, workers):
         with pytest.raises(ValueError, match="parallel"):
-            run_spec(self.SPEC, seeds=[1, 2], parallel=True, mode=mode)
+            run_spec(self.SPEC, seeds=[1, 2], workers=workers)
 
     def test_sequential_and_wave_runs_stay_allowed(self):
         sequential = run_spec(self.SPEC, seeds=[1, 2])
-        waved = run_spec(self.SPEC, seeds=[1, 2], mode="wave")
+        waved = run_spec(self.SPEC, seeds=[1, 2], workers=1)
         for a, b in zip(sequential, waved):
             assert np.array_equal(a.values, b.values)
+
+    def test_recording_refuses_any_workers(self, tmp_path):
+        spec = dataclasses.replace(
+            self.SPEC, record_trace=str(tmp_path / "trace.json")
+        )
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="sequentially"):
+                run_spec(spec, seeds=[1, 2], workers=workers)
 
     def test_cli_exits_2(self, capsys):
         from repro.cli import main
 
         code = main([
             "--backend", "live", "--dsn", "dbname=tuning",
-            "--seeds", "1,2", "--parallel", "--no-plot",
+            "--seeds", "1,2", "--workers", "2", "--no-plot",
         ])
         assert code == 2
-        assert "--parallel" in capsys.readouterr().err
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestDriverConstruction:

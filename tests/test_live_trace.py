@@ -7,6 +7,7 @@ edited trace must never silently become a different experiment.
 """
 
 import json
+import pickle
 
 import pytest
 
@@ -65,6 +66,16 @@ class TestRoundTrip:
         trace = make_trace()
         with pytest.raises(TraceMissError, match="re-record"):
             trace.lookup("deadbeefdeadbeef")
+
+    def test_miss_pickles_with_its_fields(self):
+        """A miss inside a worker process comes back as itself."""
+        trace = make_trace()
+        with pytest.raises(TraceMissError) as raised:
+            trace.lookup("deadbeefdeadbeef")
+        clone = pickle.loads(pickle.dumps(raised.value))
+        assert clone.fingerprint == "deadbeefdeadbeef"
+        assert clone.trace.trace_id() == trace.trace_id()
+        assert str(clone) == str(raised.value)
 
 
 class TestLoadValidation:

@@ -95,15 +95,42 @@ class TestRunners:
         assert summary.n_seeds == 2
         assert len(b) == len(t) == 2
 
-    def test_unknown_mode_rejected(self):
+    def test_workers_below_one_rejected(self):
         spec = SessionSpec(workload="ycsb-a", optimizer="random", n_iterations=4)
-        with pytest.raises(ValueError):
-            run_spec(spec, seeds=(1, 2), parallel=True, mode="fiber")
+        with pytest.raises(ValueError, match="workers"):
+            run_spec(spec, seeds=(1, 2), workers=0)
+
+    def test_shared_pool_requires_workers(self):
+        spec = SessionSpec(workload="ycsb-a", optimizer="random", n_iterations=4)
+        with pytest.raises(ValueError, match="workers"):
+            run_spec(spec, seeds=(1, 2), wave_shared_pool=True)
+
+
+def assert_same_results(expected, actual, label):
+    """Every result field and both configurations of every observation
+    match (``suggest_seconds`` is wall-clock, so it is only checked for
+    presence)."""
+    assert len(actual) == len(expected), label
+    for a, b in zip(expected, actual):
+        for f in dataclasses.fields(TuningResult):
+            if f.name != "knowledge_base":
+                assert getattr(a, f.name) == getattr(b, f.name), (label, f.name)
+        assert a.knowledge_base.maximize == b.knowledge_base.maximize, label
+        assert len(a.knowledge_base) == len(b.knowledge_base), label
+        for x, y in zip(a.knowledge_base, b.knowledge_base):
+            for f in dataclasses.fields(Observation):
+                if f.name == "suggest_seconds":
+                    assert y.suggest_seconds >= 0.0, label
+                else:
+                    # Configurations compare knob names and values.
+                    assert getattr(x, f.name) == getattr(y, f.name), (
+                        label, f.name,
+                    )
 
 
 class TestProcessPool:
-    """The ``--workers``-style smoke path: specs, adapter factories, and
-    results must cross process boundaries, and process-pool outputs must be
+    """The ``workers`` strategies: specs, adapter factories, and results
+    must cross process boundaries, and every strategy's outputs must be
     identical to sequential runs."""
 
     def test_spec_roundtrips_through_pickle(self):
@@ -168,27 +195,39 @@ class TestProcessPool:
         ],
     )
     def test_process_pool_matches_sequential(self, spec, feature):
-        """Every result field and both configurations of every
-        observation come back from the worker processes unchanged
-        (``suggest_seconds`` is wall-clock, so it is only checked for
-        presence)."""
-        sequential = run_spec(spec, seeds=(1, 2))
-        pooled = run_spec(
-            spec, seeds=(1, 2), parallel=True, mode="process", max_workers=2
-        )
-        assert len(pooled) == 2
+        """Each strategy returns the sequential results in seed order:
+        one in-process wave (``workers=1``), shards [1, 3] and [2] in two
+        worker processes (``workers=2``), and one-seed shards
+        (``workers=3``)."""
+        seeds = (1, 2, 3)
+        sequential = run_spec(spec, seeds)
         if feature is not None:
             assert any(feature(r) for r in sequential), "fixture must hit it"
-        for a, b in zip(sequential, pooled):
-            for f in dataclasses.fields(TuningResult):
-                if f.name != "knowledge_base":
-                    assert getattr(a, f.name) == getattr(b, f.name), f.name
-            assert a.knowledge_base.maximize == b.knowledge_base.maximize
-            assert len(a.knowledge_base) == len(b.knowledge_base)
-            for x, y in zip(a.knowledge_base, b.knowledge_base):
-                for f in dataclasses.fields(Observation):
-                    if f.name == "suggest_seconds":
-                        assert y.suggest_seconds >= 0.0
-                    else:
-                        # Configurations compare knob names and values.
-                        assert getattr(x, f.name) == getattr(y, f.name), f.name
+        for workers in (1, 2, 3):
+            assert_same_results(
+                sequential, run_spec(spec, seeds, workers=workers),
+                f"workers={workers}",
+            )
+
+    def test_sharded_shared_pool_matches_one_wave(self):
+        """Shared-pool trajectories depend only on (spec, seed, pool
+        seed): shards [1, 3, 5] and [2, 4] return what one wave over all
+        five seeds returns."""
+        spec = SessionSpec(
+            workload="ycsb-a", optimizer="smac",
+            adapter=llamatune_factory(target_dim=4), n_iterations=14,
+            n_init=6,
+        )
+        seeds = (1, 2, 3, 4, 5)
+        one_wave = run_spec(
+            spec, seeds, workers=1, wave_shared_pool=True, wave_pool_seed=3
+        )
+        sharded = run_spec(
+            spec, seeds, workers=2, wave_shared_pool=True, wave_pool_seed=3
+        )
+        sequential = run_spec(spec, seeds)
+        assert any(
+            not np.array_equal(a.values, b.values)
+            for a, b in zip(sequential, one_wave)
+        ), "the shared pool must move some trajectory"
+        assert_same_results(one_wave, sharded, "sharded shared pool")

@@ -1,4 +1,4 @@
-"""Wave-scheduler equivalence pins (``run_spec(..., mode="wave")``).
+"""Wave-scheduler equivalence pins (``run_spec(..., workers=1)``).
 
 The wave scheduler's contract: per-seed trajectories are *byte-identical*
 to sequential ``run_spec`` — knob values, measured values, crash rows and
@@ -282,15 +282,11 @@ class TestRunSpecWiring:
             adapter=llamatune_factory(), n_iterations=6, n_init=3,
         )
         seq = run_spec(spec, (1, 2))
-        wav = run_spec(spec, (1, 2), mode="wave")
+        wav = run_spec(spec, (1, 2), workers=1)
         for a, b in zip(seq, wav):
             assert trajectory(a) == trajectory(b)
 
-    def test_wave_rejects_parallel(self):
-        spec = SessionSpec(workload="ycsb-a", n_iterations=4)
-        with pytest.raises(ValueError, match="wave"):
-            run_spec(spec, (1, 2), parallel=True, mode="wave")
-
     def test_empty_seed_list(self):
         spec = SessionSpec(workload="ycsb-a", n_iterations=4)
-        assert run_spec(spec, (), mode="wave") == []
+        assert run_spec(spec, (), workers=1) == []
+        assert run_spec(spec, (), workers=2) == []

@@ -204,42 +204,49 @@ class TestWaveThreadInvariance:
             adapter=llamatune_factory(target_dim=4), n_init=6,
         )
         full = run_spec(
-            SessionSpec(**base, n_iterations=n_full), SEEDS, mode="wave"
+            SessionSpec(**base, n_iterations=n_full), SEEDS, workers=1
         )
         truncated = SessionSpec(
             **base, n_iterations=n_cut, checkpoint_every=n_cut,
-            checkpoint_dir=str(tmp_path),
+            checkpoint_dir=str(tmp_path), wave_threads=4,
         )
-        run_spec(truncated, SEEDS, mode="wave", max_workers=4)
+        run_spec(truncated, SEEDS, workers=1)
         resumed_spec = SessionSpec(
             **base, n_iterations=n_full, checkpoint_every=n_cut,
-            checkpoint_dir=str(tmp_path), resume=True,
+            checkpoint_dir=str(tmp_path), resume=True, wave_threads=4,
         )
-        resumed = run_spec(resumed_spec, SEEDS, mode="wave", max_workers=4)
+        resumed = run_spec(resumed_spec, SEEDS, workers=1)
         for f, r in zip(full, resumed):
             assert trajectory(f) == trajectory(r)
             assert f.best_value == r.best_value
 
-    def test_run_spec_wave_threads_plumbing(self):
-        """``run_spec(mode="wave", max_workers=N)`` and the spec's
-        ``wave_threads`` field both reach the wave engine — and neither
-        changes a single byte of the results."""
+    def test_run_spec_wave_threads_plumbing(self, monkeypatch):
+        """The spec's ``wave_threads`` field reaches the wave driver
+        through ``run_spec`` — and neither it nor sharding changes a
+        single byte of the results."""
         spec = SessionSpec(
             workload="ycsb-a", optimizer="smac",
             adapter=llamatune_factory(), n_iterations=10, n_init=4,
         )
-        baseline = run_spec(spec, (1, 2), mode="wave")
-        via_workers = run_spec(spec, (1, 2), mode="wave", max_workers=4)
-        via_spec = run_spec(
-            SessionSpec(
-                workload="ycsb-a", optimizer="smac",
-                adapter=llamatune_factory(), n_iterations=10, n_init=4,
-                wave_threads=4,
-            ),
-            (1, 2),
-            mode="wave",
+        threaded = SessionSpec(
+            workload="ycsb-a", optimizer="smac",
+            adapter=llamatune_factory(), n_iterations=10, n_init=4,
+            wave_threads=4,
         )
-        for a, b, c in zip(baseline, via_workers, via_spec):
+        monkeypatch.delenv("REPRO_WAVE_THREADS", raising=False)
+        driven = []
+        real_drive = wave.drive
+
+        def spy(sessions, threads=1, pool_rng=None):
+            driven.append(threads)
+            return real_drive(sessions, threads=threads, pool_rng=pool_rng)
+
+        monkeypatch.setattr(wave, "drive", spy)
+        baseline = run_spec(spec, (1, 2), workers=1)
+        via_spec = run_spec(threaded, (1, 2), workers=1)
+        assert driven == [1, 4]
+        via_shards = run_spec(threaded, (1, 2, 3), workers=2)
+        for a, b, c in zip(baseline, via_spec, via_shards):
             assert trajectory(a) == trajectory(b) == trajectory(c)
 
 
