@@ -6,6 +6,7 @@ regressions show up independently of the end-to-end experiment benches.
 """
 
 import copy
+import itertools
 import time
 
 import numpy as np
@@ -235,9 +236,12 @@ def test_forest_predict_parallel(benchmark):
 
 
 def test_checkpoint_resume(benchmark, tmp_path):
-    """Checkpoint + fresh-session restore round trip of a 50-observation
-    SMAC+LlamaTune session — the fault-tolerance tax.  The budget: one
-    round trip must stay well under 5% of the 8-seed wave sweep above
+    """Compacted checkpoint + fresh-session restore round trip of a
+    50-observation SMAC+LlamaTune session — the fault-tolerance tax of a
+    session's first write to a path (alternating two paths keeps every
+    write a compaction; later periodic writes append one record, see
+    ``test_checkpoint_periodic_write``).  The budget: one round trip
+    must stay well under 5% of the 8-seed wave sweep above
     (``test_wave_runner_8seeds``), so periodic checkpointing is free at
     sweep scale."""
     spec = SessionSpec(
@@ -247,13 +251,44 @@ def test_checkpoint_resume(benchmark, tmp_path):
     )
     session = spec.build(1)
     session.run()
-    path = spec.checkpoint_path(1)
+    paths = itertools.cycle([tmp_path / "a.ckpt.json", tmp_path / "b.ckpt.json"])
 
     def round_trip():
-        session.checkpoint(path)
+        path = session.checkpoint(next(paths))
         spec.build(1).load_checkpoint(path)
 
     benchmark.pedantic(round_trip, rounds=10, warmup_rounds=1)
+
+
+@pytest.mark.parametrize("n_obs", [10, 100])
+def test_checkpoint_periodic_write(benchmark, tmp_path, n_obs):
+    """One periodic checkpoint write of a SMAC+LlamaTune session — five
+    new rows appended to its journal — at 10 and at 100 observations.
+    The write holds only what changed since the previous one, so its
+    cost must not grow with the history (at most 1.5x from 10 to 100).
+    Each round's setup restores the session at ``n_obs - 5``
+    observations, lets it compact a journal, and runs five rounds."""
+    fields = dict(
+        workload="ycsb-a", optimizer="smac", adapter=llamatune_factory(),
+        n_init=10, checkpoint_dir=str(tmp_path),
+    )
+    SessionSpec(
+        **fields, n_iterations=n_obs - 5, checkpoint_every=n_obs - 5
+    ).build(1).run()
+    spec = SessionSpec(**fields, n_iterations=n_obs, resume=True)
+    journal = tmp_path / "journal.ckpt.json"
+
+    def five_rounds():
+        session = spec.build(1)
+        session.checkpoint(journal)
+        session.run()
+        assert session.iteration == n_obs
+        return (session,), {}
+
+    benchmark.pedantic(
+        lambda session: session.checkpoint(journal),
+        setup=five_rounds, rounds=20,
+    )
 
 
 def test_gp_fit_100x16_mixed(benchmark):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -231,22 +231,20 @@ class Optimizer(ABC):
     # --- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """JSON-serializable snapshot of everything ``suggest``/``observe``
-        depend on: observations, the (possibly pending) LHS design, and
-        the PCG64 stream position.  ``load_state`` on a freshly built
-        optimizer of the same type and space restores the snapshot so the
-        continuation is byte-identical to never having stopped — the
-        tuning session's checkpoint contract.  Subclasses extend the dict
-        with their own counters/caches and must keep it JSON-clean
-        (Python scalars and lists only: JSON round-trips binary64 floats
-        and arbitrary ints losslessly, so exactness survives the disk
-        trip).
+        """JSON-serializable snapshot of the *inputs* ``suggest``/``observe``
+        depend on beyond the observations themselves: the PCG64 stream
+        position and the (possibly pending) LHS design, which is drawn
+        before the stored position and so cannot be re-derived.  The
+        observations are the session's knowledge-base rows;
+        :meth:`load_state` rebuilds ``X``/``y`` from them, so a
+        checkpoint never stores them twice.  Subclasses extend the dict
+        with their own counters and must keep it JSON-clean (Python
+        scalars and lists only: JSON round-trips binary64 floats and
+        arbitrary ints losslessly, so exactness survives the disk trip).
         """
         return {
             "type": type(self).__name__,
             "rng": dict(self.rng.bit_generator.state),
-            "X": [x.tolist() for x in self._X],
-            "y": list(self._y),
             "init_points": (
                 None
                 if self._init_points is None
@@ -254,17 +252,28 @@ class Optimizer(ABC):
             ),
         }
 
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (same type and space)."""
+    def load_state(
+        self,
+        state: dict,
+        configs: Sequence[Configuration],
+        values: Sequence[float],
+    ) -> None:
+        """Restore a :meth:`state_dict` snapshot (same type and space)
+        over the observations ``configs``/``values`` — the optimizer-space
+        configurations and the signed values :meth:`observe` received, in
+        order.  ``X`` is one ``encode_batch`` over ``configs``, row for
+        row what ``observe`` stored, so the continuation is
+        byte-identical to never having stopped — the tuning session's
+        checkpoint contract."""
         if state.get("type") != type(self).__name__:
             raise ValueError(
                 f"checkpoint holds {state.get('type')!r} state, "
                 f"not {type(self).__name__!r}"
             )
         self.rng.bit_generator.state = state["rng"]
-        self._X = [np.asarray(x, dtype=float) for x in state["X"]]
-        self._y = [float(v) for v in state["y"]]
-        points = state["init_points"]
+        self._X = list(self.encoding.encode_batch(configs))
+        self._y = [float(v) for v in values]
+        points = state.get("init_points")
         self._init_points = (
             None
             if points is None

@@ -115,7 +115,7 @@ class DDPGOptimizer(Optimizer):
             "moments, replay buffer) is outside the state_dict seam"
         )
 
-    def load_state(self, state: dict) -> None:
+    def load_state(self, state: dict, configs, values) -> None:
         raise NotImplementedError(
             "DDPG is not checkpointable: its neural state (networks, Adam "
             "moments, replay buffer) is outside the state_dict seam"

@@ -46,14 +46,15 @@ Matérn expression compute, with less work around the arithmetic:
   ``LinAlgError`` when ``info > 0``, ``ValueError`` when ``info < 0``,
   and ``solve_triangular``'s layout rule — an F-ordered factor (from
   ``dpotrf``) is solved lower/no-trans, a C-ordered one (an extended
-  window, or a factor restored by ``load_state``) through its transpose,
-  upper/trans.
+  window) through its transpose, upper/trans.
 * The Matérn and kernel builds run in place (``out=``); the noise is added
   to the diagonal in place.
 * The training side's numeric columns and squared norms are cached with
-  the factor (``_finish``; ``load_state`` rebuilds them, the checkpoint
-  never holds them), taken from the same ``X[:, num]`` copy the
-  distance computation reads.
+  the factor (``_finish``), taken from the same ``X[:, num]`` copy the
+  distance computation reads.  A checkpoint holds none of this: it
+  stores ``theta``, the restart RNG and the window sizes, and
+  ``load_state`` replays ``_factor_windows`` and ``_finish`` over the
+  training rows.
 * The finite-difference stencil skips the lengthscale whose kernel factor
   a space lacks: its objective value is the base point's, bit for bit.
 
@@ -613,46 +614,35 @@ class GaussianProcess:
     # --- checkpointing ------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """JSON-serializable snapshot of the fitted state: hyperparameters,
-        the restart RNG's position, and the cached windowed factor, so a
-        restored GP continues ``update``/boundary-refit sequences exactly
-        where the original left off (the GP-BO ``refit_every > 1`` resume
-        path)."""
-
-        def rows(a: np.ndarray | None):
-            return None if a is None else a.tolist()
-
+        """JSON-serializable snapshot of the fitted state's *inputs*:
+        the hyperparameters, the restart RNG's position, and the window
+        sizes.  Everything else — the factor, ``alpha``, the
+        normalization and the cached columns — is a function of those
+        and the training rows, and :meth:`load_state` recomputes it (the
+        GP-BO ``refit_every > 1`` resume path)."""
         return {
             "theta": self._theta.tolist(),
             "rng": dict(self.rng.bit_generator.state),
-            "X": rows(self._X),
-            "y_raw": rows(self._y_raw),
             "windows": list(self._windows),
-            "y_mean": self._y_mean,
-            "y_std": self._y_std,
-            "chol": rows(self._chol),
-            "alpha": rows(self._alpha),
         }
 
-    def load_state(self, state: dict) -> None:
+    def load_state(self, state: dict, X: np.ndarray, y: np.ndarray) -> None:
         """Restore a :meth:`state_dict` snapshot (same ``is_categorical``
-        mask).  The restored factor is C-ordered, which routes its
-        triangular solves through the transposed call (see
-        ``_solve_lower``)."""
-
-        def arr(value):
-            return None if value is None else np.asarray(value, dtype=float)
-
+        mask) over the rows ``X``/``y`` it was fitted on: the windowed
+        factor is rebuilt by :meth:`_factor_windows` and installed by
+        :meth:`_finish` — the calls the live path made — so the restored
+        GP, its factor's memory layout included, is byte-identical to the
+        one that was checkpointed."""
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        windows = [int(w) for w in state["windows"]]
+        if sum(windows) != len(X) or len(X) != len(y):
+            raise ValueError(
+                f"GP windows {windows} do not cover {len(X)} rows"
+            )
         self._theta = np.asarray(state["theta"], dtype=float)
         self.rng.bit_generator.state = state["rng"]
-        self._X = arr(state["X"])
-        self._cols = None if self._X is None else self._columns(self._X)
-        self._y_raw = arr(state["y_raw"])
-        self._windows = [int(w) for w in state["windows"]]
-        self._y_mean = float(state["y_mean"])
-        self._y_std = float(state["y_std"])
-        self._chol = arr(state["chol"])
-        self._alpha = arr(state["alpha"])
+        self._finish(X, y, self._factor_windows(X, windows), windows)
 
     # --- prediction --------------------------------------------------------------
 

@@ -50,15 +50,20 @@ class GPBOOptimizer(Optimizer):
         )
         return state
 
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
+    def load_state(self, state: dict, configs, values) -> None:
+        super().load_state(state, configs, values)
         self._model_suggestions = int(state["model_suggestions"])
         gp_state = state.get("gp")
         if gp_state is None:
             self._gp = None
         else:
+            # The GP was last fitted or updated on the observations of
+            # its windows — a prefix of the optimizer's (later rows
+            # arrived after that round's prepare).
+            X, y = self._data()
+            n = sum(gp_state["windows"])
             gp = GaussianProcess(self.encoding.is_categorical)
-            gp.load_state(gp_state)
+            gp.load_state(gp_state, X[:n], y[:n])
             self._gp = gp
 
     def _prepare_model_batch(

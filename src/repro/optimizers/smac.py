@@ -59,8 +59,8 @@ class SMACOptimizer(Optimizer):
         state["model_suggestions"] = self._model_suggestions
         return state
 
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
+    def load_state(self, state: dict, configs, values) -> None:
+        super().load_state(state, configs, values)
         self._model_suggestions = int(state["model_suggestions"])
 
     def _prepare_model_batch(

@@ -11,6 +11,7 @@ from repro.tuning.faults import (
 )
 from repro.tuning.knowledge_base import KnowledgeBase, Observation
 from repro.tuning.persistence import (
+    append_checkpoint,
     load_checkpoint,
     load_result,
     result_to_dict,
@@ -72,6 +73,7 @@ __all__ = [
     "TuningResult",
     "TuningSession",
     "VirtualClock",
+    "append_checkpoint",
     "compare_specs",
     "confidence_interval",
     "final_improvement",

@@ -130,11 +130,16 @@ class SessionStatus:
 
 @dataclass
 class _PendingSuggest:
-    """One outstanding suggestion awaiting its ``observe``."""
+    """One outstanding suggestion awaiting its ``observe``, with the
+    session's :meth:`~repro.tuning.session.TuningSession.checkpoint_state`
+    from before the wave that prepared it (``None`` for sessions without
+    a checkpoint path) — what a checkpoint taken before the ``observe``
+    writes."""
 
     opt_config: object
     target_config: object
     suggest_seconds: float
+    checkpoint_state: dict | None = None
 
 
 @dataclass
@@ -264,6 +269,16 @@ class SessionServer:
         if key in self._entries:
             raise ServerProtocolError(f"session {key} is already open")
         session = spec.build(seed)
+        if session.checkpoint_path is not None and not getattr(
+            session.optimizer, "checkpointable", True
+        ):
+            # close() and checkpoint() would fail on it, and the entry
+            # could then never be closed.
+            raise ValueError(
+                f"{type(session.optimizer).__name__} is not checkpointable; "
+                "open it on a server without checkpoint_root (and a spec "
+                "without checkpoint_dir)"
+            )
         if session.state == "new":
             session.start()
         self._entries[key] = _Entry(key, spec, session)
@@ -278,16 +293,18 @@ class SessionServer:
         spec configured a checkpoint path) — *checkpoint-on-disconnect*:
         a tenant that drops mid-run reconnects later with ``resume=True``
         and continues byte-identically.  A suggestion still in flight is
-        cancelled; an unobserved one is simply dropped (it was never fed
-        to the optimizer's observations, and the checkpoint cursor sits
-        at the last completed round, so resuming replays the round
-        identically)."""
+        cancelled.  An unobserved one is dropped: preparing it already
+        advanced the optimizer (SMAC's forest-seed and candidate draws,
+        its interleave counter, GP-BO's fit), so the checkpoint holds
+        the state from before the wave that prepared it — the cursor
+        sits at the last completed round, and resuming replays the round
+        identically."""
         entry = self._entry(key)
         if entry.waiter is not None and not entry.waiter.done():
             entry.waiter.cancel()
         session = entry.session
         if checkpoint and session.checkpoint_path is not None:
-            session.checkpoint()
+            self._checkpoint(entry)
         del self._entries[key]
         if session.state == "running" and not session.live:
             return session.finish()
@@ -393,8 +410,9 @@ class SessionServer:
 
     async def checkpoint(self, key: SessionKey) -> pathlib.Path:
         """Snapshot one session now (its spec must configure a
-        checkpoint path)."""
-        return self._entry(key).session.checkpoint()
+        checkpoint path).  With a suggestion outstanding, the snapshot is
+        the one from before its wave, as in :meth:`close`."""
+        return self._checkpoint(self._entry(key))
 
     async def status(
         self, key: SessionKey | None = None
@@ -423,6 +441,12 @@ class SessionServer:
         if entry is None:
             raise ServerProtocolError(f"unknown session {key}")
         return entry
+
+    def _checkpoint(self, entry: _Entry) -> pathlib.Path:
+        pending = entry.pending
+        return entry.session.checkpoint(
+            state=pending.checkpoint_state if pending is not None else None
+        )
 
     def _status(self, entry: _Entry) -> SessionStatus:
         session = entry.session
@@ -485,13 +509,21 @@ class SessionServer:
         ]
         if not requests:
             return
-        rounds = suggest_wave(
-            [request.entry.session for request in requests],
-            n_threads=self._wave_threads,
-        )
-        for request, round_ in zip(requests, rounds):
+        sessions = [request.entry.session for request in requests]
+        # Sessions that can be checkpointed keep their state from before
+        # this wave's prepares, for a checkpoint taken while the round is
+        # outstanding (see close()).
+        states = [
+            session.checkpoint_state()
+            if session.checkpoint_path is not None
+            else None
+            for session in sessions
+        ]
+        rounds = suggest_wave(sessions, n_threads=self._wave_threads)
+        for request, round_, state in zip(requests, rounds, states):
             target_config = round_.targets[0]
             request.entry.pending = _PendingSuggest(
-                round_.configs[0], target_config, round_.suggest_seconds
+                round_.configs[0], target_config, round_.suggest_seconds,
+                state,
             )
             request.future.set_result(target_config)

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import pathlib
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -122,6 +123,19 @@ class TuningResult:
     @property
     def crash_count(self) -> int:
         return sum(o.crashed for o in self.knowledge_base)
+
+
+@dataclass
+class _Journal:
+    """The checkpoint journal a session last wrote: its path, the file's
+    stamp after that write (``persistence.append_checkpoint`` appends
+    only while the file still carries it), how many knowledge-base rows
+    it holds, and whether it holds the optimizer's LHS design."""
+
+    path: pathlib.Path
+    stamp: tuple
+    rows: int
+    design: bool
 
 
 class TuningSession:
@@ -243,6 +257,7 @@ class TuningSession:
         self._next_checkpoint_at = (
             self.checkpoint_every if self.checkpoint_every > 0 else None
         )
+        self._journal: _Journal | None = None
 
     @property
     def maximize(self) -> bool:
@@ -504,10 +519,28 @@ class TuningSession:
                 self._iteration // self.checkpoint_every + 1
             ) * self.checkpoint_every
 
-    def checkpoint(self, path: str | pathlib.Path | None = None) -> pathlib.Path:
-        """Serialize the complete resumable state to ``path`` (defaults
-        to ``checkpoint_path``), atomically.  Callable at any round
-        boundary of a started session."""
+    def checkpoint(
+        self,
+        path: str | pathlib.Path | None = None,
+        state: dict | None = None,
+    ) -> pathlib.Path:
+        """Write the complete resumable state to ``path`` (defaults to
+        ``checkpoint_path``) and return the path.  Callable at any round
+        boundary of a started session.
+
+        Checkpoints are journals (``tuning/persistence.py``).  A
+        session's first write to a path — fresh, resumed, or switching
+        paths — is a compacted journal, header plus one record, written
+        atomically.  Later writes to the same path append one record
+        with the rows recorded since, as long as the file is still the
+        one this session left; otherwise they compact again, so a stale
+        file from an earlier run is never extended.
+
+        ``state`` writes an earlier :meth:`checkpoint_state` snapshot in
+        place of the current one — the session server's pre-wave
+        snapshot of a round whose suggestion is still outstanding.  The
+        knowledge base must not have grown since it was taken.
+        """
         from repro.tuning import persistence  # lazy: persistence imports us
 
         target = pathlib.Path(path) if path is not None else self.checkpoint_path
@@ -515,33 +548,37 @@ class TuningSession:
             raise ValueError("no checkpoint path given or configured")
         if self._state == "new":
             raise RuntimeError("cannot checkpoint an unstarted session")
-        persistence.save_checkpoint(self._checkpoint_payload(), target)
+        if state is None:
+            state = self.checkpoint_state()
+        if state["iteration"] != len(self._kb):
+            raise ValueError(
+                f"checkpoint state is at iteration {state['iteration']}, "
+                f"the knowledge base at {len(self._kb)}"
+            )
+        journal = self._journal
+        stamp = None
+        if journal is not None and journal.path == target:
+            stamp = persistence.append_checkpoint(
+                self._journal_record(state, journal), target, journal.stamp
+            )
+        if stamp is None:
+            stamp = persistence.save_checkpoint(
+                self._journal_header(), self._journal_record(state), target
+            )
+        self._journal = _Journal(
+            target,
+            stamp,
+            rows=len(self._kb),
+            design=state["optimizer"].get("init_points") is not None,
+        )
         return target
 
-    def _checkpoint_payload(self) -> dict:
-        """Everything the loop mutates, JSON-clean.  Configurations are
-        stored as knob-value rows under one name header per space (stored
-        once, not per observation), keeping checkpoints compact and their
-        round-trip exact — JSON preserves binary64 floats and arbitrary
-        ints losslessly."""
-        assert self._kb is not None
-        opt_space = self.optimizer.space
-        target_space = self.adapter.target_space
-        opt_names = list(opt_space.names)
-        target_names = list(target_space.names)
-        observations = [
-            [
-                o.iteration,
-                [o.optimizer_config[name] for name in opt_names],
-                [o.target_config[name] for name in target_names],
-                o.value,
-                o.crashed,
-                o.suggest_seconds,
-                o.throughput,
-                o.p95_latency_ms,
-            ]
-            for o in self._kb
-        ]
+    def checkpoint_state(self) -> dict:
+        """The loop's small state at this round boundary: everything a
+        checkpoint record holds besides the knowledge-base rows — the
+        cursor, worst-seen, early-stop and quarantine fields, both PCG64
+        positions, and the optimizer's inputs-only ``state_dict``.
+        JSON-clean and detached: later rounds do not mutate it."""
         early = None
         if self.early_stopping is not None:
             early = {
@@ -549,11 +586,7 @@ class TuningSession:
                 "reference_iteration": self.early_stopping._reference_iteration,
             }
         return {
-            "objective": self.objective,
-            "spec_fingerprint": self.spec_fingerprint,
-            "n_iterations": self.n_iterations,
             "iteration": self._iteration,
-            "default_value": self._default_value,
             "worst_seen": self._worst_seen,
             "stopped_early_at": self._stopped_at,
             "quarantined_at": self._quarantined_at,
@@ -562,10 +595,47 @@ class TuningSession:
             "session_rng": dict(self.rng.bit_generator.state),
             "early_stopping": early,
             "optimizer": self.optimizer.state_dict(),
-            "optimizer_knobs": opt_names,
-            "target_knobs": target_names,
-            "observations": observations,
         }
+
+    def _journal_header(self) -> dict:
+        """What a journal's loads validate against, plus the default
+        measurement (fixed once the session started)."""
+        return {
+            "spec_fingerprint": self.spec_fingerprint,
+            "objective": self.objective,
+            "default_value": self._default_value,
+            "optimizer_knobs": list(self.optimizer.space.names),
+            "target_knobs": list(self.adapter.target_space.names),
+        }
+
+    def _journal_record(
+        self, state: dict, journal: _Journal | None = None
+    ) -> dict:
+        """One journal record: ``state`` plus the knowledge-base rows the
+        journal does not hold yet (all of them for a compacted journal),
+        as knob-value rows under the header's name lists — the LHS design
+        only once, in the first record after it was drawn."""
+        start, design = (journal.rows, journal.design) if journal else (0, False)
+        opt_row = _row_encoder(self.optimizer.space)
+        target_row = _row_encoder(self.adapter.target_space)
+        record = dict(state)
+        record["optimizer"] = optimizer = dict(state["optimizer"])
+        if design or optimizer.get("init_points") is None:
+            optimizer.pop("init_points", None)
+        record["rows"] = [
+            [
+                o.iteration,
+                opt_row(o.optimizer_config),
+                target_row(o.target_config),
+                o.value,
+                o.crashed,
+                o.suggest_seconds,
+                o.throughput,
+                o.p95_latency_ms,
+            ]
+            for o in self._kb.observations[start:]
+        ]
+        return record
 
     def load_checkpoint(
         self, path: str | pathlib.Path, force_quarantined: bool = False
@@ -629,7 +699,7 @@ class TuningSession:
         self._kb = KnowledgeBase(maximize=self.maximize)
         decode_opt = _row_decoder(opt_space)
         decode_target = _row_decoder(target_space)
-        for row in payload["observations"]:
+        for row in payload["rows"]:
             (iteration, opt_row, target_row, value, crashed,
              suggest_seconds, throughput, p95) = row
             self._kb.record(
@@ -665,13 +735,29 @@ class TuningSession:
             self.early_stopping._reference_iteration = int(
                 early["reference_iteration"]
             )
-        self.optimizer.load_state(payload["optimizer"])
+        # The optimizer's X/y are the knowledge base's optimizer-space
+        # configurations and signed values — what _record fed observe().
+        self.optimizer.load_state(
+            payload["optimizer"],
+            [o.optimizer_config for o in self._kb],
+            [o.value if self.maximize else -o.value for o in self._kb],
+        )
         if self.checkpoint_every > 0:
             self._next_checkpoint_at = (
                 self._iteration // self.checkpoint_every + 1
             ) * self.checkpoint_every
         self._state = "running"
         return self
+
+
+def _row_encoder(space):
+    """Configuration → its knob values in the space's name order: the
+    journal's row layout (``_row_decoder`` is the inverse)."""
+    names = space.names
+    values = itemgetter(*names)
+    if len(names) == 1:
+        return lambda config: [values(config.to_dict())]
+    return lambda config: values(config.to_dict())
 
 
 def _row_decoder(space):
@@ -683,13 +769,13 @@ def _row_decoder(space):
     from repro.space.knob import IntegerKnob
 
     names = list(space.names)
-    is_int = [isinstance(space[name], IntegerKnob) for name in names]
+    int_names = [name for name in names if isinstance(space[name], IntegerKnob)]
 
     def decode(row):
-        values = {
-            name: (int(value) if integer else value)
-            for name, integer, value in zip(names, is_int, row)
-        }
+        values = dict(zip(names, row))
+        for name in int_names:
+            if type(values[name]) is not int:
+                values[name] = int(values[name])
         return Configuration._trusted(space, values)
 
     return decode

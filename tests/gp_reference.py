@@ -230,19 +230,13 @@ class ReferenceGP:
         self._y_raw = y
         self._windows = windows
 
-    def load_state(self, state: dict) -> None:
-        def arr(value):
-            return None if value is None else np.asarray(value, dtype=float)
-
+    def load_state(self, state: dict, X, y) -> None:
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        windows = [int(w) for w in state["windows"]]
         self._theta = np.asarray(state["theta"], dtype=float)
         self.rng.bit_generator.state = state["rng"]
-        self._X = arr(state["X"])
-        self._y_raw = arr(state["y_raw"])
-        self._windows = [int(w) for w in state["windows"]]
-        self._y_mean = float(state["y_mean"])
-        self._y_std = float(state["y_std"])
-        self._chol = arr(state["chol"])
-        self._alpha = arr(state["alpha"])
+        self._finish(X, y, self._factor_windows(X, windows), windows)
 
     def predict_mean_var(self, X: np.ndarray):
         if self._X is None or self._alpha is None or self._chol is None:

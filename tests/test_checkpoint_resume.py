@@ -217,11 +217,23 @@ class TestStateMachine:
         donor = self._session()
         donor.run()
         path = donor.checkpoint(tmp_path / "s.ckpt.json")
-        payload = json.loads(path.read_text())
-        assert payload["checkpoint_format_version"] == CHECKPOINT_FORMAT_VERSION
-        payload["checkpoint_format_version"] = CHECKPOINT_FORMAT_VERSION + 1
-        path.write_text(json.dumps(payload))
+        head, newline, records = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        assert header["checkpoint_format_version"] == CHECKPOINT_FORMAT_VERSION
+        header["checkpoint_format_version"] = CHECKPOINT_FORMAT_VERSION + 1
+        path.write_bytes(json.dumps(header).encode() + newline + records)
         with pytest.raises(ValueError, match="format"):
+            self._session().load_checkpoint(path)
+
+    def test_v2_snapshot_rejected(self, tmp_path):
+        # A whole-payload v2 checkpoint is one JSON object; there is no
+        # migration shim, it is refused by version like any mismatch.
+        path = tmp_path / "s.ckpt.json"
+        path.write_text(json.dumps({
+            "checkpoint_format_version": 2, "objective": "throughput",
+            "observations": [],
+        }))
+        with pytest.raises(ValueError, match="format 2"):
             self._session().load_checkpoint(path)
 
     def test_checkpoint_every_requires_checkpointable(self):
@@ -258,8 +270,12 @@ class TestStateMachine:
 class TestAtomicWrites:
     def test_failed_checkpoint_leaves_previous_intact(self, tmp_path, monkeypatch):
         path = tmp_path / "s.ckpt.json"
-        save_checkpoint({"observations": []}, path)
-        before = path.read_text()
+        save_checkpoint(
+            {"objective": "throughput"},
+            {"iteration": 0, "rows": [], "optimizer": {}},
+            path,
+        )
+        before = path.read_bytes()
 
         import repro.tuning.persistence as persistence
 
@@ -268,8 +284,12 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(persistence.os, "replace", explode)
         with pytest.raises(OSError):
-            save_checkpoint({"observations": [1, 2, 3]}, path)
-        assert path.read_text() == before
+            save_checkpoint(
+                {"objective": "throughput"},
+                {"iteration": 3, "rows": [1, 2, 3], "optimizer": {}},
+                path,
+            )
+        assert path.read_bytes() == before
         # The orphaned temp file is cleaned up too.
         assert list(tmp_path.iterdir()) == [path]
 
@@ -305,7 +325,7 @@ class TestAtomicWrites:
         assert payload["session_rng"] == dict(
             session.rng.bit_generator.state
         )
-        values = [row[3] for row in payload["observations"]]
+        values = [row[3] for row in payload["rows"]]
         assert values == [float(v) for v in session.result().values]
 
 
@@ -348,14 +368,16 @@ class TestSpecFingerprintGuards:
             session.load_checkpoint(path)
 
     def test_legacy_checkpoint_without_fingerprint_loads(self, tmp_path):
-        # Pre-PR-9 snapshots have no spec_fingerprint header; both-sides
-        # validation means they still restore.
+        # A header without a spec_fingerprint (a hand-built session's, or
+        # one written before fingerprints existed) skips that check:
+        # both-sides validation means it still restores.
         spec = make_spec("smac", tmp_path, n_iterations=8, checkpoint_every=8)
         spec.build(1).run()
         path = spec.checkpoint_path(1)
-        payload = json.loads(path.read_text())
-        del payload["spec_fingerprint"]
-        path.write_text(json.dumps(payload))
+        head, newline, records = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        del header["spec_fingerprint"]
+        path.write_bytes(json.dumps(header).encode() + newline + records)
         session = spec.build(1)  # resume=False: build fresh, load manually
         session.load_checkpoint(path)
         assert session.iteration == 8
@@ -425,3 +447,206 @@ class TestQuarantinedCheckpoints:
         assert session.live
         result = session.run()
         assert result.quarantined_at == 0
+
+
+def journal_records(path):
+    """The records of the journal at ``path``, decoded (header skipped)."""
+    _, _, body = path.read_bytes().partition(b"\n")
+    return [json.loads(line.split(b" ", 2)[2]) for line in body.splitlines()]
+
+
+def journaled_run(optimizer, tmp_dir, seed=1, **kwargs):
+    """An uninterrupted run that checkpoints at every round boundary.
+    Returns its spec, result and session, the journal's bytes, and the
+    offsets where the header and each record end."""
+    spec = make_spec(optimizer, tmp_dir, checkpoint_every=1, **kwargs)
+    session = spec.build(seed)
+    result = session.run()
+    data = spec.checkpoint_path(seed).read_bytes()
+    ends = [i + 1 for i in range(len(data)) if data[i] == ord("\n")]
+    return spec, result, session, data, ends
+
+
+class TestJournal:
+    """Format v3: a checkpoint is a journal of inputs.  Periodic writes
+    append one record holding only what changed; a session's first write
+    to a path compacts; a file this session did not leave is never
+    extended."""
+
+    def test_periodic_writes_append_only_what_changed(self, tmp_path):
+        spec = make_spec("smac", tmp_path, checkpoint_every=2)
+        result = spec.build(1).run()
+        records = journal_records(spec.checkpoint_path(1))
+        # The init round (6 rows) is the first write, then one write per
+        # two model rounds, the last one terminal.
+        assert [r["iteration"] for r in records] == [6, 8, 10, 12, 14, 16]
+        assert [len(r["rows"]) for r in records] == [6, 2, 2, 2, 2, 2]
+        # The LHS design is journaled once; the optimizer's X/y never.
+        assert ["init_points" in r["optimizer"] for r in records] == (
+            [True] + [False] * 5
+        )
+        assert {key for r in records for key in r["optimizer"]} == {
+            "type", "rng", "init_points", "model_suggestions",
+        }
+        payload = load_checkpoint(spec.checkpoint_path(1))
+        assert [row[3] for row in payload["rows"]] == [
+            float(v) for v in result.values
+        ]
+
+    def test_first_write_of_a_resumed_session_compacts(self, tmp_path):
+        path = make_spec("smac", tmp_path).checkpoint_path(1)
+        make_spec(
+            "smac", tmp_path, n_iterations=N_CUT, checkpoint_every=1
+        ).build(1).run()
+        assert len(journal_records(path)) > 1
+        make_spec(
+            "smac", tmp_path, n_iterations=N_CUT + 1, checkpoint_every=1,
+            resume=True,
+        ).build(1).run()
+        records = journal_records(path)
+        assert len(records) == 1
+        assert records[0]["iteration"] == len(records[0]["rows"]) == N_CUT + 1
+        assert "init_points" in records[0]["optimizer"]
+
+    def test_checkpoint_to_a_new_path_compacts(self, tmp_path):
+        spec = make_spec("smac", tmp_path, n_iterations=10, checkpoint_every=1)
+        session = spec.build(1)
+        session.run()
+        other = session.checkpoint(tmp_path / "copy.ckpt.json")
+        assert len(journal_records(spec.checkpoint_path(1))) > 1
+        assert len(journal_records(other)) == 1
+        assert load_checkpoint(other) == load_checkpoint(
+            spec.checkpoint_path(1)
+        )
+
+    def test_a_file_this_session_did_not_leave_is_never_extended(
+        self, tmp_path
+    ):
+        spec = make_spec("random", tmp_path, n_iterations=8, checkpoint_every=1)
+        path = spec.checkpoint_path(1)
+        session = spec.build(1)
+        session.run()
+        expected = load_checkpoint(path)
+        session.checkpoint()
+        assert len(journal_records(path)) > 2  # appends while it is ours
+
+        # Another run replaced the file: compact over it.
+        make_spec(
+            "random", tmp_path, n_iterations=7, checkpoint_every=1
+        ).build(1).run()
+        session.checkpoint()
+        assert len(journal_records(path)) == 1
+        assert load_checkpoint(path) == expected
+
+        # Someone extended it: compact again, then append once more.
+        with open(path, "ab") as handle:
+            handle.write(b"12 00000000 not a record\n")
+        session.checkpoint()
+        assert len(journal_records(path)) == 1
+        session.checkpoint()
+        assert len(journal_records(path)) == 2
+        assert load_checkpoint(path) == expected
+
+        # And a deleted file is simply rewritten.
+        os.unlink(path)
+        session.checkpoint()
+        assert len(journal_records(path)) == 1
+        assert load_checkpoint(path) == expected
+
+
+class TestTornTails:
+    """A kill mid-append leaves a torn last record: the loader drops it
+    and the journal ends at the previous round boundary, from which the
+    resume is byte-identical.  Damage anywhere else fails loudly."""
+
+    def test_every_cut_inside_the_last_record(self, tmp_path):
+        """Every byte offset inside the last record loads exactly the
+        previous round boundary.  The session's load reads nothing but
+        that folded state, so each cut resumes as the boundary does —
+        shown here at the cut's first, middle and last byte."""
+        spec, full, full_session, data, ends = journaled_run(
+            "smac", tmp_path, n_iterations=10
+        )
+        path = spec.checkpoint_path(1)
+        path.write_bytes(data[:ends[-2]])
+        previous = load_checkpoint(path)
+        assert previous["iteration"] == 9
+        for cut in range(ends[-2] + 1, ends[-1]):
+            path.write_bytes(data[:cut])
+            assert load_checkpoint(path) == previous, cut
+        resumed_spec = make_spec(
+            "smac", tmp_path, n_iterations=10, checkpoint_every=1,
+            resume=True,
+        )
+        for cut in (ends[-2] + 1, (ends[-2] + ends[-1]) // 2, ends[-1] - 1):
+            path.write_bytes(data[:cut])
+            session = resumed_spec.build(1)
+            assert session.iteration == 9
+            assert_byte_identical(full, session.run(), full_session, session)
+
+    def test_damaged_last_record_is_dropped(self, tmp_path):
+        spec, _, _, data, ends = journaled_run(
+            "random", tmp_path, n_iterations=10
+        )
+        path = spec.checkpoint_path(1)
+        path.write_bytes(data[:ends[-2]])
+        previous = load_checkpoint(path)
+        pos = (ends[-2] + ends[-1]) // 2
+        path.write_bytes(data[:pos] + bytes([data[pos] ^ 1]) + data[pos + 1:])
+        assert load_checkpoint(path) == previous
+
+    def test_flipped_byte_in_a_middle_record_fails_loudly(self, tmp_path):
+        spec, _, _, data, ends = journaled_run(
+            "random", tmp_path, n_iterations=10
+        )
+        assert len(ends) > 4
+        path = spec.checkpoint_path(1)
+        middle = len(ends) // 2
+        pos = (ends[middle - 1] + ends[middle]) // 2
+        path.write_bytes(data[:pos] + bytes([data[pos] ^ 1]) + data[pos + 1:])
+        with pytest.raises(ValueError, match="corrupt"):
+            load_checkpoint(path)
+        resumed = make_spec(
+            "random", tmp_path, n_iterations=10, checkpoint_every=1,
+            resume=True,
+        )
+        with pytest.raises(ValueError, match="corrupt"):
+            resumed.build(1)
+
+    def test_header_alone_is_refused(self, tmp_path):
+        spec, _, _, data, ends = journaled_run(
+            "random", tmp_path, n_iterations=8
+        )
+        path = spec.checkpoint_path(1)
+        path.write_bytes(data[:ends[0]])
+        with pytest.raises(ValueError, match="no complete record"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "optimizer,kwargs",
+        [
+            ("smac", {}),
+            ("random", {}),
+            ("gp-bo", {}),
+            ("gp-bo", {"optimizer_kwargs": (("refit_every", 5),)}),
+        ],
+        ids=["smac", "random", "gp-bo", "gp-bo-refit5"],
+    )
+    def test_resume_after_every_record(self, optimizer, kwargs, tmp_path):
+        """Truncated after any record, the journal resumes into the
+        uninterrupted trajectory — which journaling every round leaves
+        unchanged."""
+        plain, plain_session = run_full(make_spec(optimizer, **kwargs), 1)
+        spec, full, full_session, data, ends = journaled_run(
+            optimizer, tmp_path, **kwargs
+        )
+        assert_byte_identical(plain, full, plain_session, full_session)
+        path = spec.checkpoint_path(1)
+        resumed_spec = make_spec(
+            optimizer, tmp_path, checkpoint_every=1, resume=True, **kwargs
+        )
+        for end in ends[1:]:
+            path.write_bytes(data[:end])
+            session = resumed_spec.build(1)
+            assert session.iteration == load_checkpoint(path)["iteration"]
+            assert_byte_identical(full, session.run(), full_session, session)

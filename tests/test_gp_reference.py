@@ -93,21 +93,31 @@ class TestAppendedWindows:
 
     @pytest.mark.parametrize("space", list(SPACES))
     def test_checkpoint_round_trip_matches_reference(self, space):
-        """A fitted factor is F-ordered, a restored one C-ordered (rebuilt
-        from JSON rows), which routes its triangular solves through the
-        transposed upper/trans call; predict and further updates must
-        still match the reference restored from the same state."""
+        """A checkpoint holds theta, the restart RNG and the window
+        sizes; restoring replays ``_factor_windows`` and ``_finish`` over
+        the training rows.  The restored GP is the checkpointed one byte
+        for byte — the factor's layout included (F-ordered after a fit,
+        C-ordered after an extension, which routes triangular solves
+        through the transposed upper/trans call) — and predict and
+        further updates still match the reference restored from the
+        same state."""
         X, y, is_cat = dataset(space, 80, seed=7)
         probes, _, _ = dataset(space, 200, seed=8)
         gp = GaussianProcess(is_cat, seed=0).fit(X[:55], y[:55])
-        assert gp._chol.flags.f_contiguous
-        state = json.loads(json.dumps(gp.state_dict()))
-        restored = GaussianProcess(is_cat)
-        restored.load_state(state)
-        ref = ReferenceGP(is_cat)
-        ref.load_state(state)
-        assert not restored._chol.flags.f_contiguous
-        assert_same_posterior(restored, ref, probes)
+        for stop, f_ordered in ((55, True), (59, False)):
+            gp.update(X[:stop], y[:stop])
+            assert gp._chol.flags.f_contiguous is f_ordered
+            state = json.loads(json.dumps(gp.state_dict()))
+            assert sorted(state) == ["rng", "theta", "windows"]
+            restored = GaussianProcess(is_cat)
+            restored.load_state(state, X[:stop], y[:stop])
+            ref = ReferenceGP(is_cat)
+            ref.load_state(state, X[:stop], y[:stop])
+            assert restored._chol.flags.f_contiguous is f_ordered
+            assert restored._chol.tobytes() == gp._chol.tobytes()
+            assert restored._alpha.tobytes() == gp._alpha.tobytes()
+            assert_same_state(restored, ref)
+            assert_same_posterior(restored, ref, probes)
         for stop in (60, 66, 80):
             restored.update(X[:stop], y[:stop])
             ref.update(X[:stop], y[:stop])

@@ -21,6 +21,7 @@ The server's contract has three legs, all pinned here:
 
 import asyncio
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -48,18 +49,24 @@ def make_spec(**overrides):
     return SessionSpec(**base)
 
 
+async def observe_own(server, key, config):
+    """Evaluate ``config`` with the session's own simulator and noise
+    stream and observe the outcome."""
+    session = server.session(key)
+    try:
+        outcome = session.simulator.evaluate(config, rng=session.rng)
+    except DbmsCrashError:
+        await server.observe(key, crashed=True)
+    else:
+        await server.observe(key, measurement=outcome)
+
+
 async def drive(server, key):
     """In-process tenant: evaluate each suggestion with the session's own
     simulator and noise stream (the solo-reproducing client shape)."""
     session = server.session(key)
     while session.live:
-        config = await server.suggest(key)
-        try:
-            outcome = session.simulator.evaluate(config, rng=session.rng)
-        except DbmsCrashError:
-            await server.observe(key, crashed=True)
-        else:
-            await server.observe(key, measurement=outcome)
+        await observe_own(server, key, await server.suggest(key))
 
 
 def serve_tasks(tasks, gather_window=0.001, **server_kwargs):
@@ -117,6 +124,31 @@ def assert_server_matches_solo(tasks, **server_kwargs):
             assert dict(a.target_config) == dict(b.target_config)
     assert solo_states == served_states
     return served_results
+
+
+def outstanding_spec(optimizer):
+    if optimizer == "gp-bo-refit5":
+        return make_spec(
+            optimizer="gp-bo", n_iterations=14, n_init=3,
+            optimizer_kwargs=(("refit_every", 5),),
+        )
+    return make_spec(optimizer=optimizer, n_iterations=14, n_init=3)
+
+
+@functools.lru_cache(maxsize=None)
+def solo_run(optimizer):
+    return outstanding_spec(optimizer).build(5).run()
+
+
+def assert_same_trajectory(solo, other):
+    np.testing.assert_array_equal(solo.values, other.values)
+    solo_obs = list(solo.knowledge_base)
+    other_obs = list(other.knowledge_base)
+    assert len(solo_obs) == len(other_obs)
+    for a, b in zip(solo_obs, other_obs):
+        assert a.crashed == b.crashed
+        assert dict(a.optimizer_config) == dict(b.optimizer_config)
+        assert dict(a.target_config) == dict(b.target_config)
 
 
 class TestServerDeterminism:
@@ -198,6 +230,60 @@ class TestServerLifecycle:
         assert len(ckpts) == 1
         resumed = asyncio.run(reconnected())
         np.testing.assert_array_equal(resumed.values, solo.values)
+
+    @pytest.mark.parametrize("call", ["close", "checkpoint"])
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    @pytest.mark.parametrize("optimizer", ["smac", "gp-bo-refit5"])
+    def test_checkpoint_with_an_outstanding_suggestion(
+        self, tmp_path, optimizer, k, call
+    ):
+        """A checkpoint taken while a suggestion is outstanding holds the
+        state from before the wave that prepared it, so resuming replays
+        that round as the solo run does — in the LHS phase (k = 2) and in
+        model rounds, where preparing draws from the optimizer's stream
+        (k = 3, 6).  ``checkpoint(key)`` leaves the live session on the
+        solo trajectory too."""
+        spec = outstanding_spec(optimizer)
+        solo = solo_run(optimizer)
+
+        async def interrupted():
+            async with SessionServer(checkpoint_root=tmp_path) as server:
+                key = await server.open("acme", spec, 5)
+                for _ in range(k):
+                    await observe_own(server, key, await server.suggest(key))
+                config = await server.suggest(key)  # never observed here
+                if call == "close":
+                    await server.close(key)
+                    return None
+                await server.checkpoint(key)
+                await observe_own(server, key, config)
+                await drive(server, key)
+                return await server.close(key, checkpoint=False)
+
+        async def reconnected():
+            async with SessionServer(checkpoint_root=tmp_path) as server:
+                key = await server.open(
+                    "acme", dataclasses.replace(spec, resume=True), 5
+                )
+                assert server.session(key).iteration == k
+                await drive(server, key)
+                return await server.close(key)
+
+        live = asyncio.run(interrupted())
+        if live is not None:
+            assert_same_trajectory(solo, live)
+        assert_same_trajectory(solo, asyncio.run(reconnected()))
+
+    def test_uncheckpointable_optimizer_refused_at_open(self, tmp_path):
+        # DDPG's state is outside the checkpoint seam: on a server that
+        # checkpoints on close, such a session could never be closed.
+        async def go():
+            async with SessionServer(checkpoint_root=tmp_path) as server:
+                with pytest.raises(ValueError, match="not checkpointable"):
+                    await server.open("acme", make_spec(optimizer="ddpg"), 1)
+                assert await server.status() == []
+
+        asyncio.run(go())  # and the server shuts down cleanly
 
     def test_tenant_checkpoint_namespaces_are_disjoint(self, tmp_path):
         # Same spec, same seed, different tenants: identical filenames

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Chaos smoke: fault-injected determinism + kill-and-resume, end to end.
 
-Two short scenarios exercise the resilience contract (ROADMAP.md) the way
-an unlucky user would hit it:
+Three short scenarios exercise the resilience contract (ROADMAP.md) the
+way an unlucky user would hit it:
 
 1. **Fault determinism** — a fault-injected sweep (transient errors,
    hangs, flaky crashes, corrupted measurements at ``--fault-rate 0.3``)
@@ -14,11 +14,16 @@ an unlucky user would hit it:
    run then continues it, and the combined knowledge base must equal an
    uninterrupted run's exactly (values, configurations, crash rows).
 
+3. **Kill during appends** — the same with a checkpoint at every round,
+   killed once its journal has grown past the first record, so the kill
+   lands among appends (possibly inside one, leaving a torn last record
+   for the resume to drop).
+
 Usage::
 
     PYTHONPATH=src python tools/chaos_smoke.py
 
-Exit code 0 when both scenarios hold.  Runs in a few seconds; CI runs it
+Exit code 0 when every scenario holds.  Runs in a few seconds; CI runs it
 on every forest-kernel leg after the tier-1 suite.
 """
 
@@ -91,8 +96,25 @@ def _cli(args: list[str], env: dict) -> subprocess.Popen:
     )
 
 
-def kill_and_resume() -> bool:
-    print("kill-and-resume:")
+def _checkpoint_landed(ckpt_dir: pathlib.Path) -> bool:
+    return any(ckpt_dir.glob("*.ckpt.json"))
+
+
+def _appends_started(ckpt_dir: pathlib.Path) -> bool:
+    """Bytes follow the journal's compacted first record: an append has
+    begun."""
+    for path in ckpt_dir.glob("*.ckpt.json"):
+        parts = path.read_bytes().split(b"\n", 2)
+        if len(parts) == 3 and parts[2]:
+            return True
+    return False
+
+
+def kill_and_resume(label: str, every: int, ready) -> bool:
+    """Run a checkpointing CLI victim (a checkpoint every ``every``
+    iterations), SIGKILL it once ``ready(ckpt_dir)`` holds, resume it,
+    and compare the result with an uninterrupted run."""
+    print(f"{label}:")
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src + (
@@ -104,6 +126,9 @@ def kill_and_resume() -> bool:
             "--workload", "ycsb-a", "--optimizer", "smac",
             "--iterations", "40", "--seed", "1", "--dim", "4", "--no-plot",
         ]
+        checkpointing = [
+            "--checkpoint-every", str(every), "--checkpoint-dir", str(ckpt_dir),
+        ]
 
         # Uninterrupted reference run.
         reference = pathlib.Path(tmp) / "reference.json"
@@ -111,19 +136,15 @@ def kill_and_resume() -> bool:
         if proc.wait() != 0:
             return check(False, "reference run completed")
 
-        # The victim: checkpoint every 5 iterations, SIGKILL as soon as
-        # the first checkpoint lands on disk (a session this short may
-        # win the race and exit first — resuming a finished run is then
-        # a no-op, which the comparison below still verifies).
-        victim = _cli(
-            [*base, "--checkpoint-every", "5",
-             "--checkpoint-dir", str(ckpt_dir)],
-            env,
-        )
+        # The victim, SIGKILLed as soon as ``ready`` holds (a session
+        # this short may win the race and exit first — resuming a
+        # finished run is then a no-op, which the comparison below still
+        # verifies).
+        victim = _cli([*base, *checkpointing], env)
         deadline = time.monotonic() + 60.0
         killed = False
         while time.monotonic() < deadline:
-            if any(ckpt_dir.glob("*.ckpt.json")):
+            if ready(ckpt_dir):
                 if victim.poll() is None:
                     victim.send_signal(signal.SIGKILL)
                     killed = True
@@ -134,16 +155,21 @@ def kill_and_resume() -> bool:
         victim.wait()
         checkpoints = list(ckpt_dir.glob("*.ckpt.json"))
         ok = check(bool(checkpoints), "a checkpoint survived the kill")
-        print(f"        (victim {'killed mid-run' if killed else 'finished before the kill'})")
+        state = "killed mid-run" if killed else "finished before the kill"
+        if checkpoints:
+            data = checkpoints[0].read_bytes()
+            records = data.count(b"\n") - 1
+            torn = "" if data.endswith(b"\n") else " and a torn one"
+            plural = "" if records == 1 else "s"
+            state += f"; {records} complete record{plural}{torn}"
+        print(f"        (victim {state})")
         if not ok:
             return False
 
         # Resume to the full budget and compare against the reference.
         resumed = pathlib.Path(tmp) / "resumed.json"
         proc = _cli(
-            [*base, "--checkpoint-every", "5",
-             "--checkpoint-dir", str(ckpt_dir), "--resume",
-             "--kb-out", str(resumed)],
+            [*base, *checkpointing, "--resume", "--kb-out", str(resumed)],
             env,
         )
         if proc.wait() != 0:
@@ -174,7 +200,8 @@ def kill_and_resume() -> bool:
 
 def main() -> int:
     ok = fault_determinism()
-    ok &= kill_and_resume()
+    ok &= kill_and_resume("kill-and-resume", 5, _checkpoint_landed)
+    ok &= kill_and_resume("kill-during-appends", 1, _appends_started)
     print("chaos smoke:", "OK" if ok else "FAILED")
     return 0 if ok else 1
 

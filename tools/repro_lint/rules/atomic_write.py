@@ -3,7 +3,9 @@
 Contract (ROADMAP resilience contract, "Atomic writes" bullet): every
 persistence writer writes a temp file in the target directory and
 ``os.replace``\\ s it into place, so a process killed mid-save never
-truncates an existing file.  That guarantee only holds if every write in
+truncates an existing file.  The one exception is the checkpoint
+journal's append seam, ``append_checkpoint``, whose torn last record
+the journal loader drops.  Both guarantees only hold if every write in
 ``src/`` actually routes through the helpers in ``tuning/persistence.py``
 — a stray ``open(path, "w")`` reintroduces the truncate-then-die window
 the chaos smoke exists to catch.
@@ -38,9 +40,12 @@ class AtomicWriteRule(Rule):
         "Persistence atomicity (ROADMAP resilience contract): writers "
         "put the payload in a temp file in the target's directory and "
         "os.replace it into place, so SIGKILL/OOM/ctrl-C mid-save never "
-        "truncates an existing file.  Only tuning/persistence.py "
-        "implements that dance; every other src/ write must call its "
-        "helpers (atomic_write_text / save_result / save_checkpoint).  "
+        "truncates an existing file.  The checkpoint journal's append "
+        "seam (append_checkpoint) is the one non-atomic writer: a kill "
+        "mid-append leaves a torn last record, which load_checkpoint "
+        "drops.  Only tuning/persistence.py implements these; every "
+        "other src/ write must call its helpers (atomic_write_text / "
+        "save_result / save_checkpoint / append_checkpoint).  "
         "open(path, 'w'/'wb'/'a'/'x') and Path.write_text/write_bytes "
         "elsewhere are errors; a scratch file in a private temp "
         "directory may carry an allow[atomic-write] pragma."
