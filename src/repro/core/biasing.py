@@ -60,10 +60,6 @@ class SpecialValueBiaser:
         self._hybrid_names = frozenset(k.name for k in space.hybrid_knobs)
         self._columns: dict[int, _BiasedColumn] | None = None
 
-    @property
-    def hybrid_names(self) -> frozenset[str]:
-        return self._hybrid_names
-
     def is_biased(self, name: str) -> bool:
         return self.bias > 0.0 and name in self._hybrid_names
 

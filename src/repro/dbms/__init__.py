@@ -4,7 +4,7 @@ from repro.dbms.cache_sim import LRUCacheSimulator, steady_state_hit_rate
 from repro.dbms.engine import Measurement, PostgresSimulator
 from repro.dbms.errors import DbmsCrashError, DbmsError
 from repro.dbms.hardware import C220G5, Hardware
-from repro.dbms.metrics import METRIC_NAMES, derive_metrics, metrics_vector
+from repro.dbms.metrics import METRIC_NAMES, metrics_vector
 from repro.dbms.versions import V96, V136, PostgresVersion
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "PostgresVersion",
     "V136",
     "V96",
-    "derive_metrics",
     "steady_state_hit_rate",
     "metrics_vector",
 ]

@@ -6,10 +6,8 @@ relative speed factor per configuration for one subsystem of the DBMS
 misconfigured), evaluated for all ``N`` rows of a
 :class:`~repro.dbms.context.BatchEvalContext` at once.  The engine combines
 them as a weighted geometric product per workload; see
-:mod:`repro.dbms.engine`.
-
-``score(ctx) -> float`` is the scalar compatibility view (a one-row batch
-under the hood), kept for component unit tests and external callers.
+:mod:`repro.dbms.engine`.  To score one configuration, run the models on a
+one-row context.
 """
 
 from repro.dbms.components import (
@@ -27,9 +25,9 @@ from repro.dbms.components import (
 )
 
 #: Evaluation order.  ``memory`` goes first because it flags crashing rows
-#: (the scalar shim raises :class:`~repro.dbms.errors.DbmsCrashError`);
-#: ``wal`` precedes ``checkpoint`` because the checkpoint model reads the
-#: WAL volume note.
+#: (the engine raises :class:`~repro.dbms.errors.DbmsCrashError` for them
+#: under the ``"raise"`` policy); ``wal`` precedes ``checkpoint`` because
+#: the checkpoint model reads the WAL volume note.
 BATCH_COMPONENTS = {
     "memory": memory.score_batch,
     "buffer": buffer.score_batch,
@@ -44,19 +42,4 @@ BATCH_COMPONENTS = {
     "texture": texture.score_batch,
 }
 
-#: Scalar views of the same models, in the same evaluation order.
-COMPONENTS = {
-    "memory": memory.score,
-    "buffer": buffer.score,
-    "writeback": writeback.score,
-    "wal_commit": wal.score,
-    "checkpoint": checkpoint.score,
-    "vacuum": vacuum.score,
-    "planner": planner.score,
-    "parallel": parallel.score,
-    "locks": locks.score,
-    "stats": stats.score,
-    "texture": texture.score,
-}
-
-__all__ = ["BATCH_COMPONENTS", "COMPONENTS"]
+__all__ = ["BATCH_COMPONENTS"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dbms.context import BatchEvalContext, EvalContext, run_component_scalar
+from repro.dbms.context import BatchEvalContext
 
 GIB = 1024**3
 
@@ -81,8 +81,3 @@ def score_batch(ctx: BatchEvalContext) -> np.ndarray:
     # physical (a fully cached page still costs executor CPU).
     cpu_floor_ms = 0.008
     return cpu_floor_ms / (cpu_floor_ms + read_ms)
-
-
-def score(ctx: EvalContext) -> float:
-    """Scalar shim over :func:`score_batch`."""
-    return run_component_scalar(score_batch, ctx)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dbms.context import BatchEvalContext, EvalContext, run_component_scalar
+from repro.dbms.context import BatchEvalContext
 
 
 def checkpoint_interval_s(ctx: BatchEvalContext) -> np.ndarray:
@@ -62,8 +62,3 @@ def score_batch(ctx: BatchEvalContext) -> np.ndarray:
     ctx.notes["checkpoints_per_run"] = 300.0 / np.maximum(interval, 5.0)
 
     return bg / (1.0 + penalty)
-
-
-def score(ctx: EvalContext) -> float:
-    """Scalar shim over :func:`score_batch`."""
-    return run_component_scalar(score_batch, ctx)

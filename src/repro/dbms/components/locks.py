@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from repro.dbms.context import BatchEvalContext, EvalContext, run_component_scalar
+from repro.dbms.context import BatchEvalContext
 
 
 def score_batch(ctx: BatchEvalContext) -> np.ndarray:
@@ -40,8 +40,3 @@ def score_batch(ctx: BatchEvalContext) -> np.ndarray:
     ctx.notes["deadlocks_per_min"] = contention * 2.0 * (1.0 - tuning)
 
     return 1.0 + gain
-
-
-def score(ctx: EvalContext) -> float:
-    """Scalar shim over :func:`score_batch`."""
-    return run_component_scalar(score_batch, ctx)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dbms.context import BatchEvalContext, EvalContext, run_component_scalar
+from repro.dbms.context import BatchEvalContext
 
 KIB = 1024
 MIB = 1024**2
@@ -98,8 +98,3 @@ def score_batch(ctx: BatchEvalContext) -> np.ndarray:
     spill = np.where((tfl != -1) & (tfl < 1024) & (spill > 0.05), spill + 0.03, spill)
 
     return np.maximum(0.15, (1.0 - spill) * (1.0 - np.minimum(0.8, swap_penalty)))
-
-
-def score(ctx: EvalContext) -> float:
-    """Scalar shim over :func:`score_batch`; raises ``DbmsCrashError``."""
-    return run_component_scalar(score_batch, ctx)

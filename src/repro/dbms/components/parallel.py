@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dbms.context import BatchEvalContext, EvalContext, run_component_scalar
+from repro.dbms.context import BatchEvalContext
 
 
 def _jit_effect(ctx: BatchEvalContext) -> np.ndarray:
@@ -65,8 +65,3 @@ def score_batch(ctx: BatchEvalContext) -> np.ndarray:
     effect = jit + _worker_effect(ctx)
     ctx.notes["jit_overhead"] = -jit
     return np.maximum(0.3, 1.0 + effect)
-
-
-def score(ctx: EvalContext) -> float:
-    """Scalar shim over :func:`score_batch`."""
-    return run_component_scalar(score_batch, ctx)

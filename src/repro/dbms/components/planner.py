@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from repro.dbms.context import BatchEvalContext, EvalContext, run_component_scalar
+from repro.dbms.context import BatchEvalContext
 
 GIB = 1024**3
 
@@ -111,8 +111,3 @@ def score_batch(ctx: BatchEvalContext) -> np.ndarray:
     gain = _cost_model_gain(ctx) + _geqo_effect(ctx)
     ctx.notes["plan_quality_penalty"] = penalty
     return np.maximum(0.1, (1.0 - np.minimum(0.9, penalty)) * (1.0 + gain))
-
-
-def score(ctx: EvalContext) -> float:
-    """Scalar shim over :func:`score_batch`."""
-    return run_component_scalar(score_batch, ctx)

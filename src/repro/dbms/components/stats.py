@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dbms.context import BatchEvalContext, EvalContext, run_component_scalar
+from repro.dbms.context import BatchEvalContext
 
 
 def score_batch(ctx: BatchEvalContext) -> np.ndarray:
@@ -21,8 +21,3 @@ def score_batch(ctx: BatchEvalContext) -> np.ndarray:
     gain = gain - np.where(ctx.is_on("track_io_timing", default="off"), 0.010, 0.0)
     gain = gain + np.where(~ctx.is_on("update_process_title"), 0.003, 0.0)
     return 1.0 + gain
-
-
-def score(ctx: EvalContext) -> float:
-    """Scalar shim over :func:`score_batch`."""
-    return run_component_scalar(score_batch, ctx)

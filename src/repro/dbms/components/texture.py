@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from repro.dbms.context import BatchEvalContext, EvalContext, run_component_scalar
+from repro.dbms.context import BatchEvalContext
 
 #: Maximum absolute contribution of a single knob (fractional speed).
 _AMPLITUDE = 0.0035
@@ -103,8 +103,3 @@ def score_batch(ctx: BatchEvalContext) -> np.ndarray:
     for j in range(contributions.shape[1]):
         total = total + contributions[:, j]
     return np.exp(total)
-
-
-def score(ctx: EvalContext) -> float:
-    """Scalar shim over :func:`score_batch`."""
-    return run_component_scalar(score_batch, ctx)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dbms.context import BatchEvalContext, EvalContext, run_component_scalar
+from repro.dbms.context import BatchEvalContext
 
 
 def _vacuum_pace(ctx: BatchEvalContext) -> np.ndarray:
@@ -64,8 +64,3 @@ def score_batch(ctx: BatchEvalContext) -> np.ndarray:
     total = bloat + sluggish + interference + stale_stats
     working_score = np.maximum(0.3, 1.0 - total)
     return np.where(works, working_score, broken_score)
-
-
-def score(ctx: EvalContext) -> float:
-    """Scalar shim over :func:`score_batch`."""
-    return run_component_scalar(score_batch, ctx)

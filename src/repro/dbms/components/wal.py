@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dbms.context import BatchEvalContext, EvalContext, run_component_scalar
+from repro.dbms.context import BatchEvalContext
 
 MIB = 1024**2
 
@@ -96,8 +96,3 @@ def score_batch(ctx: BatchEvalContext) -> np.ndarray:
     # Floor represents the non-WAL work of a writing transaction.
     floor_ms = 0.55
     return floor_ms / (floor_ms + t_wal * wl.write_txn_fraction * 2.0)
-
-
-def score(ctx: EvalContext) -> float:
-    """Scalar shim over :func:`score_batch`."""
-    return run_component_scalar(score_batch, ctx)

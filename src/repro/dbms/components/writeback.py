@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dbms.context import BatchEvalContext, EvalContext, run_component_scalar
+from repro.dbms.context import BatchEvalContext
 
 
 def score_batch(ctx: BatchEvalContext) -> np.ndarray:
@@ -40,8 +40,3 @@ def score_batch(ctx: BatchEvalContext) -> np.ndarray:
         disabled, 0.0, 256.0 / np.where(disabled, 1, bfa)
     )
     return read_side * smooth
-
-
-def score(ctx: EvalContext) -> float:
-    """Scalar shim over :func:`score_batch`."""
-    return run_component_scalar(score_batch, ctx)

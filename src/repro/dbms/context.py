@@ -1,17 +1,13 @@
-"""Evaluation contexts handed to the simulator component models.
+"""The evaluation context handed to the simulator component models.
 
-Two views of the same data:
-
-* :class:`BatchEvalContext` — the primary, array-native view: ``N``
-  configurations as columnar knob arrays, vectorized special-value
-  resolutions, and per-row crash flags.  Component models implement
-  ``score_batch(ctx) -> np.ndarray`` against it.
-* :class:`EvalContext` — the scalar view kept for component unit tests and
-  external callers; :func:`run_component_scalar` adapts a batch component to
-  it by running a one-row batch.  The engine itself never goes through this
-  path: scalar :meth:`~repro.dbms.engine.PostgresSimulator.evaluate` is a
-  one-row call into the batch pipeline, which is what makes batch results
-  bit-identical to N scalar calls by construction.
+:class:`BatchEvalContext` holds ``N`` configurations as columnar knob
+arrays, their vectorized special-value resolutions, and per-row crash
+flags; component models implement ``score_batch(ctx) -> np.ndarray``
+against it.  It is the only view: scalar
+:meth:`~repro.dbms.engine.PostgresSimulator.evaluate` is a one-row call
+into the same batch pipeline, which is what makes batch results
+bit-identical to N scalar calls by construction, and a one-row context is
+how a single configuration is scored component by component.
 """
 
 from __future__ import annotations
@@ -161,91 +157,3 @@ class BatchEvalContext:
         return np.where(raw == -1, self.get("vacuum_cost_limit"), raw).astype(
             float
         )
-
-
-@dataclass
-class EvalContext:
-    """One configuration evaluation: knob values plus fixed environment.
-
-    The scalar compatibility view; component models run against
-    :class:`BatchEvalContext` and are adapted to this interface by
-    :func:`run_component_scalar`.
-    """
-
-    values: Mapping[str, KnobValue]
-    workload: Workload
-    hardware: Hardware
-    version: PostgresVersion
-    notes: dict[str, Any] = field(default_factory=dict)
-
-    def get(self, name: str, default: KnobValue | None = None) -> KnobValue:
-        if name in self.values:
-            return self.values[name]
-        if default is None:
-            raise KeyError(f"knob {name} absent and no default given")
-        return default
-
-    def is_on(self, name: str, default: str = "on") -> bool:
-        return self.get(name, default) == "on"
-
-    # --- derived knob resolutions (special-value semantics) ---------------
-
-    def shared_buffers_bytes(self) -> int:
-        return int(self.get("shared_buffers")) * PAGE_SIZE
-
-    def wal_buffers_bytes(self) -> int:
-        """Resolve ``wal_buffers``; -1 auto-sizes to 1/32 of shared_buffers,
-        clamped to [64 kB, 16 MB] as the PostgreSQL docs specify."""
-        raw = int(self.get("wal_buffers"))
-        if raw == -1:
-            auto = self.shared_buffers_bytes() // 32
-            return int(min(max(auto, 64 * KIB), 16 * MIB))
-        return raw * PAGE_SIZE
-
-    def autovacuum_work_mem_bytes(self) -> int:
-        """Resolve ``autovacuum_work_mem``; -1 uses maintenance_work_mem."""
-        raw = int(self.get("autovacuum_work_mem"))
-        if raw == -1:
-            return int(self.get("maintenance_work_mem")) * KIB
-        return raw * KIB
-
-    def autovacuum_cost_delay_ms(self) -> float:
-        """Resolve ``autovacuum_vacuum_cost_delay``; -1 uses vacuum_cost_delay."""
-        raw = int(self.get("autovacuum_vacuum_cost_delay"))
-        if raw == -1:
-            return float(self.get("vacuum_cost_delay"))
-        return float(raw)
-
-    def autovacuum_cost_limit(self) -> float:
-        """Resolve ``autovacuum_vacuum_cost_limit``; -1 uses vacuum_cost_limit."""
-        raw = int(self.get("autovacuum_vacuum_cost_limit"))
-        if raw == -1:
-            return float(self.get("vacuum_cost_limit"))
-        return float(raw)
-
-
-def run_component_scalar(
-    score_batch: Callable[[BatchEvalContext], np.ndarray], ctx: EvalContext
-) -> float:
-    """Run a batch component model for one scalar :class:`EvalContext`.
-
-    Builds a one-row batch context seeded with the scalar context's numeric
-    notes (components may read notes earlier models wrote, e.g. the
-    checkpoint model consumes the WAL volume), copies the resulting notes
-    back as Python floats, and converts flagged crashes into the
-    :class:`~repro.dbms.errors.DbmsCrashError` the scalar API promises.
-    """
-    from repro.dbms.errors import DbmsCrashError
-
-    batch = BatchEvalContext.from_values(
-        [ctx.values], ctx.workload, ctx.hardware, ctx.version
-    )
-    for key, value in ctx.notes.items():
-        if isinstance(value, (int, float)):
-            batch.notes[key] = np.asarray([value], dtype=float)
-    scores = score_batch(batch)
-    for key, value in batch.notes.items():
-        ctx.notes[key] = float(np.asarray(value, dtype=float).reshape(-1)[0])
-    if batch.crashed[0]:
-        raise DbmsCrashError(batch.crash_messages[0])
-    return float(scores[0])

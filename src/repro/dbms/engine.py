@@ -260,7 +260,7 @@ class PostgresSimulator:
                 memory over-commit).  Callers implementing the paper's
                 protocol should convert this into the ¼-of-worst penalty.
         """
-        return self._evaluate_native([config], rng, "raise")[0]
+        return self._evaluate_native([config], [(rng, 1)], "raise")[0]
 
     def evaluate_batch(
         self,
@@ -301,7 +301,7 @@ class PostgresSimulator:
                         raise
                     results.append(None)
             return results
-        return self._evaluate_native(configs, rng, on_crash)
+        return self._evaluate_native(configs, [(rng, len(configs))], on_crash)
 
     def evaluate_batch_stacked(
         self,
@@ -330,18 +330,18 @@ class PostgresSimulator:
             raise ValueError("evaluate_batch_stacked requires on_crash='none'")
         if sum(count for __, count in rng_blocks) != len(configs):
             raise ValueError("rng_blocks do not cover configs")
-        return self._evaluate_native(
-            configs, None, on_crash, rng_blocks=rng_blocks
-        )
+        return self._evaluate_native(configs, rng_blocks, on_crash)
 
     def _evaluate_native(
         self,
         configs: Sequence[Configuration | Mapping[str, KnobValue]],
-        rng: np.random.Generator | None,
+        rng_blocks: Sequence[tuple[np.random.Generator | None, int]],
         on_crash: str,
-        rng_blocks: Sequence[tuple[np.random.Generator | None, int]] | None = None,
     ) -> list[Measurement | None]:
-        """The whole-matrix pass behind both public evaluation entry points."""
+        """The whole-matrix pass behind every public evaluation entry
+        point.  ``rng_blocks`` as in :meth:`evaluate_batch_stacked`; a lone
+        ``rng`` is one block covering every row, and a block without a
+        stream draws no noise."""
         calibration = self._calibrate()
         n = len(configs)
         if n == 0:
@@ -352,6 +352,7 @@ class PostgresSimulator:
         crashed = ctx.crashed
         if on_crash == "raise" and crashed.any():
             first = int(np.flatnonzero(crashed)[0])
+            ((rng, __),) = rng_blocks  # a raise policy has one stream
             if rng is not None and self.noise_std > 0:
                 # Sequential semantics: the rows before the crashing one
                 # have already drawn their noise pairs by the time the
@@ -362,34 +363,22 @@ class PostgresSimulator:
         throughput = calibration * self._raw_throughput_batch(scores, n)
 
         p95_noise: np.ndarray | None = None
-        if rng_blocks is not None and self.noise_std > 0:
-            # Stacked sessions: each block's alive rows draw their pairs
-            # from that block's own stream, in row order — stitching the
-            # exact draws the per-session batch calls would make.
+        if self.noise_std > 0 and any(r is not None for r, __ in rng_blocks):
+            # Each block's alive rows draw their pairs (throughput, then
+            # latency, per row) from that block's own stream, in row order;
+            # crashed rows draw nothing — the exact draws of one
+            # per-session call per block.
             alive = ~crashed
-            draws = np.empty((int(alive.sum()), 2))
-            filled = 0
-            start = 0
+            draws = np.zeros((int(alive.sum()), 2))
+            filled = start = 0
             for block_rng, count in rng_blocks:
                 block_alive = int(alive[start:start + count].sum())
-                if block_alive and block_rng is not None:
+                if block_rng is not None:
                     draws[filled:filled + block_alive] = (
                         block_rng.standard_normal((block_alive, 2))
                     )
-                elif block_alive:
-                    draws[filled:filled + block_alive] = 0.0
                 filled += block_alive
                 start += count
-            throughput_noise = np.ones(n)
-            throughput_noise[alive] = np.exp(draws[:, 0] * self.noise_std)
-            p95_noise = np.ones(n)
-            p95_noise[alive] = np.exp(draws[:, 1] * (self.noise_std * 2.0))
-            throughput = throughput * throughput_noise
-        elif rng is not None and self.noise_std > 0:
-            # One draw pass, interleaved per row (throughput then latency,
-            # matching the scalar call order); crashed rows draw nothing.
-            alive = ~crashed
-            draws = rng.standard_normal((int(alive.sum()), 2))
             throughput_noise = np.ones(n)
             throughput_noise[alive] = np.exp(draws[:, 0] * self.noise_std)
             p95_noise = np.ones(n)

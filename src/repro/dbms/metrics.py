@@ -5,8 +5,8 @@ metrics, averaged over each iteration, to the actor network as the DBMS
 state.  We derive the same kind of metrics from the simulator's component
 models so the RL path exercises realistic, configuration-dependent state.
 
-:func:`derive_metrics_batch` is the primary, array-native derivation over
-``(N,)`` note columns; :func:`derive_metrics` is its one-row scalar view.
+:func:`derive_metrics_batch` derives them for ``N`` evaluations at once
+from ``(N,)`` note columns; the engine calls it once per matrix pass.
 """
 
 from __future__ import annotations
@@ -110,23 +110,6 @@ def derive_metrics_batch(
         column = np.asarray(value, dtype=float)
         out[key] = column if column.shape == (n,) else np.broadcast_to(column, (n,))
     return out
-
-
-def derive_metrics(
-    notes: Mapping[str, float],
-    throughput: float,
-    clients: int,
-    read_fraction: float,
-) -> dict[str, float]:
-    """Build the 27-metric snapshot from component notes and the outcome
-    (the one-row view of :func:`derive_metrics_batch`)."""
-    columns = derive_metrics_batch(
-        {key: np.asarray([value], dtype=float) for key, value in notes.items()},
-        np.asarray([throughput], dtype=float),
-        clients=clients,
-        read_fraction=read_fraction,
-    )
-    return {key: float(column[0]) for key, column in columns.items()}
 
 
 def metrics_vector(metrics: Mapping[str, float]) -> np.ndarray:

@@ -9,7 +9,6 @@ pytest-benchmark use ``Scale.quick()``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 from repro.tuning.runner import SessionSpec
 
@@ -81,9 +80,6 @@ class ExperimentReport:
 
     def add(self, line: str = "") -> None:
         self.lines.append(line)
-
-    def add_rows(self, rows: Sequence[str]) -> None:
-        self.lines.extend(rows)
 
     def text(self) -> str:
         header = f"=== {self.experiment_id}: {self.title} ==="

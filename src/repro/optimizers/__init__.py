@@ -1,6 +1,6 @@
 """Configuration optimizers: SMAC, GP-BO, DDPG, and random search."""
 
-from repro.optimizers.acquisition import expected_improvement, upper_confidence_bound
+from repro.optimizers.acquisition import expected_improvement
 from repro.optimizers.base import Optimizer, RandomSearchOptimizer
 from repro.optimizers.ddpg import DDPGOptimizer
 from repro.optimizers.encoding import SpaceEncoding
@@ -39,5 +39,4 @@ __all__ = [
     "SpaceEncoding",
     "expected_improvement",
     "make_optimizer",
-    "upper_confidence_bound",
 ]

@@ -73,13 +73,6 @@ def expected_improvement(
     return ei
 
 
-def upper_confidence_bound(
-    mean: np.ndarray, std: np.ndarray, beta: float = 2.0
-) -> np.ndarray:
-    """GP-UCB acquisition (maximization)."""
-    return np.asarray(mean, dtype=float) + beta * np.asarray(std, dtype=float)
-
-
 def top_q_distinct(scores: np.ndarray, rows: np.ndarray, q: int) -> np.ndarray:
     """Indices of the ``q`` best-scoring *distinct* rows.
 

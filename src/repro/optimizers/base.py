@@ -5,6 +5,14 @@ latencies when minimizing.  The suggest/observe protocol matches the
 paper's tuning loop (Figure 1): the optimizer proposes one configuration
 per iteration, then receives the measured performance (and, for DDPG, the
 internal DBMS metrics used as RL state).
+
+Every suggestion goes through one split-phase path:
+:meth:`Optimizer.suggest_prepare` (the init design, or the surrogate fit
+and candidate pool) → scoring → :meth:`Optimizer.suggest_finish`.
+:meth:`Optimizer.suggest_batch` composes the phases for one optimizer,
+the wave scheduler composes them across sessions, and
+:meth:`Optimizer.suggest` is ``suggest_batch(1)[0]``.  Subclasses
+implement only the model-guided round, :meth:`Optimizer._prepare_model_batch`.
 """
 
 from __future__ import annotations
@@ -75,28 +83,25 @@ class Optimizer(ABC):
     # --- protocol -----------------------------------------------------------
 
     def suggest(self) -> Configuration:
-        """Propose the next configuration to evaluate."""
-        if len(self._y) < self.n_init or not self._y:
-            return self.encoding.decode(self._next_init_vector())
-        return self._suggest_model()
+        """Propose the next configuration to evaluate: a round of one,
+        ``suggest_batch(1)[0]``."""
+        return self.suggest_batch(1)[0]
 
     def suggest_batch(self, q: int) -> list[Configuration]:
         """Propose ``q`` configurations from one model fit / candidate pool.
 
-        ``suggest_batch(1)`` is bit-identical to :meth:`suggest` — same RNG
-        stream consumption, same winner (``tests/test_suggest_batch.py``
-        pins this).  For ``q > 1`` the model-guided optimizers fit their
-        surrogate *once*, score one shared candidate pool, and return the
-        top-q EI-ranked distinct candidates, so callers can evaluate the
-        whole batch (e.g. through ``evaluate_batch``) at a fraction of q
-        scalar suggest calls.  Feed every result back through
-        :meth:`observe` before the next suggestion.
+        For ``q > 1`` the model-guided optimizers fit their surrogate
+        *once*, score one shared candidate pool, and return the top-q
+        EI-ranked distinct candidates (``q = 1`` takes the EI argmax), so
+        callers can evaluate the whole batch (e.g. through
+        ``evaluate_batch``) at a fraction of q single-suggestion rounds.
+        Feed every result back through :meth:`observe` before the next
+        suggestion.
 
         During the init phase the batch is the next ``q`` points of the LHS
         design.  A batch that overruns the design is topped up with random
         exploration vectors — the model cannot guide them yet, because
-        none of the batch has been observed (``suggest_batch(1)`` on an
-        exhausted design matches the scalar random fallback exactly).
+        none of the batch has been observed.
         """
         prepared = self.suggest_prepare(q)
         if prepared.configs is not None:
@@ -112,10 +117,10 @@ class Optimizer(ABC):
         scoring.
 
         Resolved rounds (init-phase design points, random interleaves,
-        optimizers without a split model phase) come back with ``configs``
-        already decoded; scorable rounds carry the fitted surrogate and
-        the encoded candidate matrix for the caller to score — the wave
-        scheduler stacks many sessions' candidate matrices into one
+        random search) come back with ``configs`` already decoded;
+        scorable rounds carry the fitted surrogate and the encoded
+        candidate matrix for the caller to score — the wave scheduler
+        stacks many sessions' candidate matrices into one
         ``predict_mean_var`` pass and finishes each with
         :meth:`suggest_finish`.  ``prepare`` + ``predict`` + ``finish`` is
         exactly :meth:`suggest_batch` (same RNG draws, same float ops, in
@@ -130,43 +135,18 @@ class Optimizer(ABC):
         """
         if q < 1:
             raise ValueError("q must be >= 1")
-        remaining_init = self.n_init - len(self._y)
-        if remaining_init > 0 or not self._y:
-            if self._init_points is None:
-                self._init_points = list(
-                    self.encoding.lhs_vectors(self.n_init, self.rng)
-                )
-            start = len(self._y)
-            vectors = self._init_points[start:start + q]
-            if len(vectors) < q:
-                # random_vectors(1, rng) consumes the stream identically
-                # to the scalar random_vector fallback, so q=1 stays
-                # bit-identical to suggest() here too.
-                vectors = vectors + list(
-                    self.encoding.random_vectors(q - len(vectors), self.rng)
-                )
+        if len(self._y) < self.n_init or not self._y:
             return PreparedSuggest(
-                q=q, configs=self.encoding.decode_batch(np.stack(vectors))
+                q=q, configs=self.encoding.decode_batch(self._init_vectors(q))
             )
         return self._prepare_model_batch(q, shared_pool)
 
+    @abstractmethod
     def _prepare_model_batch(
         self, q: int, shared_pool: np.ndarray | None = None
     ) -> PreparedSuggest:
-        """Model-guided round, unsplit fallback: optimizers without a
-        separable surrogate phase (e.g. DDPG's per-step action
-        bookkeeping) resolve the whole batch here — the base
-        implementation takes the single model suggestion first and fills
-        the rest with random exploration."""
-        first = self._suggest_model()
-        if q == 1:
-            return PreparedSuggest(q=q, configs=[first])
-        return PreparedSuggest(
-            q=q,
-            configs=[first] + self.encoding.decode_batch(
-                self.encoding.random_vectors(q - 1, self.rng)
-            ),
-        )
+        """The model-guided round after the init phase (see
+        :meth:`suggest_prepare`)."""
 
     def suggest_finish(
         self,
@@ -194,25 +174,18 @@ class Optimizer(ABC):
     def suggest_init_batch(self) -> list[Configuration]:
         """All remaining init-phase (LHS) suggestions, decoded in one pass.
 
-        The batch is exactly the sequence :meth:`suggest` would return over
-        the rest of the init phase — same LHS design, same RNG consumption,
-        bit-identical decoded configurations (``decode_batch`` is pinned to
-        the scalar decode) — so callers may evaluate it in bulk and feed
-        the results back through :meth:`observe` one by one.  Consuming is
-        implicit: :meth:`observe` advances the design index.  Returns ``[]``
-        once the init phase is over (or for optimizers that cannot batch,
-        e.g. DDPG's per-step action bookkeeping).
+        The batch is exactly the sequence single-suggestion rounds would
+        return over the rest of the init phase — same LHS design, same RNG
+        consumption — so callers may evaluate it in bulk and feed the
+        results back through :meth:`observe` one by one.  Consuming is
+        implicit: :meth:`observe` advances the design index.  Returns
+        ``[]`` once the init phase is over (or for optimizers that cannot
+        batch, e.g. DDPG's per-step action bookkeeping).
         """
-        if len(self._y) >= self.n_init:
+        remaining = self.n_init - len(self._y)
+        if remaining <= 0:
             return []
-        if self._init_points is None:
-            self._init_points = list(
-                self.encoding.lhs_vectors(self.n_init, self.rng)
-            )
-        remaining = self._init_points[len(self._y):]
-        if not remaining:
-            return []
-        return self.encoding.decode_batch(np.stack(remaining))
+        return self.encoding.decode_batch(self._init_vectors(remaining))
 
     def observe(
         self,
@@ -223,10 +196,6 @@ class Optimizer(ABC):
         """Record the measured objective value for a configuration."""
         self._X.append(self.encoding.encode(config))
         self._y.append(float(value))
-
-    @abstractmethod
-    def _suggest_model(self) -> Configuration:
-        """Model-guided suggestion, called after the init phase."""
 
     # --- checkpointing -------------------------------------------------------
 
@@ -299,16 +268,22 @@ class Optimizer(ABC):
         best = int(np.argmax(self._y))
         return self.encoding.decode(self._X[best])
 
-    def _next_init_vector(self) -> np.ndarray:
-        """Pre-generated LHS design, consumed one point per suggestion."""
+    def _init_vectors(self, q: int) -> np.ndarray:
+        """The next ``q`` init-phase vectors: the LHS design from the
+        current observation on (drawn on first use, so the draw sits
+        wherever the first init round falls in the stream), topped up with
+        random vectors once the design runs out."""
         if self._init_points is None:
             self._init_points = list(
                 self.encoding.lhs_vectors(self.n_init, self.rng)
             )
-        index = len(self._y)
-        if index < len(self._init_points):
-            return self._init_points[index]
-        return self.encoding.random_vector(self.rng)
+        start = len(self._y)
+        vectors = self._init_points[start:start + q]
+        if len(vectors) < q:
+            vectors = vectors + list(
+                self.encoding.random_vectors(q - len(vectors), self.rng)
+            )
+        return np.stack(vectors)
 
     def _data(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array(self._X), np.array(self._y)
@@ -316,9 +291,6 @@ class Optimizer(ABC):
 
 class RandomSearchOptimizer(Optimizer):
     """Uniform random search (the no-model baseline)."""
-
-    def _suggest_model(self) -> Configuration:
-        return self.encoding.decode(self.encoding.random_vector(self.rng))
 
     def _prepare_model_batch(
         self, q: int, shared_pool: np.ndarray | None = None

@@ -5,6 +5,11 @@ Section 6.4 of the paper) to a knob configuration; the critic scores
 (state, action) pairs.  Rewards follow CDBTune's formulation, combining the
 performance change against the initial configuration and against the
 previous iteration.
+
+Suggestions are per step: :meth:`DDPGOptimizer.suggest_prepare` resolves
+every round to one configuration and remembers its unit-cube action, so
+the paired observe can store the replay transition; ``suggest`` and
+``suggest_batch`` reach it through the base class like every optimizer.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.dbms.metrics import METRIC_NAMES, metrics_vector
-from repro.optimizers.base import Optimizer
+from repro.optimizers.base import Optimizer, PreparedSuggest
 from repro.optimizers.ddpg.networks import MLP, Adam, OrnsteinUhlenbeckNoise
 from repro.optimizers.ddpg.replay import ReplayBuffer
 from repro.space.configspace import Configuration, ConfigurationSpace
@@ -121,45 +126,38 @@ class DDPGOptimizer(Optimizer):
             "moments, replay buffer) is outside the state_dict seam"
         )
 
-    def _suggest_model(self) -> Configuration:
-        assert self._state is not None
-        action = self.actor.forward(self._state)[0]
-        action = np.clip(action + 0.2 * self.noise.sample(), 0.0, 1.0)
-        self._last_action = action
-        return self.encoding.decode(self.encoding._from_unit_rows(action[None])[0])
-
-    def suggest(self) -> Configuration:
-        if len(self._y) < self.n_init or self._state is None:
-            vector = self._next_init_vector()
-            config = self.encoding.decode(vector)
-            # Remember the unit-cube action matching this configuration.
-            self._last_action = self._action_from_vector(vector)
-            return config
-        return self._suggest_model()
-
     def suggest_init_batch(self) -> list[Configuration]:
         """DDPG cannot batch its init phase: every suggestion must record
         the matching unit-cube action before the paired observe stores the
-        replay transition.  Callers fall back to the scalar loop."""
+        replay transition, so its design points come one per round."""
         return []
 
-    def suggest_batch(self, q: int) -> list[Configuration]:
-        """Same per-step bookkeeping constraint as the init phase: each
-        action must be observed before the next draw, so a "batch" is the
-        single next suggestion regardless of ``q`` (the session loop then
-        simply advances one iteration per round)."""
+    def suggest_prepare(
+        self, q: int = 1, shared_pool: np.ndarray | None = None
+    ) -> PreparedSuggest:
+        """One step per round whatever ``q``: each action must be observed
+        before the next is drawn, so every round resolves to the single
+        next configuration (the session then advances one iteration per
+        round) and remembers the unit-cube action behind it.  Design
+        points serve until the init phase is over and the first metrics
+        state has arrived; then the actor steps."""
         if q < 1:
             raise ValueError("q must be >= 1")
-        return [self.suggest()]
+        if len(self._y) >= self.n_init and self._state is not None:
+            return self._prepare_model_batch(q)
+        vector = self._init_vectors(1)[0]
+        self._last_action = self._action_from_vector(vector)
+        return PreparedSuggest(q=q, configs=[self.encoding.decode(vector)])
 
-    def suggest_prepare(self, q: int = 1, shared_pool=None):
-        """DDPG has no separable surrogate phase (actions pair with
-        observes step by step), so the wave scheduler degrades to
-        per-session stepping: the round comes back resolved through the
-        very :meth:`suggest_batch` call the sequential loop makes."""
-        from repro.optimizers.base import PreparedSuggest
-
-        return PreparedSuggest(q=q, configs=self.suggest_batch(q))
+    def _prepare_model_batch(
+        self, q: int, shared_pool: np.ndarray | None = None
+    ) -> PreparedSuggest:
+        """The actor's step: its action for the current state plus
+        exploration noise."""
+        action = self.actor.forward(self._state)[0]
+        self._last_action = np.clip(action + 0.2 * self.noise.sample(), 0.0, 1.0)
+        vector = self.encoding._from_unit_rows(self._last_action[None])[0]
+        return PreparedSuggest(q=q, configs=[self.encoding.decode(vector)])
 
     def _action_from_vector(self, vector: np.ndarray) -> np.ndarray:
         action = vector.copy()

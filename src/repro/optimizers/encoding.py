@@ -74,9 +74,6 @@ class SpaceEncoding:
 
     # --- sampling in encoded coordinates -----------------------------------
 
-    def random_vector(self, rng: np.random.Generator) -> np.ndarray:
-        return self._from_unit_rows(rng.random((1, self.dim)))[0]
-
     def random_vectors(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self._from_unit_rows(rng.random((n, self.dim)))
 

@@ -488,10 +488,6 @@ class RandomForestRegressor:
             tree.fit(Xt, yt, presort=presort)
             trees.append(tree)
 
-    @property
-    def is_fitted(self) -> bool:
-        return self._packed is not None
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         mean, __ = self.predict_mean_var(X)
         return mean

@@ -607,10 +607,6 @@ class GaussianProcess:
         self._y_raw = y
         self._windows = windows
 
-    @property
-    def is_fitted(self) -> bool:
-        return self._X is not None
-
     # --- checkpointing ------------------------------------------------------------
 
     def state_dict(self) -> dict:

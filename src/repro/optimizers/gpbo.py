@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.optimizers.base import Optimizer, PreparedSuggest
 from repro.optimizers.gp import GaussianProcess
-from repro.space.configspace import Configuration, ConfigurationSpace
+from repro.space.configspace import ConfigurationSpace
 
 
 class GPBOOptimizer(Optimizer):
@@ -32,9 +32,6 @@ class GPBOOptimizer(Optimizer):
         self.refit_every = max(1, refit_every)
         self._gp: GaussianProcess | None = None
         self._model_suggestions = 0
-
-    def _suggest_model(self) -> Configuration:
-        return self.suggest_batch(1)[0]
 
     def state_dict(self) -> dict:
         state = super().state_dict()
@@ -70,8 +67,7 @@ class GPBOOptimizer(Optimizer):
         self, q: int, shared_pool: np.ndarray | None = None
     ) -> PreparedSuggest:
         """One GP fit (subject to ``refit_every``), one shared candidate
-        pool — scoring deferred to the caller; ``q = 1`` matches the
-        historical scalar path bit-for-bit.
+        pool — scoring deferred to the caller.
 
         A full fit — hyperparameter optimization included — runs only at
         ``refit_every`` boundaries; in between, the GP absorbs the newly

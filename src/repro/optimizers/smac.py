@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.optimizers.base import Optimizer, PreparedSuggest
 from repro.optimizers.forest import RandomForestRegressor
-from repro.space.configspace import Configuration, ConfigurationSpace
+from repro.space.configspace import ConfigurationSpace
 
 
 class SMACOptimizer(Optimizer):
@@ -48,9 +48,6 @@ class SMACOptimizer(Optimizer):
         self.random_interleave_every = random_interleave_every
         self._model_suggestions = 0
 
-    def _suggest_model(self) -> Configuration:
-        return self.suggest_batch(1)[0]
-
     def state_dict(self) -> dict:
         state = super().state_dict()
         # The interleave counter decides which future rounds go random;
@@ -68,18 +65,14 @@ class SMACOptimizer(Optimizer):
     ) -> PreparedSuggest:
         """One forest fit, one shared candidate pool — scoring deferred to
         the caller (``suggest_batch`` completes the round immediately; the
-        wave scheduler stacks it with other sessions').  ``q = 1`` is
-        bit-identical to the historical scalar path (the stable EI
-        ranking's first entry is the argmax)."""
+        wave scheduler stacks it with other sessions').  Every
+        ``random_interleave_every``-th round is ``q`` random vectors
+        instead."""
         self._model_suggestions += 1
         if (
             self.random_interleave_every
             and self._model_suggestions % self.random_interleave_every == 0
         ):
-            if q == 1:
-                return PreparedSuggest(q=q, configs=[
-                    self.encoding.decode(self.encoding.random_vector(self.rng))
-                ])
             return PreparedSuggest(q=q, configs=self.encoding.decode_batch(
                 self.encoding.random_vectors(q, self.rng)
             ))

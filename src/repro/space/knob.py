@@ -71,10 +71,6 @@ class Knob:
         raise NotImplementedError
 
     @property
-    def is_numeric(self) -> bool:
-        return isinstance(self, (IntegerKnob, FloatKnob))
-
-    @property
     def is_hybrid(self) -> bool:
         """True if the knob has special values (paper, Section 4.1)."""
         return bool(getattr(self, "special_values", ()))

@@ -56,10 +56,9 @@ class SessionSpec:
     """Declarative description of one tuning-session arm.
 
     ``adapter`` is a factory ``(space, seed) -> SearchSpaceAdapter`` or None
-    for the identity (vanilla) baseline.  ``batch_init`` (default on) makes
-    every session evaluate its whole LHS init phase through the batch
-    pipeline — one decode, one conversion, one simulator matrix pass per
-    seed — with bit-identical results to the scalar loop.
+    for the identity (vanilla) baseline.  Every session evaluates its
+    whole LHS init phase as one batched round (see
+    :class:`~repro.tuning.session.TuningSession`).
 
     **Resilience knobs.**  ``checkpoint_every`` + ``checkpoint_dir``
     periodically snapshot each seed's session to
@@ -88,7 +87,6 @@ class SessionSpec:
     target_rate: float | None = None
     early_stopping: EarlyStoppingPolicy | None = None
     optimizer_kwargs: tuple[tuple[str, object], ...] = ()
-    batch_init: bool = True
     suggest_batch: int = 1
     checkpoint_every: int = 0
     checkpoint_dir: str | None = None
@@ -155,7 +153,10 @@ class SessionSpec:
             str(self.n_init),
             str(self.target_rate),
             repr(sorted(self.optimizer_kwargs)),
-            str(self.batch_init),
+            # The retired batch_init field's value, kept so every spec's
+            # token and fingerprint (fault schedules, checkpoint names)
+            # stay put.
+            "True",
             str(self.suggest_batch),
             repr(self.fault_rate),
         ]
@@ -301,7 +302,6 @@ class SessionSpec:
             adapter=adapter,
             objective=self.objective,
             n_iterations=self.n_iterations,
-            batch_init=self.batch_init,
             suggest_batch=self.suggest_batch,
             seed=seed + 10_000,  # evaluation noise stream, distinct from optimizer
             # Policies carry per-session mutable state; every session gets

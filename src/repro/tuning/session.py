@@ -141,6 +141,14 @@ class _Journal:
 class TuningSession:
     """Runs one tuning session against the simulated DBMS.
 
+    The LHS init phase runs as one batched round (one
+    ``suggest_init_batch`` decode, one ``to_target_batch`` conversion, one
+    evaluation pass, capped at the remaining budget).  It records the rows
+    that one round per design point records, the way the session server
+    drives a tenant (``tests/test_batch_equivalence.py`` pins the
+    equality).  An optimizer that cannot batch its design (DDPG)
+    returns no init batch and takes its design points one round each.
+
     Args:
         simulator: The workload+DBMS under tuning.
         optimizer: Any :class:`~repro.optimizers.base.Optimizer`; it must
@@ -151,11 +159,6 @@ class TuningSession:
         n_iterations: Iteration budget (100 in the paper).
         seed: Seed for evaluation noise.
         early_stopping: Optional Appendix-A policy.
-        batch_init: Evaluate the whole LHS init phase through the batch
-            pipeline (one ``suggest_init_batch`` decode, one
-            ``to_target_batch`` conversion, one ``evaluate_batch`` pass).
-            Results are bit-identical to suggesting the design one point
-            per round; disable only to cross-check that equivalence.
         suggest_batch: Model-phase batch size q.  Each round fits the
             surrogate once, takes the top-q EI-ranked candidates from
             one shared pool (``Optimizer.suggest_batch``, split at the
@@ -199,7 +202,6 @@ class TuningSession:
         n_iterations: int = 100,
         seed: int = 0,
         early_stopping: EarlyStoppingPolicy | None = None,
-        batch_init: bool = True,
         suggest_batch: int = 1,
         checkpoint_every: int = 0,
         checkpoint_path: str | pathlib.Path | None = None,
@@ -226,7 +228,6 @@ class TuningSession:
         self.n_iterations = n_iterations
         self.rng = np.random.default_rng(seed)
         self.early_stopping = early_stopping
-        self.batch_init = batch_init
         self.suggest_batch = suggest_batch
         self.checkpoint_every = int(checkpoint_every)
         self.checkpoint_path = (

@@ -371,19 +371,21 @@ def _evaluate_and_feed(feeds) -> None:
 
 
 def _stacked_init(members: list[_Member]) -> None:
-    """The batched LHS init phase of every session, evaluated in one
-    cross-session simulator pass per group (sessions with ``batch_init``
-    disabled — or optimizers that cannot batch their init, e.g. DDPG —
-    run their init iterations through the generic wave rounds instead;
-    resumed sessions past their init contribute an empty design)."""
+    """The batched LHS init phase of every live session, evaluated in one
+    cross-session simulator pass per group.  Each session takes the rest
+    of its design, capped at the iterations its budget has left (a
+    session resumed inside its design may have fewer left than the
+    design has points); optimizers that cannot batch their init (DDPG)
+    and sessions past their init contribute nothing and take the generic
+    rounds instead."""
     feeds = []
     for member in members:
         session = member.session
-        if not session.batch_init or not member.live:
+        if not member.live:
             continue
         started = time.perf_counter()
         init_configs = session.optimizer.suggest_init_batch()[
-            : session.n_iterations
+            : session.n_iterations - session.iteration
         ]
         elapsed = time.perf_counter() - started
         if not init_configs:

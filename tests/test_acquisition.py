@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.optimizers.acquisition import expected_improvement, upper_confidence_bound
+from repro.optimizers.acquisition import expected_improvement
 
 
 class TestExpectedImprovement:
@@ -47,15 +47,3 @@ class TestExpectedImprovement:
     def test_far_above_best_ei_approaches_improvement(self):
         ei = expected_improvement(np.array([100.0]), np.array([0.01]), best=0.0)
         assert ei[0] == pytest.approx(100.0, rel=0.01)
-
-
-class TestUCB:
-    def test_combines_mean_and_std(self):
-        ucb = upper_confidence_bound(np.array([1.0]), np.array([2.0]), beta=2.0)
-        assert ucb[0] == pytest.approx(5.0)
-
-    def test_zero_beta_is_mean(self):
-        mean = np.array([3.0, -1.0])
-        np.testing.assert_allclose(
-            upper_confidence_bound(mean, np.array([5.0, 5.0]), beta=0.0), mean
-        )

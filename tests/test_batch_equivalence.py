@@ -14,8 +14,8 @@ import pytest
 
 from repro.core.pipeline import IdentityAdapter, LlamaTuneAdapter
 from repro.dbms import engine as engine_module
-from repro.dbms.components import BATCH_COMPONENTS, COMPONENTS
-from repro.dbms.context import BatchEvalContext, EvalContext
+from repro.dbms.components import BATCH_COMPONENTS
+from repro.dbms.context import BatchEvalContext
 from repro.dbms.engine import PostgresSimulator
 from repro.dbms.errors import DbmsCrashError
 from repro.dbms.hardware import C220G5
@@ -191,8 +191,8 @@ class TestEncodingEquivalence:
 
 
 class TestComponentBatchEquivalence:
-    """Every component's N-row batch pass must match its one-row scalar
-    view bit for bit — scores, notes, and crash messages."""
+    """Every component's N-row batch pass must match one-row passes over
+    each configuration bit for bit — scores, notes, and crash messages."""
 
     @pytest.mark.parametrize(
         "workload,version,spacename",
@@ -209,18 +209,20 @@ class TestComponentBatchEquivalence:
 
         crashes = 0
         for i, config in enumerate(configs):
-            ctx = EvalContext(dict(config), wl, C220G5, version)
+            row = BatchEvalContext.from_values([config], wl, C220G5, version)
+            row_scores = {name: fn(row) for name, fn in BATCH_COMPONENTS.items()}
+            assert row.crashed[0] == bctx.crashed[i]
             if bctx.crashed[i]:
                 crashes += 1
-                with pytest.raises(DbmsCrashError) as err:
-                    for fn in COMPONENTS.values():
-                        fn(ctx)
-                assert str(err.value) == bctx.crash_messages[i]
-                continue
-            for name, fn in COMPONENTS.items():
-                assert fn(ctx) == batch_scores[name][i], name
+                assert row.crash_messages[0] == bctx.crash_messages[i]
+            for name, score in row_scores.items():
+                assert np.asarray(score).reshape(-1)[0] == batch_scores[name][i], name
+            assert row.notes.keys() == bctx.notes.keys()
             for key, column in bctx.notes.items():
-                assert ctx.notes[key] == np.asarray(column)[i], key
+                assert (
+                    np.asarray(row.notes[key]).reshape(-1)[0]
+                    == np.asarray(column)[i]
+                ), key
         # The sampled batch must exercise both outcomes.
         assert 0 < crashes < len(configs)
 
@@ -333,6 +335,39 @@ class TestSimulatorBatchEquivalence:
                 simulator.evaluate(config, rng=scalar_rng)
         assert batch_rng.standard_normal() == scalar_rng.standard_normal()
 
+    def test_stacked_blocks_match_per_block_calls(self, space):
+        """One stacked pass over a block with a stream (and a crashing
+        row), a block without one, and another streamed block equals one
+        ``evaluate_batch`` call per block: values and stream positions."""
+        simulator = PostgresSimulator(get_workload("tpcc"), noise_std=0.05)
+        configs, __ = self._crashing_mix(space, 7, seed=19)  # crash at row 1
+        seeds, counts = (5, None, 6), (3, 2, 2)
+
+        def streams():
+            return [None if s is None else np.random.default_rng(s) for s in seeds]
+
+        stacked_rngs, block_rngs = streams(), streams()
+        stacked = simulator.evaluate_batch_stacked(
+            configs, list(zip(stacked_rngs, counts))
+        )
+        expected, start = [], 0
+        for rng, count in zip(block_rngs, counts):
+            expected += simulator.evaluate_batch(
+                configs[start:start + count], rng=rng, on_crash="none"
+            )
+            start += count
+        assert stacked[1] is None
+        for s, e in zip(stacked, expected):
+            if e is None:
+                assert s is None
+                continue
+            assert s.throughput == e.throughput
+            assert s.p95_latency_ms == e.p95_latency_ms
+            assert dict(s.metrics) == dict(e.metrics)
+        for a, b in zip(stacked_rngs, block_rngs):
+            if a is not None:
+                assert a.bit_generator.state == b.bit_generator.state
+
     def test_crash_handling_none_policy(self, space):
         simulator = PostgresSimulator(get_workload("tpcc"), noise_std=0.0)
         configs, crasher = self._crashing_mix(space, 6, seed=13)
@@ -418,13 +453,29 @@ class TestCalibrationCacheValueIdentity:
         assert len(engine_module._CALIBRATION_CACHE) == size + 1
 
 
-class TestSessionBatchInitEquivalence:
-    """The batched LHS init phase must reproduce the scalar loop exactly:
-    same knowledge base, same noise stream, same crash penalties, same
-    early-stopping decisions."""
+def run_round_by_round(session):
+    """Drive ``session`` one ``wave.suggest_wave`` round at a time — the
+    rounds the session server runs, one design point per round through
+    the init phase — instead of ``run()``'s one batched init round."""
+    from repro.tuning.wave import suggest_wave
 
-    def _run(self, batch_init, n_iterations=12, early_stopping=None,
-             objective="throughput"):
+    session.start()
+    while session.live:
+        (round_,) = suggest_wave([session])
+        outcomes = session._evaluate_batch(round_.targets)
+        session._feed_outcomes(
+            round_.configs, round_.targets, outcomes, round_.suggest_seconds
+        )
+    return session.finish()
+
+
+class TestSessionBatchInitEquivalence:
+    """The batched LHS init phase must reproduce one round per design
+    point exactly: same knowledge base, same noise stream, same crash
+    penalties, same early-stopping decisions."""
+
+    def _session(self, n_iterations=12, early_stopping=None,
+                 objective="throughput"):
         space = postgres_v96_space()
         simulator = PostgresSimulator(
             get_workload("ycsb-a"),
@@ -441,8 +492,30 @@ class TestSessionBatchInitEquivalence:
             n_iterations=n_iterations,
             seed=21,
             early_stopping=early_stopping,
-            batch_init=batch_init,
-        ).run()
+        )
+
+    def _run_both(self, early_stopping=None, **kwargs):
+        """``run()`` and the round-by-round drive of two equal sessions;
+        both optimizer streams must end in the same place, and so must
+        both noise streams unless an early stop lands inside the design
+        (the batched round has drawn the noise of its whole design by
+        then)."""
+        batched_session = self._session(
+            early_stopping=early_stopping() if early_stopping else None,
+            **kwargs,
+        )
+        rounds_session = self._session(
+            early_stopping=early_stopping() if early_stopping else None,
+            **kwargs,
+        )
+        batched = batched_session.run()
+        per_round = run_round_by_round(rounds_session)
+        streams = [(batched_session.optimizer.rng, rounds_session.optimizer.rng)]
+        if early_stopping is None:
+            streams.append((batched_session.rng, rounds_session.rng))
+        for a, b in streams:
+            assert a.bit_generator.state == b.bit_generator.state
+        return batched, per_round
 
     def _assert_identical_results(self, batched, scalar):
         assert len(batched.knowledge_base) == len(scalar.knowledge_base)
@@ -457,29 +530,22 @@ class TestSessionBatchInitEquivalence:
             assert b.p95_latency_ms == s.p95_latency_ms
 
     def test_batched_init_matches_scalar_loop(self):
-        self._assert_identical_results(
-            self._run(batch_init=True), self._run(batch_init=False)
-        )
+        self._assert_identical_results(*self._run_both())
 
     def test_latency_objective(self):
-        self._assert_identical_results(
-            self._run(batch_init=True, objective="latency"),
-            self._run(batch_init=False, objective="latency"),
-        )
+        self._assert_identical_results(*self._run_both(objective="latency"))
 
     def test_budget_smaller_than_init_design(self):
-        batched = self._run(batch_init=True, n_iterations=4)
-        scalar = self._run(batch_init=False, n_iterations=4)
+        batched, per_round = self._run_both(n_iterations=4)
         assert len(batched.knowledge_base) == 4
-        self._assert_identical_results(batched, scalar)
+        self._assert_identical_results(batched, per_round)
 
     def test_early_stop_inside_init_batch(self):
         policy = EarlyStoppingPolicy(min_improvement=10.0, patience=1, warmup=2)
-        batched = self._run(batch_init=True, early_stopping=policy.fresh())
-        scalar = self._run(batch_init=False, early_stopping=policy.fresh())
+        batched, per_round = self._run_both(early_stopping=policy.fresh)
         assert batched.stopped_early_at is not None
         assert batched.stopped_early_at < 8  # stopped mid-design
-        self._assert_identical_results(batched, scalar)
+        self._assert_identical_results(batched, per_round)
 
 
 class TestParallelRunnerEquivalence:
@@ -497,14 +563,3 @@ class TestParallelRunnerEquivalence:
             np.testing.assert_array_equal(s.best_curve, p.best_curve)
             assert s.default_value == p.default_value
             assert s.crash_count == p.crash_count
-
-    def test_runner_scalar_init_spec_matches_batched(self):
-        from repro.tuning.runner import SessionSpec, llamatune_factory, run_spec
-
-        batched = SessionSpec(
-            workload="tpcc", adapter=llamatune_factory(), n_iterations=8
-        )
-        scalar = dataclasses.replace(batched, batch_init=False)
-        for b, s in zip(run_spec(batched, seeds=(1, 2)), run_spec(scalar, seeds=(1, 2))):
-            np.testing.assert_array_equal(b.best_curve, s.best_curve)
-            assert b.crash_count == s.crash_count

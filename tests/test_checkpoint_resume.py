@@ -54,15 +54,19 @@ def run_full(spec, seed):
     return session.run(), session
 
 
-def run_interrupted(optimizer, tmp_dir, seed, cut=N_CUT, **kwargs):
-    """Truncated run (the simulated kill) + fresh-build resume to N_FULL."""
+def run_interrupted(
+    optimizer, tmp_dir, seed, cut=N_CUT, n_iterations=N_FULL, **kwargs
+):
+    """Truncated run (the simulated kill) + fresh-build resume to
+    ``n_iterations``."""
     truncated = make_spec(
         optimizer, tmp_dir, n_iterations=cut, checkpoint_every=cut, **kwargs
     )
     truncated.build(seed).run()
 
     resumed_spec = make_spec(
-        optimizer, tmp_dir, checkpoint_every=cut, resume=True, **kwargs
+        optimizer, tmp_dir, n_iterations=n_iterations, checkpoint_every=cut,
+        resume=True, **kwargs
     )
     session = resumed_spec.build(seed)
     # The restore must actually have happened — an earlier bug made the
@@ -114,14 +118,52 @@ class TestResumeByteIdentity:
         assert_byte_identical(full, resumed, full_session, resumed_session)
 
     def test_mid_init_checkpoint(self, tmp_path):
-        """A checkpoint *inside* the LHS init phase (scalar init loop)
-        restores the remaining init points along with everything else."""
+        """A checkpoint *inside* the LHS init phase (the 4-iteration
+        budget ends the batched design after 4 of its 6 points) restores
+        the remaining init points along with everything else."""
         cut = 4  # < n_init = 6
-        full, full_session = run_full(make_spec("smac", batch_init=False), seed=2)
+        full, full_session = run_full(make_spec("smac"), seed=2)
         resumed, resumed_session = run_interrupted(
-            "smac", tmp_path, seed=2, cut=cut, batch_init=False
+            "smac", tmp_path, seed=2, cut=cut
         )
         assert_byte_identical(full, resumed, full_session, resumed_session)
+
+    @pytest.mark.parametrize("optimizer", ["smac", "random", "gp-bo"])
+    def test_mid_init_resume_keeps_a_shorter_budget(self, optimizer, tmp_path):
+        """Resumed after 4 of 6 design points with a 5-iteration budget,
+        the session evaluates one more design point, not the two the
+        design has left: it equals a fresh 5-iteration run."""
+        fresh, fresh_session = run_full(
+            make_spec(optimizer, n_iterations=5), seed=1
+        )
+        resumed, resumed_session = run_interrupted(
+            optimizer, tmp_path, seed=1, cut=4, n_iterations=5
+        )
+        assert len(resumed.knowledge_base) == 5
+        assert resumed_session.iteration == 5
+        assert_byte_identical(fresh, resumed, fresh_session, resumed_session)
+
+    def test_mid_init_resume_keeps_a_shorter_budget_in_a_wave(self, tmp_path):
+        truncated = make_spec(
+            "smac", tmp_path, n_iterations=4, checkpoint_every=4
+        )
+        run_spec(truncated, [1, 2], workers=1)
+        resumed_spec = make_spec(
+            "smac", tmp_path, n_iterations=5, checkpoint_every=4, resume=True
+        )
+        resumed = run_spec(resumed_spec, [1, 2], workers=1)
+        fresh = run_spec(make_spec("smac", n_iterations=5), [1, 2])
+        for a, b in zip(fresh, resumed):
+            assert len(b.knowledge_base) == 5
+            assert np.array_equal(a.values, b.values)
+            assert [o.crashed for o in a.knowledge_base] == [
+                o.crashed for o in b.knowledge_base
+            ]
+            assert all(
+                x.optimizer_config == y.optimizer_config
+                and x.target_config == y.target_config
+                for x, y in zip(a.knowledge_base, b.knowledge_base)
+            )
 
     def test_wave_driver_resume(self, tmp_path):
         """Killed wave sweeps resume per member: every seed's trajectory
@@ -352,6 +394,37 @@ class TestSpecFingerprintGuards:
         assert spec.spec_token() == (
             zlib.crc32(spec.spec_canonical().encode()) & 0xFFFFFFFF
         )
+
+    @pytest.mark.parametrize(
+        "spec,canonical,fingerprint,token",
+        [
+            (
+                SessionSpec(workload="ycsb-a", adapter=llamatune_factory()),
+                "ycsb-a|smac|LlamaTuneFactory(projection='hesbo', "
+                "target_dim=16, bias=0.2, max_values=10000)|throughput|9.6|"
+                "10|None|[]|True|1|0.0",
+                "2d1e030dc520bb7d",
+                219766182,
+            ),
+            (
+                SessionSpec(
+                    workload="tpcc", optimizer="gp-bo",
+                    optimizer_kwargs=(("refit_every", 5),),
+                ),
+                "tpcc|gp-bo|None|throughput|9.6|10|None|"
+                "[('refit_every', 5)]|True|1|0.0",
+                "1f12279076d3af32",
+                3075813240,
+            ),
+        ],
+        ids=["smac-llamatune", "gp-bo-refit5"],
+    )
+    def test_canonical_form_is_pinned(self, spec, canonical, fingerprint, token):
+        # The fingerprint names checkpoint files and the token keys fault
+        # schedules, so the canonical form must not move byte for byte.
+        assert spec.spec_canonical() == canonical
+        assert spec.spec_fingerprint() == fingerprint
+        assert spec.spec_token() == token
 
     def test_header_mismatch_fails_loudly(self, tmp_path):
         writer = make_spec(

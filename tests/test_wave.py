@@ -169,16 +169,6 @@ class TestWaveBitEquivalence:
             seeds=(1, 2),
         )
 
-    def test_scalar_init_phase(self):
-        assert_equivalent(
-            SessionSpec(
-                workload="ycsb-a", optimizer="smac",
-                adapter=llamatune_factory(), n_iterations=12, n_init=6,
-                batch_init=False,
-            ),
-            seeds=(1, 2),
-        )
-
     def test_single_seed(self):
         assert_equivalent(
             SessionSpec(
