@@ -1,4 +1,4 @@
-"""Ablation benches for the repo's own design choices (DESIGN.md §6).
+"""Ablation benches for the repo's own design choices.
 
 The reproduction makes two substrate-level choices the paper takes for
 granted on real hardware: the measurement-noise level and the

@@ -8,7 +8,8 @@ Quickstart::
     result = llamatune_session("ycsb-a", seed=1, n_iterations=50)
     print(result.best_value)
 
-See README.md for the full tour and DESIGN.md for the system inventory.
+See ROADMAP.md for the contracts each subsystem keeps (batch API,
+suggest side, waves, resilience, multicore, serving, execution backends).
 """
 
 from repro.core import LlamaTuneAdapter, llamatune_adapter

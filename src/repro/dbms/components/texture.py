@@ -12,31 +12,28 @@ contribution of at most a few tenths of a percent, so that
 
 Determinism: coefficients are derived from a stable hash of
 ``(workload name, knob name)``, so results are reproducible and identical
-across processes.  The batch path caches the per-(workload, knob-set)
-coefficient table and the per-category embeddings, so the sha256 work is
-paid once per testbed instead of once per evaluation.
+across processes.  The simulator's :class:`~repro.dbms.plan.EvalPlan`
+computes the per-knob coefficients and the per-category embeddings once
+per row layout, so the sha256 work is paid once per plan instead of once
+per evaluation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.dbms.context import BatchEvalContext
+if TYPE_CHECKING:
+    from repro.dbms.context import BatchEvalContext
 
 #: Maximum absolute contribution of a single knob (fractional speed).
 _AMPLITUDE = 0.0035
 
-#: (workload name, knob-name tuple) -> (a, b, phase) coefficient arrays.
-_COEFFICIENT_CACHE: dict[tuple[str, tuple[str, ...]], tuple[np.ndarray, ...]] = {}
 
-#: Categorical value -> unit embedding (sha256 of the value string).
-_STRING_UNIT_CACHE: dict[str, float] = {}
-
-
-def _knob_coefficients(workload_name: str, knob_name: str) -> tuple[float, float, float]:
+def knob_coefficients(workload_name: str, knob_name: str) -> tuple[float, float, float]:
     """Stable pseudo-random (a, b, phase) coefficients in [-1, 1] / [0, 2π)."""
     digest = hashlib.sha256(f"{workload_name}:{knob_name}".encode()).digest()
     a = int.from_bytes(digest[0:4], "big") / 2**32 * 2.0 - 1.0
@@ -45,61 +42,33 @@ def _knob_coefficients(workload_name: str, knob_name: str) -> tuple[float, float
     return a, b, phase
 
 
-def _coefficient_table(
-    workload_name: str, names: tuple[str, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    key = (workload_name, names)
-    table = _COEFFICIENT_CACHE.get(key)
-    if table is None:
-        coeffs = [_knob_coefficients(workload_name, name) for name in names]
-        table = tuple(np.array(col) for col in zip(*coeffs))
-        _COEFFICIENT_CACHE[key] = table
-    return table
-
-
-def _string_unit(value: str) -> float:
-    unit = _STRING_UNIT_CACHE.get(value)
-    if unit is None:
-        digest = hashlib.sha256(value.encode()).digest()
-        unit = int.from_bytes(digest[:4], "big") / 2**32
-        _STRING_UNIT_CACHE[value] = unit
-    return unit
-
-
-def _unit_matrix(ctx: BatchEvalContext, names: tuple[str, ...]) -> np.ndarray:
-    """Cheap [0, 1] embedding of every knob column, ``(N, D)``.
-
-    Numeric columns are squashed to (0, 1) smoothly regardless of the
-    knob's range in one whole-matrix arctan pass; categorical columns hash
-    each (cached) value.
-    """
-    unit = np.empty((ctx.n, len(names)))
-    numeric_js = []
-    for j, name in enumerate(names):
-        column = ctx.columns[name]
-        if column.dtype == object:
-            unit[:, j] = [_string_unit(v) for v in column]
-        else:
-            unit[:, j] = column
-            numeric_js.append(j)
-    numeric = unit[:, numeric_js]
-    unit[:, numeric_js] = 0.5 + np.arctan(
-        numeric / (1.0 + np.abs(numeric) * 0.5)
-    ) / math.pi
-    return unit
+def category_unit(value: str) -> float:
+    """[0, 1) embedding of a categorical value (sha256 of its string)."""
+    digest = hashlib.sha256(value.encode()).digest()
+    return int.from_bytes(digest[:4], "big") / 2**32
 
 
 def score_batch(ctx: BatchEvalContext) -> np.ndarray:
-    names = tuple(ctx.columns)
-    a, b, phase = _coefficient_table(ctx.workload.name, names)
-    unit = _unit_matrix(ctx, names)
+    plan = ctx.plan
+    # Cheap [0, 1] embedding of every knob, (N, D): numeric columns are
+    # squashed to (0, 1) smoothly regardless of the knob's range, and
+    # categorical codes look up their embeddings.  The blocks come out
+    # int, float, categorical; the gather restores the row's knob order.
+    numeric = np.concatenate((ctx.ints.T, ctx.floats.T), axis=1).astype(
+        float, copy=False
+    )
+    squashed = 0.5 + np.arctan(numeric / (1.0 + np.abs(numeric) * 0.5)) / math.pi
+    unit = np.concatenate((squashed, plan.unit_table[ctx.codes.T]), axis=1)[
+        :, plan.texture_order
+    ]
 
     contributions = _AMPLITUDE * (
-        a * np.sin(2.0 * math.pi * unit + phase) + b * (unit - 0.5)
+        plan.texture_a * np.sin(2.0 * math.pi * unit + plan.texture_phase)
+        + plan.texture_b * (unit - 0.5)
     )
-    # Accumulate knob by knob (not np.sum's pairwise reduction) so every
-    # batch size sums in the identical order.
-    total = np.zeros(ctx.n)
-    for j in range(contributions.shape[1]):
-        total = total + contributions[:, j]
-    return np.exp(total)
+    # Accumulate knob by knob, left to right (not np.sum's pairwise
+    # reduction), so every batch size sums in the identical order.  The
+    # last column is strided; exp gets a contiguous copy, the layout its
+    # vectorized loop has always been given here.
+    total = np.add.accumulate(contributions, axis=1)[:, -1]
+    return np.exp(np.ascontiguousarray(total))

@@ -5,9 +5,9 @@ PostgreSQL on CloudLab, Section 6.1).  Given a knob configuration it returns
 a :class:`Measurement` — throughput, 95th-percentile latency, and 27
 internal metrics — in microseconds instead of the 5-minute workload runs the
 paper needs, while preserving the structural properties that make DBMS
-tuning hard (see DESIGN.md §5): low effective dimensionality with
-workload-dependent important knobs, special-value discontinuities,
-non-monotone memory trade-offs, measurement noise, and crashes.
+tuning hard: low effective dimensionality with workload-dependent important
+knobs, special-value discontinuities, non-monotone memory trade-offs,
+measurement noise, and crashes.
 
 Throughput composes the component scores as a weighted geometric product::
 
@@ -22,7 +22,9 @@ runs one whole-matrix pass — batched component scores over a
 reduction, vectorized noise draws, and batched latency/metric derivation —
 and the scalar :meth:`~PostgresSimulator.evaluate` is a one-row call into
 the same pipeline, which makes batch results bit-identical to N scalar
-calls by construction.
+calls by construction.  Each simulator compiles one
+:class:`~repro.dbms.plan.EvalPlan` per row layout on first use; every pass
+fills its context through it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from repro.dbms.components import BATCH_COMPONENTS
 from repro.dbms.context import BatchEvalContext
 from repro.dbms.errors import DbmsCrashError
 from repro.dbms.hardware import C220G5, Hardware
-from repro.dbms.metrics import derive_metrics_batch
+from repro.dbms.metrics import METRIC_NAMES, derive_metrics_batch
+from repro.dbms.plan import EvalPlan
 from repro.dbms.versions import V96, PostgresVersion
 from repro.space.configspace import Configuration
 from repro.space.knob import KnobValue
@@ -47,6 +50,7 @@ from repro.workloads.base import Workload
 #: Default configurations per catalog version, built once per process.
 #: ``postgres_v96_space()`` reconstructs all 90 knob objects on every call,
 #: which used to happen once per simulator during calibration.
+# repro-lint: allow[module-state] reason=keyed by catalog version name, at most one entry per version; the value is a pure function of its key, so fill order and forked copies cannot change a result
 _DEFAULT_CONFIG_CACHE: dict[str, Configuration] = {}
 
 #: Calibration factors keyed on the *value identity* of (simulator class,
@@ -54,7 +58,11 @@ _DEFAULT_CONFIG_CACHE: dict[str, Configuration] = {}
 #: structurally equal profiles — even freshly constructed ones, as in
 #: parameter sweeps — share one cache entry, and the cache holds no object
 #: references that would pin profiles alive.
+# repro-lint: allow[module-state] reason=keyed by profile values, one entry per distinct testbed; the factor is a pure function of its key, so fill order and forked copies cannot change a result
 _CALIBRATION_CACHE: dict[tuple, float] = {}
+
+#: Component names in evaluation order (the rows of the score matrix).
+COMPONENT_NAMES: tuple[str, ...] = tuple(BATCH_COMPONENTS)
 
 #: Utilization at which the open-loop queueing model saturates.
 _RHO_SATURATION = 0.97
@@ -131,6 +139,8 @@ class PostgresSimulator:
         self.noise_std = noise_std
         self.target_rate = target_rate
         self._calibration: float | None = None
+        #: One compiled evaluation plan per row knob-name tuple.
+        self._plans: dict[tuple[str, ...], EvalPlan] = {}
 
     # --- internals ---------------------------------------------------------
 
@@ -156,34 +166,35 @@ class PostgresSimulator:
     def _batch_context(
         self, rows: Sequence[Mapping[str, KnobValue]]
     ) -> BatchEvalContext:
-        return BatchEvalContext.from_values(
-            rows, self.workload, self.hardware, self.version
-        )
-
-    def _component_scores_batch(
-        self, ctx: BatchEvalContext
-    ) -> dict[str, np.ndarray]:
-        """All component scores as ``(N,)`` columns; crash rows are flagged
-        on the context rather than raised."""
-        n = ctx.n
-        scores = {}
-        for name, fn in BATCH_COMPONENTS.items():
-            score = np.asarray(fn(ctx), dtype=float)
-            scores[name] = (
-                score if score.shape == (n,) else np.broadcast_to(score, (n,))
+        """Fill a context through this simulator's plan for the rows'
+        layout, compiling the plan on first use."""
+        first = rows[0]
+        names = first.space.names if isinstance(first, Configuration) else tuple(first)
+        plan = self._plans.get(names)
+        if plan is None:
+            plan = self._plans[names] = EvalPlan.for_rows(
+                rows, self.workload, self.hardware, self.version
             )
+        return BatchEvalContext.from_values(rows, plan)
+
+    @staticmethod
+    def _component_scores_batch(ctx: BatchEvalContext) -> np.ndarray:
+        """All component scores as one ``(C, N)`` matrix in
+        :data:`COMPONENT_NAMES` order (scalar scores broadcast); crash rows
+        are flagged on the context rather than raised."""
+        scores = np.empty((len(BATCH_COMPONENTS), ctx.n))
+        for k, fn in enumerate(BATCH_COMPONENTS.values()):
+            scores[k] = fn(ctx)
         return scores
 
-    def _raw_throughput_batch(
-        self, scores: Mapping[str, np.ndarray], n: int
-    ) -> np.ndarray:
-        """One weighted-geometric-product reduction over all rows."""
-        log_sum = np.zeros(n)
-        for name, score in scores.items():
-            weight = self.workload.weight(name)
-            if weight:
-                log_sum = log_sum + weight * np.log(np.maximum(score, 1e-9))
-        return np.exp(log_sum)
+    @staticmethod
+    def _raw_throughput_batch(plan: EvalPlan, scores: np.ndarray) -> np.ndarray:
+        """One weighted-geometric-product reduction over all rows.  The
+        log terms are summed component by component, in evaluation order."""
+        if not len(plan.weighted):
+            return np.ones(scores.shape[1])
+        terms = np.log(np.maximum(scores[plan.weighted], 1e-9)) * plan.weights
+        return np.exp(np.add.accumulate(terms, axis=0)[-1])
 
     def _calibrate(self) -> float:
         """Scale factor mapping raw products onto calibrated req/s.
@@ -206,7 +217,7 @@ class PostgresSimulator:
                 default = _default_configuration(self.version)
                 ctx = self._batch_context([default])
                 scores = self._component_scores_batch(ctx)
-                raw = float(self._raw_throughput_batch(scores, 1)[0])
+                raw = float(self._raw_throughput_batch(ctx.plan, scores)[0])
                 target = self.workload.base_throughput * self.version.baseline_scale(
                     self.workload.name
                 )
@@ -360,9 +371,9 @@ class PostgresSimulator:
                 rng.standard_normal((first, 2))
             raise DbmsCrashError(ctx.crash_messages[first])
 
-        throughput = calibration * self._raw_throughput_batch(scores, n)
+        throughput = calibration * self._raw_throughput_batch(ctx.plan, scores)
 
-        p95_noise: np.ndarray | None = None
+        noise: np.ndarray | None = None
         if self.noise_std > 0 and any(r is not None for r, __ in rng_blocks):
             # Each block's alive rows draw their pairs (throughput, then
             # latency, per row) from that block's own stream, in row order;
@@ -379,42 +390,37 @@ class PostgresSimulator:
                     )
                 filled += block_alive
                 start += count
-            throughput_noise = np.ones(n)
-            throughput_noise[alive] = np.exp(draws[:, 0] * self.noise_std)
-            p95_noise = np.ones(n)
-            p95_noise[alive] = np.exp(draws[:, 1] * (self.noise_std * 2.0))
-            throughput = throughput * throughput_noise
+            noise = np.ones((n, 2))
+            noise[alive] = np.exp(draws * (self.noise_std, self.noise_std * 2.0))
+            throughput = throughput * noise[:, 0]
 
         p95 = self._p95_latency_ms_batch(ctx, throughput)
-        if p95_noise is not None:
-            p95 = p95 * p95_noise
+        if noise is not None:
+            p95 = p95 * noise[:, 1]
 
-        metric_columns = derive_metrics_batch(
+        metrics = derive_metrics_batch(
             ctx.notes,
             throughput=throughput,
             clients=self.workload.clients,
             read_fraction=self.workload.read_txn_fraction,
         )
-
-        results: list[Measurement | None] = []
-        for i in range(n):
-            if crashed[i]:
-                results.append(None)
-                continue
-            results.append(
-                Measurement(
-                    throughput=float(throughput[i]),
-                    p95_latency_ms=float(p95[i]),
-                    metrics={
-                        name: float(column[i])
-                        for name, column in metric_columns.items()
-                    },
-                    component_scores={
-                        name: float(column[i]) for name, column in scores.items()
-                    },
-                )
+        return [
+            None
+            if dead
+            else Measurement(
+                throughput=value,
+                p95_latency_ms=latency,
+                metrics=dict(zip(METRIC_NAMES, metric_row)),
+                component_scores=dict(zip(COMPONENT_NAMES, score_row)),
             )
-        return results
+            for dead, value, latency, metric_row, score_row in zip(
+                crashed.tolist(),
+                throughput.tolist(),
+                p95.tolist(),
+                metrics.T.tolist(),
+                scores.T.tolist(),
+            )
+        ]
 
     def default_measurement(self) -> Measurement:
         """Noise-free measurement of the DBMS default configuration."""

@@ -6,7 +6,8 @@ state.  We derive the same kind of metrics from the simulator's component
 models so the RL path exercises realistic, configuration-dependent state.
 
 :func:`derive_metrics_batch` derives them for ``N`` evaluations at once
-from ``(N,)`` note columns; the engine calls it once per matrix pass.
+from ``(N,)`` note columns, as one ``(27, N)`` matrix; the engine calls it
+once per matrix pass.
 """
 
 from __future__ import annotations
@@ -54,14 +55,13 @@ def derive_metrics_batch(
     throughput: np.ndarray,
     clients: int,
     read_fraction: float,
-) -> dict[str, np.ndarray]:
-    """Build the 27 metric columns for ``N`` evaluations at once.
+) -> np.ndarray:
+    """Build the 27 metrics for ``N`` evaluations at once: a ``(27, N)``
+    float matrix whose rows follow :data:`METRIC_NAMES`.
 
-    ``notes`` values and the returned columns are ``(N,)`` arrays (scalars
-    broadcast); missing notes fall back to neutral defaults.
+    ``notes`` values are ``(N,)`` arrays or scalars (scalars broadcast);
+    missing notes fall back to neutral defaults.
     """
-    throughput = np.asarray(throughput, dtype=float)
-    n = throughput.shape[0]
 
     def note(key: str, default: float):
         return notes.get(key, default)
@@ -74,30 +74,35 @@ def derive_metrics_batch(
     wal_bytes = note("wal_bytes_per_txn", 30000.0)
     burst = note("checkpoint_burst", 0.3)
     spill = note("temp_spill_ratio", 0.0)
+    # Shared left factors: each product below still multiplies left to
+    # right exactly as written out in full.
+    reads = throughput * reads_per_txn
+    written = throughput * writes
+    spilled = throughput * spill
 
     metrics = {
         "xact_commit_rate": throughput,
         "xact_rollback_rate": throughput * 0.01
         + throughput * note("deadlocks_per_min", 0.0) * 0.001,
-        "blks_read_rate": throughput * reads_per_txn * miss,
-        "blks_hit_rate": throughput * reads_per_txn * hit_ratio,
+        "blks_read_rate": reads * miss,
+        "blks_hit_rate": reads * hit_ratio,
         "buffer_hit_ratio": hit_ratio,
         "os_cache_hit_ratio": os_hit,
-        "tup_returned_rate": throughput * reads_per_txn * 3.0,
-        "tup_inserted_rate": throughput * writes * 1.5,
-        "tup_updated_rate": throughput * writes * 2.5,
-        "tup_deleted_rate": throughput * writes * 0.3,
-        "wal_bytes_rate": throughput * writes * wal_bytes,
+        "tup_returned_rate": reads * 3.0,
+        "tup_inserted_rate": written * 1.5,
+        "tup_updated_rate": written * 2.5,
+        "tup_deleted_rate": written * 0.3,
+        "wal_bytes_rate": written * wal_bytes,
         "checkpoints_per_run": note("checkpoints_per_run", 1.0),
         "checkpoint_write_time": burst * 100.0,
-        "buffers_checkpoint": throughput * writes * burst * 2.0,
+        "buffers_checkpoint": written * burst * 2.0,
         "buffers_clean": note("bgwriter_flushes", 1.0) * 100.0,
-        "buffers_backend": throughput * writes * 0.5,
+        "buffers_backend": written * 0.5,
         "maxwritten_clean": burst * 10.0,
         "dead_tuple_ratio": note("dead_tuple_ratio", 0.05),
         "autovacuum_runs": note("autovacuum_runs", 1.0),
-        "temp_files_rate": throughput * spill * 0.1,
-        "temp_bytes_rate": throughput * spill * 1e5,
+        "temp_files_rate": spilled * 0.1,
+        "temp_bytes_rate": spilled * 1e5,
         "deadlocks_per_min": note("deadlocks_per_min", 0.0),
         "lock_wait_fraction": note("lock_wait_fraction", 0.0),
         "active_connections": float(clients),
@@ -105,10 +110,9 @@ def derive_metrics_batch(
         "io_utilization": np.minimum(1.0, miss * 2.0 + writes * 0.4),
         "memory_pressure": note("memory_pressure", 0.3),
     }
-    out = {}
-    for key, value in metrics.items():
-        column = np.asarray(value, dtype=float)
-        out[key] = column if column.shape == (n,) else np.broadcast_to(column, (n,))
+    out = np.empty((len(METRIC_NAMES), throughput.shape[0]))
+    for row, name in zip(out, METRIC_NAMES):
+        row[...] = metrics[name]
     return out
 
 

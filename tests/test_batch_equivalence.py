@@ -19,6 +19,7 @@ from repro.dbms.context import BatchEvalContext
 from repro.dbms.engine import PostgresSimulator
 from repro.dbms.errors import DbmsCrashError
 from repro.dbms.hardware import C220G5
+from repro.dbms.plan import EvalPlan
 from repro.dbms.versions import V96, V136
 from repro.optimizers import SMACOptimizer
 from repro.optimizers.encoding import SpaceEncoding
@@ -204,12 +205,14 @@ class TestComponentBatchEquivalence:
         configs = uniform_configurations(space, 24, rng)
         wl = get_workload(workload)
 
-        bctx = BatchEvalContext.from_values(configs, wl, C220G5, version)
+        plan = EvalPlan.for_rows(configs, wl, C220G5, version)
+        bctx = BatchEvalContext.from_values(configs, plan)
         batch_scores = {name: fn(bctx) for name, fn in BATCH_COMPONENTS.items()}
 
         crashes = 0
         for i, config in enumerate(configs):
-            row = BatchEvalContext.from_values([config], wl, C220G5, version)
+            row_plan = EvalPlan.for_rows([config], wl, C220G5, version)
+            row = BatchEvalContext.from_values([config], row_plan)
             row_scores = {name: fn(row) for name, fn in BATCH_COMPONENTS.items()}
             assert row.crashed[0] == bctx.crashed[i]
             if bctx.crashed[i]:
@@ -232,9 +235,8 @@ class TestComponentBatchEquivalence:
         crasher = space.partial_configuration(
             {"shared_buffers": space["shared_buffers"].upper}
         )
-        bctx = BatchEvalContext.from_values(
-            [crasher], get_workload("ycsb-a"), C220G5, V96
-        )
+        plan = EvalPlan.for_rows([crasher], get_workload("ycsb-a"), C220G5, V96)
+        bctx = BatchEvalContext.from_values([crasher], plan)
         BATCH_COMPONENTS["memory"](bctx)
         assert bctx.crashed[0]
         assert "shared memory" in bctx.crash_messages[0]

@@ -12,6 +12,7 @@ from repro.dbms.components import parallel, planner, stats, texture, vacuum
 from repro.dbms.components import wal, writeback
 from repro.dbms.context import BatchEvalContext
 from repro.dbms.hardware import C220G5
+from repro.dbms.plan import EvalPlan
 from repro.dbms.versions import V96, V136
 from repro.space.postgres import postgres_v96_space, postgres_v136_space
 from repro.workloads import get_workload
@@ -20,12 +21,14 @@ from repro.workloads import get_workload
 def make_rows(rows, workload="tpcc", version=V96):
     """A context with one row per overrides mapping (defaults elsewhere)."""
     space = postgres_v136_space() if version is V136 else postgres_v96_space()
-    return BatchEvalContext.from_values(
-        [space.partial_configuration(overrides) for overrides in rows],
-        get_workload(workload),
-        C220G5,
-        version,
-    )
+    configs = [space.partial_configuration(overrides) for overrides in rows]
+    return context_for(configs, get_workload(workload), version)
+
+
+def context_for(configs, workload, version=V96):
+    """A context over ``configs`` through a freshly compiled plan."""
+    plan = EvalPlan.for_rows(configs, workload, C220G5, version)
+    return BatchEvalContext.from_values(configs, plan)
 
 
 def make_ctx(workload="tpcc", version=V96, **overrides):
@@ -278,9 +281,7 @@ class TestTextureComponent:
         from repro.space.sampling import uniform_configurations
 
         for config in uniform_configurations(space, 30, rng):
-            ctx = BatchEvalContext.from_values(
-                [config], get_workload("tpcc"), C220G5, V96
-            )
+            ctx = context_for([config], get_workload("tpcc"))
             assert 0.85 < score(texture, ctx) < 1.18
 
 

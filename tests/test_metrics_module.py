@@ -8,13 +8,13 @@ from repro.dbms.metrics import METRIC_NAMES, derive_metrics_batch, metrics_vecto
 
 def derive_metrics(notes, throughput, clients, read_fraction):
     """One evaluation's 27 metrics: a one-row :func:`derive_metrics_batch`."""
-    columns = derive_metrics_batch(
+    matrix = derive_metrics_batch(
         {key: np.asarray([value], dtype=float) for key, value in notes.items()},
         np.asarray([throughput], dtype=float),
         clients=clients,
         read_fraction=read_fraction,
     )
-    return {key: float(column[0]) for key, column in columns.items()}
+    return dict(zip(METRIC_NAMES, matrix[:, 0].tolist()))
 
 
 class TestDeriveMetrics:

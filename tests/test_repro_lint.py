@@ -285,6 +285,19 @@ class TestModuleStateRule:
         )
         assert tuning_rules_of(src) == ["module-state"]
 
+    def test_accumulating_cache_under_dbms_flagged(self):
+        """The simulator's plans live on the instance; a new module-level
+        cache under dbms/ needs a reviewed pragma like the engine's two."""
+        src = (
+            "_PLAN_CACHE: dict[tuple, object] = {}\n"
+            "def plan_for(key):\n"
+            "    return _PLAN_CACHE.setdefault(key, object())\n"
+        )
+        findings = lint_source(
+            src, path="src/repro/dbms/components/texture.py", scope="src"
+        )
+        assert [f.rule for f in findings] == ["module-state"]
+
     def test_only_polices_optimizers_and_tuning_paths(self):
         findings = lint_source(
             "_CACHE = {}\n",

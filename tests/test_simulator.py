@@ -1,6 +1,6 @@
-"""Tests for the analytical PostgreSQL simulator — the structural properties
-DESIGN.md §5 promises (calibration, special values, non-monotone memory,
-noise, crashes, metrics)."""
+"""Tests for the analytical PostgreSQL simulator — its structural
+properties (calibration, special values, non-monotone memory, noise,
+crashes, metrics)."""
 
 import numpy as np
 import pytest

@@ -2,8 +2,10 @@
 
 Contract (ROADMAP multicore contract): the wave engine runs member fits
 on threads and the process runner forks workers, so any module-level
-state in ``optimizers/`` or ``tuning/`` is shared across threads and
-duplicated across forks.  State that *accumulates* (an empty container
+state in ``optimizers/``, ``tuning/`` or ``dbms/`` is shared across
+threads and duplicated across forks.  The simulator keeps its compiled
+evaluation plans on the instance; ``dbms/`` holds only pragma-reviewed,
+value-keyed caches at module level.  State that *accumulates* (an empty container
 filled at runtime, or a ``global`` rebind from a function) makes results
 depend on call order and thread schedule — exactly what the byte-identity
 pins forbid.  Populated literal registries (``OPTIMIZERS = {...}``) are
@@ -27,7 +29,7 @@ EMPTY_FACTORIES = {
 
 #: Path fragments this rule polices (the deterministic core that the
 #: threaded wave engine and forked process workers share).
-POLICED_PARTS = ("/optimizers/", "/tuning/")
+POLICED_PARTS = ("/optimizers/", "/tuning/", "/dbms/")
 
 
 def _is_empty_container(value: ast.AST) -> bool:
@@ -72,11 +74,11 @@ def _module_level_statements(tree: ast.Module) -> Iterator[ast.stmt]:
 
 class ModuleStateRule(Rule):
     rule_id = "module-state"
-    title = "accumulating module-level state in optimizers/ or tuning/"
+    title = "accumulating module-level state in optimizers/, tuning/ or dbms/"
     scopes = ("src",)
     contract = (
-        "Multicore determinism (ROADMAP multicore contract): optimizers/ "
-        "and tuning/ run under the threaded wave engine and are forked "
+        "Multicore determinism (ROADMAP multicore contract): optimizers/, "
+        "tuning/ and dbms/ run under the threaded wave engine and are forked "
         "into process-pool workers, so module-level state is shared "
         "across threads and duplicated across forks.  A module-level "
         "container that starts empty exists only to accumulate runtime "
