@@ -193,48 +193,6 @@ def test_wave_runner_8seeds(benchmark):
     )
 
 
-def test_wave_runner_8seeds_mt(benchmark):
-    """The same 8-seed sweep with 4 wave threads (threaded member fits +
-    the kernel's worker-pool leaf walk).  Results are byte-identical to
-    ``test_wave_runner_8seeds`` (``tests/test_wave_threads.py`` pins
-    that); on a multi-core runner this bench should sit well below it —
-    on a single-core host it measures the thread-pool overhead instead,
-    which must stay small."""
-    spec = SessionSpec(
-        workload="ycsb-a", optimizer="smac", adapter=llamatune_factory(),
-        n_iterations=24, n_init=8, wave_threads=4,
-    )
-    run_wave(spec, [1])  # warm calibration + kernel
-    seeds = list(range(1, 9))
-    benchmark.pedantic(
-        lambda: run_wave(spec, seeds), rounds=5, warmup_rounds=1
-    )
-
-
-def test_forest_predict_parallel(benchmark):
-    """The kernel's worker-pool grouped walk: 8 stacked forests × 1000
-    rows on 4 threads (skips when no compiler).  Single-core hosts pay
-    pool wake/join overhead; multi-core hosts should beat 8 serial
-    ``predict_mean_var`` calls."""
-    if not _forest_kernel.kernel_available():
-        pytest.skip("native forest kernel unavailable on this host")
-    from repro.optimizers.forest import predict_mean_var_stacked
-
-    rng = np.random.default_rng(0)
-    forests = []
-    for k in range(8):
-        X = rng.random((100, 90))
-        y = rng.normal(size=100)
-        forests.append(RandomForestRegressor(n_trees=20, seed=k).fit(X, y))
-    candidates = rng.random((8 * 1000, 90))
-    row_counts = np.full(8, 1000, dtype=np.int64)
-    predict_mean_var_stacked(forests, candidates, row_counts, n_threads=4)
-    benchmark(
-        predict_mean_var_stacked, forests, candidates, row_counts,
-        n_threads=4,
-    )
-
-
 def test_checkpoint_resume(benchmark, tmp_path):
     """Compacted checkpoint + fresh-session restore round trip of a
     50-observation SMAC+LlamaTune session — the fault-tolerance tax of a

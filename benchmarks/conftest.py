@@ -5,7 +5,10 @@ Each ``bench_*`` file regenerates one of the paper's tables or figures at
 shape), times it with pytest-benchmark, prints the report rows, and asserts
 the shape the paper reports.  Run everything with::
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/bench_*.py --benchmark-only -s
+
+(naming the files: ``bench_*.py`` is outside pytest's default
+``test_*.py`` pattern, so ``pytest benchmarks/`` collects nothing).
 """
 
 from __future__ import annotations

@@ -194,9 +194,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="how long the batcher waits after the first "
                              "pending suggest so concurrent requests "
                              "coalesce into one wave")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="threads for the stacked leaf walk "
-                             "(byte-identical results at any N)")
     parser.add_argument("--checkpoint-root", metavar="DIR", default=None,
                         help="per-tenant checkpoint namespace: each "
                              "tenant's snapshots land under DIR/<tenant>")
@@ -220,6 +217,18 @@ def serve_main(argv: list[str] | None = None) -> int:
     args = build_serve_parser().parse_args(argv)
     if args.tenants < 1:
         print("error: --tenants must be >= 1", file=sys.stderr)
+        return 2
+    if args.iterations < 1:
+        print("error: --iterations must be >= 1", file=sys.stderr)
+        return 2
+    if args.n_init < 1:
+        print("error: --n-init must be >= 1", file=sys.stderr)
+        return 2
+    if not args.seeds:
+        print("error: --seeds is empty", file=sys.stderr)
+        return 2
+    if args.gather_window < 0:
+        print("error: --gather-window must be >= 0", file=sys.stderr)
         return 2
     if (args.checkpoint_every > 0 or args.resume) and not args.checkpoint_root:
         print(
@@ -265,7 +274,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         async with SessionServer(
             checkpoint_root=args.checkpoint_root,
             gather_window=args.gather_window,
-            wave_threads=args.workers,
         ) as server:
             keys = [
                 await server.open(tenant_id, spec, seed)
@@ -345,6 +353,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.objective == "latency" and args.rate is None:
         print("error: --objective latency requires --rate", file=sys.stderr)
+        return 2
+    if args.iterations < 1:
+        print("error: --iterations must be >= 1", file=sys.stderr)
         return 2
     if args.suggest_batch < 1:
         print("error: --suggest-batch must be >= 1", file=sys.stderr)

@@ -59,10 +59,8 @@ depths.  The walks perform no float arithmetic — only
 ``x <= threshold`` comparisons — and return leaf indices; the
 mean/variance reductions stay in numpy, shared verbatim with the fallback
 path, so native predict is byte-identical to the numpy frontier
-traversal by construction.  With ``n_threads > 1`` the walk runs on a
-persistent in-library pthread pool: work is split into (group, 64-row
-chunk) tasks with one writer per output cell, so the threaded result is
-byte-identical to the serial walk under any schedule.
+traversal by construction.  The walk runs on its caller's thread, and
+the C source keeps no mutable static state.
 
 If no compiler is available, everything falls back to the numpy
 implementation with one ``RuntimeWarning`` per process — results are
@@ -87,7 +85,6 @@ import numpy as np
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
-#include <pthread.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -567,31 +564,25 @@ typedef struct {
 
 /* Groups whose deepest tree has at most this many levels take the
  * branchless depth walk; deeper groups take the early-exit lane walk,
- * whose cost tracks the *average* leaf depth instead of the maximum.
- * Threaded calls split the work into tasks of ROW_CHUNK rows of one
- * group. */
-enum { DEPTH_WALK_LIMIT = 16, ROW_CHUNK = 64, POOL_MAX = 16 };
+ * whose cost tracks the *average* leaf depth instead of the maximum. */
+enum { DEPTH_WALK_LIMIT = 16 };
 
-/* Early-exit lane walk over rows [row0, row1) of one group, written into
- * the group's tree-major block (out[t * n_rows + i]).  Each descent is a
- * dependent load chain, so a single walk is latency-bound; rows form the
- * outer loop (the row vector stays in L1) while every tree's independent
- * chain advances in lockstep, finished lanes swap-removed so the flight
- * group stays dense.  Every (tree, row) cell is independent and written
- * exactly once, so any partition of the row range — including the
- * threaded walk's ROW_CHUNK tasks — reproduces the serial output bit for
- * bit. */
-static void walk_lanes_range(const pnode_t *nodes, const int64_t *offsets,
-                             int64_t n_trees, const double *x, int64_t n_rows,
-                             int64_t d, int64_t *out, int64_t row0,
-                             int64_t row1)
+/* Early-exit lane walk over one group's rows, written into the group's
+ * tree-major block (out[t * n_rows + i]).  Each descent is a dependent
+ * load chain, so a single walk is latency-bound; rows form the outer
+ * loop (the row vector stays in L1) while every tree's independent chain
+ * advances in lockstep, finished lanes swap-removed so the flight group
+ * stays dense. */
+static void walk_lanes(const pnode_t *nodes, const int64_t *offsets,
+                       int64_t n_trees, const double *x, int64_t n_rows,
+                       int64_t d, int64_t *out)
 {
     enum { CHUNK = 64 };
     int64_t cur[CHUNK];
     int64_t lane_out[CHUNK];
     for (int64_t t0 = 0; t0 < n_trees; t0 += CHUNK) {
         const int64_t nt = n_trees - t0 < CHUNK ? n_trees - t0 : CHUNK;
-        for (int64_t i = row0; i < row1; i++) {
+        for (int64_t i = 0; i < n_rows; i++) {
             const double *xi = x + i * d;
             int64_t n_active = 0;
             for (int64_t l = 0; l < nt; l++) {
@@ -645,10 +636,10 @@ static void walk_lanes_range(const pnode_t *nodes, const int64_t *offsets,
  * (gather x, compare, blend child index).  Per (tree, row) the visited
  * nodes and comparisons are unchanged, so the leaf indices match the
  * one-row-at-a-time walk exactly. */
-static void walk_depth_range(const pnode_t *nodes, const int64_t *offsets,
-                             const int64_t *tree_depths, int64_t n_trees,
-                             const double *x, int64_t n_rows, int64_t d,
-                             int64_t *out, int64_t row0, int64_t row1)
+static void walk_depth(const pnode_t *nodes, const int64_t *offsets,
+                       const int64_t *tree_depths, int64_t n_trees,
+                       const double *x, int64_t n_rows, int64_t d,
+                       int64_t *out)
 {
     enum { CHUNK = 64, ROWBLK = 8 };
     _Static_assert((int)DEPTH_WALK_LIMIT <= (int)CHUNK,
@@ -675,8 +666,8 @@ static void walk_depth_range(const pnode_t *nodes, const int64_t *offsets,
             while (c < nt && tree_depths[ord[c]] > k) c++;
             level_count[k] = c;
         }
-        for (int64_t i0 = row0; i0 < row1; i0 += ROWBLK) {
-            const int64_t nb = row1 - i0 < ROWBLK ? row1 - i0 : ROWBLK;
+        for (int64_t i0 = 0; i0 < n_rows; i0 += ROWBLK) {
+            const int64_t nb = n_rows - i0 < ROWBLK ? n_rows - i0 : ROWBLK;
             for (int64_t l = 0; l < nt; l++) {
                 const int64_t root = offsets[ord[l]];
                 for (int64_t r = 0; r < nb; r++)
@@ -704,219 +695,32 @@ static void walk_depth_range(const pnode_t *nodes, const int64_t *offsets,
     }
 }
 
-/* One group of a walk: its trees' roots and depths, its row slab, its
- * tree-major output block, and the number of its first ROW_CHUNK task. */
-typedef struct {
-    const int64_t *offsets;
-    const int64_t *tree_depths;
-    const double *x;
-    int64_t *out;
-    int64_t n_trees;
-    int64_t n_rows;
-    int64_t task0;
-    int64_t shallow;  /* deepest tree <= DEPTH_WALK_LIMIT */
-} group_t;
-
-static void walk_group(const pnode_t *nodes, const group_t *g, int64_t d,
-                       int64_t row0, int64_t row1)
-{
-    if (g->shallow)
-        walk_depth_range(nodes, g->offsets, g->tree_depths, g->n_trees,
-                         g->x, g->n_rows, d, g->out, row0, row1);
-    else
-        walk_lanes_range(nodes, g->offsets, g->n_trees, g->x, g->n_rows, d,
-                         g->out, row0, row1);
-}
-
-/* ---- persistent worker pool for threaded walks -----------------------
- *
- * The walk is pure comparisons with per-(tree, row) independent output,
- * so any partition of the work reproduces the serial result bit for
- * bit.  Tasks are (group, ROW_CHUNK-row chunk) pairs numbered group by
- * group; workers claim them through one atomic cursor, so load balance
- * is dynamic but the output bytes cannot depend on the schedule.  Helper
- * threads are created lazily on first threaded call and persist for the
- * process lifetime, parked on a condvar between jobs; the caller's
- * thread always participates, so n_threads = 1 + the helpers actually
- * woken.  fork() does not replicate helper threads, so an atfork child
- * handler resets the pool bookkeeping — a forked worker process
- * (run_spec mode="process") lazily rebuilds its own helpers instead of
- * deadlocking on ghosts. */
-typedef struct {
-    const pnode_t *nodes;
-    const group_t *groups;
-    int64_t n_groups;
-    int64_t d;
-    int64_t n_tasks;
-} walk_job_t;
-
-static pthread_mutex_t pool_mu = PTHREAD_MUTEX_INITIALIZER;
-static pthread_cond_t pool_start_cv = PTHREAD_COND_INITIALIZER;
-static pthread_cond_t pool_done_cv = PTHREAD_COND_INITIALIZER;
-static pthread_t pool_threads[POOL_MAX];
-static int pool_size = 0;         /* helper threads created so far */
-static int pool_helpers = 0;      /* helpers invited to the current job */
-static int pool_active = 0;       /* woken helpers yet to finish */
-static uint64_t pool_generation = 0;  /* job counter, guarded by pool_mu */
-static walk_job_t pool_job;
-static int64_t pool_cursor;       /* atomic task cursor */
-
-static void walk_one_task(const walk_job_t *j, int64_t t)
-{
-    /* the task's group: last g with task0 <= t (an empty group shares
-     * its task0 with the next group, so the search never lands on it) */
-    int64_t lo = 0, hi = j->n_groups;
-    while (lo + 1 < hi) {
-        const int64_t mid = lo + (hi - lo) / 2;
-        if (j->groups[mid].task0 <= t) lo = mid; else hi = mid;
-    }
-    const group_t *g = j->groups + lo;
-    const int64_t r0 = (t - g->task0) * ROW_CHUNK;
-    const int64_t r1 = r0 + ROW_CHUNK < g->n_rows ? r0 + ROW_CHUNK : g->n_rows;
-    walk_group(j->nodes, g, j->d, r0, r1);
-}
-
-static void pool_run_tasks(const walk_job_t *job)
-{
-    for (;;) {
-        const int64_t t =
-            __atomic_fetch_add(&pool_cursor, 1, __ATOMIC_RELAXED);
-        if (t >= job->n_tasks) return;
-        walk_one_task(job, t);
-    }
-}
-
-static void *pool_worker(void *arg)
-{
-    const int slot = (int)(intptr_t)arg;
-    uint64_t seen = 0;
-    for (;;) {
-        pthread_mutex_lock(&pool_mu);
-        while (pool_generation == seen)
-            pthread_cond_wait(&pool_start_cv, &pool_mu);
-        seen = pool_generation;
-        const int invited = slot < pool_helpers;
-        pthread_mutex_unlock(&pool_mu);
-        if (invited)
-            pool_run_tasks(&pool_job);
-        pthread_mutex_lock(&pool_mu);
-        if (--pool_active == 0)
-            pthread_cond_signal(&pool_done_cv);
-        pthread_mutex_unlock(&pool_mu);
-    }
-    return NULL;
-}
-
-static void pool_reset_in_child(void)
-{
-    /* helper threads do not survive fork(); reinitialize the primitives
-     * and counters so the child lazily rebuilds its own pool instead of
-     * waiting on helpers that no longer exist */
-    pthread_mutex_init(&pool_mu, NULL);
-    pthread_cond_init(&pool_start_cv, NULL);
-    pthread_cond_init(&pool_done_cv, NULL);
-    pool_size = 0;
-    pool_helpers = 0;
-    pool_active = 0;
-    pool_generation = 0;
-}
-
-static pthread_once_t pool_once = PTHREAD_ONCE_INIT;
-
-static void pool_register_atfork(void)
-{
-    pthread_atfork(NULL, NULL, pool_reset_in_child);
-}
-
-/* Create helpers up to ``want``; returns how many are usable (creation
- * failure degrades to fewer helpers, never to an error).  Called with
- * pool_mu held. */
-static int pool_ensure(int want)
-{
-    pthread_once(&pool_once, pool_register_atfork);
-    if (want > POOL_MAX) want = POOL_MAX;
-    while (pool_size < want) {
-        if (pthread_create(&pool_threads[pool_size], NULL, pool_worker,
-                           (void *)(intptr_t)pool_size) != 0)
-            break;
-        pool_size++;
-    }
-    return pool_size < want ? pool_size : want;
-}
-
-/* Run the job's tasks on the caller plus up to n_threads - 1 helpers.
- * Returns 0, having run nothing, when no helper thread is available. */
-static int pool_run(const walk_job_t *job, int64_t n_threads)
-{
-    int64_t want = n_threads - 1;
-    if (want > job->n_tasks - 1) want = job->n_tasks - 1;
-    if (want > POOL_MAX) want = POOL_MAX;
-    pthread_mutex_lock(&pool_mu);
-    const int helpers = pool_ensure((int)want);
-    if (helpers == 0) {
-        pthread_mutex_unlock(&pool_mu);
-        return 0;
-    }
-    pool_job = *job;
-    __atomic_store_n(&pool_cursor, 0, __ATOMIC_RELAXED);
-    pool_helpers = helpers;
-    pool_active = pool_size;  /* every parked helper wakes and reports */
-    pool_generation++;
-    pthread_cond_broadcast(&pool_start_cv);
-    pthread_mutex_unlock(&pool_mu);
-
-    pool_run_tasks(&pool_job);  /* the caller is thread 0 */
-
-    pthread_mutex_lock(&pool_mu);
-    while (pool_active != 0)
-        pthread_cond_wait(&pool_done_cv, &pool_mu);
-    pthread_mutex_unlock(&pool_mu);
-    return 1;
-}
-
 /* The leaf walk.  Group g owns tree_counts[g] trees of the node table —
  * its slices of offsets (roots) and tree_depths, child indices global to
  * the table — and scores its own row_counts[g]-row slab of x; each
  * group's tree-major leaf block (out[t * rows + i]) is written back to
  * back into out.  Each group takes the depth walk or the lane walk by
- * its deepest tree.  With n_threads >= 2 the (group, ROW_CHUNK-row)
- * tasks run on the worker pool; otherwise, or when no helper thread
- * starts, the groups walk serially on the caller — the same cells either
- * way.  Returns 0, or -1 when the group table cannot be allocated. */
-int64_t predict_leaves_grouped(const pnode_t *nodes, const int64_t *offsets,
-                               const int64_t *tree_counts,
-                               const int64_t *row_counts,
-                               const int64_t *tree_depths, int64_t n_groups,
-                               int64_t d, const double *x, int64_t *out,
-                               int64_t n_threads)
+ * its deepest tree. */
+void predict_leaves_grouped(const pnode_t *nodes, const int64_t *offsets,
+                            const int64_t *tree_counts,
+                            const int64_t *row_counts,
+                            const int64_t *tree_depths, int64_t n_groups,
+                            int64_t d, const double *x, int64_t *out)
 {
-    /* one spare entry, so an empty call never asks for malloc(0) */
-    group_t *groups = malloc((size_t)(n_groups + 1) * sizeof(group_t));
-    if (groups == NULL) return -1;
-    int64_t n_tasks = 0;
     for (int64_t g = 0; g < n_groups; g++) {
         const int64_t nt = tree_counts[g], nr = row_counts[g];
         int64_t dmax = 0;
         for (int64_t t = 0; t < nt; t++)
             if (tree_depths[t] > dmax) dmax = tree_depths[t];
-        groups[g] = (group_t){
-            .offsets = offsets, .tree_depths = tree_depths, .x = x,
-            .out = out, .n_trees = nt, .n_rows = nr, .task0 = n_tasks,
-            .shallow = dmax <= DEPTH_WALK_LIMIT,
-        };
-        n_tasks += (nr + ROW_CHUNK - 1) / ROW_CHUNK;
+        if (dmax <= DEPTH_WALK_LIMIT)
+            walk_depth(nodes, offsets, tree_depths, nt, x, nr, d, out);
+        else
+            walk_lanes(nodes, offsets, nt, x, nr, d, out);
         offsets += nt;
         tree_depths += nt;
         x += nr * d;
         out += nt * nr;
     }
-    const walk_job_t job = {nodes, groups, n_groups, d, n_tasks};
-    if (n_threads < 2 || n_tasks < 2 || !pool_run(&job, n_threads)) {
-        for (int64_t g = 0; g < n_groups; g++)
-            walk_group(nodes, groups + g, d, 0, groups[g].n_rows);
-    }
-    free(groups);
-    return 0;
 }
 """
 
@@ -955,7 +759,7 @@ _lib_lock = threading.Lock()
 
 #: Every build's code-generation flags.  ``-ffp-contract=off`` keeps each
 #: ``a * b + c`` two roundings, as numpy's ufunc loops compute it.
-_BUILD_FLAGS = ("-O2", "-fPIC", "-shared", "-pthread", "-ffp-contract=off")
+_BUILD_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 #: The kernel source must stay warning-clean: every build runs with
 #: ``-Wall -Wextra -Werror``, and the CI lint job compiles the source with
@@ -1026,7 +830,7 @@ def _build_library() -> ctypes.CDLL | None:
         return None
     lib.build_forest.restype = ctypes.c_int64
     lib.build_forest.argtypes = [ctypes.POINTER(_FParams)]
-    lib.predict_leaves_grouped.restype = ctypes.c_int64
+    lib.predict_leaves_grouped.restype = None
     lib.predict_leaves_grouped.argtypes = [
         ctypes.c_void_p,  # nodes (packed 32-byte structs)
         ctypes.c_void_p,  # offsets (every group's tree roots)
@@ -1037,7 +841,6 @@ def _build_library() -> ctypes.CDLL | None:
         ctypes.c_int64,   # d
         ctypes.c_void_p,  # x (stacked row slabs)
         ctypes.c_void_p,  # out
-        ctypes.c_int64,   # n_threads
     ]
     return lib
 
@@ -1055,8 +858,8 @@ def load_kernel() -> ctypes.CDLL | None:
     if os.environ.get("REPRO_FOREST_KERNEL", "1") == "0":
         return None
     if _lib is None and not _lib_failed:
-        # Serialize first-use compilation: concurrent fits (thread-pool
-        # runner) must not race the build/publish or mark the kernel
+        # Serialize first-use compilation: fits called from several
+        # threads must not race the build/publish or mark the kernel
         # failed because another thread was mid-compile.
         with _lib_lock:
             if _lib is None and not _lib_failed:
@@ -1108,9 +911,9 @@ class _BuildWorkspace:
     Sweeps fit one forest per iteration on a matrix that gains one row
     each round; reusing (and geometrically growing) the scratch and
     output buffers turns ~10 allocations per fit into attribute reads.
-    Cached per-thread (`threading.local`) so the thread-pool runner's
-    concurrent fits never share scratch.  ``params`` is the kernel's
-    argument struct, its buffer pointers set whenever a buffer moves.
+    Cached per thread (`threading.local`) so fits called from different
+    threads never share scratch.  ``params`` is the kernel's argument
+    struct, its buffer pointers set whenever a buffer moves.
     """
 
     def __init__(self) -> None:
@@ -1252,7 +1055,6 @@ def predict_leaves_grouped(
     row_counts: Sequence[int],
     tree_depths: np.ndarray,
     X: np.ndarray,
-    n_threads: int = 1,
 ) -> np.ndarray:
     """Leaf index for every (group, tree, row) triple of one walk.
 
@@ -1264,11 +1066,6 @@ def predict_leaves_grouped(
     the layout, and the values, of the numpy frontier traversal.  The
     kernel picks the depth walk or the lane walk per group from its
     deepest tree; the indices are the same either way.
-
-    With ``n_threads > 1`` the walk is split into (group, 64-row) tasks on
-    the kernel's persistent worker pool.  Each output cell has one
-    writer, so the result is identical to the serial walk under any
-    schedule.
     """
     nodes = np.ascontiguousarray(nodes, dtype=np.int64)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
@@ -1277,7 +1074,7 @@ def predict_leaves_grouped(
     tree_depths = np.ascontiguousarray(tree_depths, dtype=np.int64)
     X = np.ascontiguousarray(X, dtype=float)
     out = np.empty(int(tree_counts @ row_counts), dtype=np.int64)
-    status = lib.predict_leaves_grouped(
+    lib.predict_leaves_grouped(
         nodes.ctypes.data,
         offsets.ctypes.data,
         tree_counts.ctypes.data,
@@ -1287,8 +1084,5 @@ def predict_leaves_grouped(
         X.shape[1],
         X.ctypes.data,
         out.ctypes.data,
-        n_threads,
     )
-    if status < 0:
-        raise MemoryError("native leaf walk could not allocate its groups")
     return out

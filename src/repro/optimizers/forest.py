@@ -505,7 +505,6 @@ def predict_mean_var_stacked(
     forests: list["RandomForestRegressor"],
     X: np.ndarray,
     row_counts: Sequence[int],
-    n_threads: int = 1,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """One model-phase scoring pass across one or more forests.
 
@@ -520,11 +519,6 @@ def predict_mean_var_stacked(
     returned ``(mean, var)`` pair is byte-identical to scoring
     ``forests[k]`` alone on ``X_k`` — the wave scheduler's cross-session
     contract.
-
-    ``n_threads > 1`` runs the native walk on the kernel's worker-thread
-    pool; the walk has one writer per (tree, row) cell, so the leaf
-    indices — and everything downstream — are byte-identical to the
-    serial walk.  The numpy fallback ignores the thread count.
     """
     if len(forests) != len(row_counts):
         raise ValueError("forests and row_counts length mismatch")
@@ -544,7 +538,7 @@ def predict_mean_var_stacked(
     if lib is not None and len(X):
         leaves = _forest_kernel.predict_leaves_grouped(
             lib, table.nodes4, table.offsets, tree_counts, row_counts,
-            table.tree_depths, X, n_threads=n_threads
+            table.tree_depths, X,
         )
     else:
         leaves = _stacked_leaves_numpy(table, tree_counts, row_counts, X)

@@ -24,7 +24,14 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.space.knob import CategoricalKnob, IntegerKnob, Knob, KnobError, KnobValue
+from repro.space.knob import (
+    CategoricalKnob,
+    FloatKnob,
+    IntegerKnob,
+    Knob,
+    KnobError,
+    KnobValue,
+)
 
 
 def config_fingerprint(values: Mapping[str, KnobValue]) -> str:
@@ -56,10 +63,16 @@ class Configuration(Mapping[str, KnobValue]):
         missing = set(space.names) - set(values)
         if missing:
             raise KnobError(f"missing knobs: {sorted(missing)}")
-        for name, value in values.items():
-            space[name].validate(value)
-        self._space = space
         self._values = dict(values)
+        for name, value in values.items():
+            knob = space[name]
+            knob.validate(value)
+            # A float knob stores a float: an int that passed validation
+            # (4 for 4.0) would otherwise reach the simulator's float
+            # columns as an int.
+            if isinstance(value, int) and isinstance(knob, FloatKnob):
+                self._values[name] = float(value)
+        self._space = space
         self._hash: int | None = None
 
     @classmethod

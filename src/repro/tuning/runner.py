@@ -124,10 +124,19 @@ class SessionSpec:
     #: over ``dsn``.  Infrastructure plumbing, excluded from
     #: :meth:`spec_canonical` like ``dsn`` and ``record_trace``.
     live_transport: Callable[[], object] | None = None
-    #: Wave-mode worker threads (0 = defer to ``REPRO_WAVE_THREADS``,
-    #: default 1).  Execution-strategy only — byte-identical trajectories
-    #: at any value, hence excluded from :meth:`spec_token`.
+    #: The threads a wave runs on: 0 (the default) or 1, both meaning one.
+    #: Kept so specs that name it still build; excluded from
+    #: :meth:`spec_canonical`.  Multicore runs shard the seeds over
+    #: processes instead (``run_spec(workers=N)``).
     wave_threads: int = 0
+
+    def __post_init__(self) -> None:
+        if self.wave_threads not in (0, 1):
+            raise ValueError(
+                f"wave_threads must be 0 or 1 (got {self.wave_threads!r}): "
+                "waves run on one thread; use run_spec(workers=N) to run "
+                "seeds on N processes"
+            )
 
     def spec_canonical(self) -> str:
         """Canonical string of the trajectory-determining fields — the
@@ -387,8 +396,7 @@ def run_spec(
     each shard as one wave in its own worker process (a lone shard runs
     in this process).  Per-seed trajectories do not depend on the wave
     roster, so every strategy returns results byte-identical to the
-    sequential loop.  The wave's thread count comes from
-    ``spec.wave_threads``/``REPRO_WAVE_THREADS`` in every shard.
+    sequential loop.
 
     ``wave_shared_pool``/``wave_pool_seed`` opt the waves into the shared
     candidate-pool protocol: trajectories then differ from sequential

@@ -173,9 +173,8 @@ class SessionServer:
             coalesce.
         max_wave: Upper bound on rounds per wave (excess requests roll
             into the next wave immediately — no extra window).
-        wave_threads: Worker threads for the stacked leaf walk
-            (:func:`~repro.tuning.wave.score_rounds` ``n_threads``;
-            byte-identical results at any value).
+        wave_threads: The threads a wave runs on; only 1 (the event
+            loop's) is accepted.
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`shutdown` explicitly.
@@ -192,12 +191,15 @@ class SessionServer:
             raise ValueError("gather_window must be >= 0")
         if max_wave < 1:
             raise ValueError("max_wave must be >= 1")
+        if wave_threads != 1:
+            raise ValueError(
+                "wave_threads must be 1: waves run on the event-loop thread"
+            )
         self._checkpoint_root = (
             pathlib.Path(checkpoint_root) if checkpoint_root is not None else None
         )
         self._gather_window = float(gather_window)
         self._max_wave = int(max_wave)
-        self._wave_threads = int(wave_threads)
         self._entries: dict[SessionKey, _Entry] = {}
         self._queue: asyncio.Queue[_SuggestRequest] | None = None
         self._batcher: asyncio.Task | None = None
@@ -519,7 +521,7 @@ class SessionServer:
             else None
             for session in sessions
         ]
-        rounds = suggest_wave(sessions, n_threads=self._wave_threads)
+        rounds = suggest_wave(sessions)
         for request, round_, state in zip(requests, rounds, states):
             target_config = round_.targets[0]
             request.entry.pending = _PendingSuggest(

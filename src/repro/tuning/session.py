@@ -333,7 +333,7 @@ class TuningSession:
         A session runs as a one-member wave
         (:func:`repro.tuning.wave.drive`): the same batched init phase
         and the same prepare → score → convert → evaluate → feed rounds
-        every driver uses, at one thread with no executor."""
+        every driver uses."""
         from repro.tuning.wave import drive  # lazy: wave imports us
 
         drive([self])

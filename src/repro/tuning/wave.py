@@ -9,8 +9,7 @@ and the session server runs the same suggestion step
 conversion) for its tenants.  A round of one takes the same scoring
 path as a wave — one ``predict_mean_var_stacked`` call, whose one-forest
 walk reads the forest's own node table — while a lone group member
-evaluates through its session's own dispatch, and ``run()`` starts no
-thread pool.
+evaluates through its session's own dispatch.
 
 ``run_spec(spec, seeds, workers=N)`` runs S same-spec sessions in
 *waves*: one wave in this process at ``N=1``, or one wave per shard of
@@ -72,9 +71,7 @@ proportional to its candidate-row count, since stacked cost scales with
 rows), and its own individually-timed GP predict and
 ``suggest_select``; each of the round's configurations records that
 total divided by the round's size.  The init phase charges each design
-point an equal share of its ``suggest_init_batch`` call.  Per-member
-wall-clock of *concurrent* prepares still sums to more than elapsed
-time — that is what "metadata" means here.
+point an equal share of its ``suggest_init_batch`` call.
 
 **Session-owned state.**  Each member's progress — iteration cursor,
 knowledge base, early-stop/quarantine markers — lives on its
@@ -105,30 +102,11 @@ different wave schedules and may request different pool sizes, so a
 cross-spec shared pool would make every member's trajectory depend on
 the whole wave roster.  :func:`run_wave_mixed` therefore rejects
 ``shared_pool=True`` across distinct specs.
-
-**Multicore mode** (``REPRO_WAVE_THREADS=N``, or ``wave_threads`` on the
-spec, or ``threads=`` on :func:`run_wave`): the per-member
-``suggest_prepare`` calls — dominated by each session's one
-``build_forest`` ctypes call, which drops the GIL — run on a thread
-pool, and the stacked grouped leaf walk runs on the C kernel's
-persistent worker pool.  Each fit consumes only its own session's PCG64
-stream and writes only its own packed-forest slab, and the walk keeps
-one writer per (tree, row) output cell, so per-seed trajectories,
-forests, leaf indices, and stream positions are byte-identical to
-``N=1`` under any thread schedule (pinned by
-``tests/test_wave_threads.py``).  ``N=1`` — the default — starts no
-executor and runs the prepares in member order, mirroring
-``REPRO_FOREST_KERNEL=0``'s fallback semantics.  A mixed wave resolves
-the count as the maximum over its specs (execution-strategy only;
-byte-identical at any value); a lone session's ``run()`` never reads it.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -202,22 +180,9 @@ def _member_group(session: TuningSession) -> tuple | None:
     return None
 
 
-def wave_thread_count(spec=None, override: int | None = None) -> int:
-    """Resolve the wave's worker-thread count: an explicit ``override``
-    wins, then the spec's ``wave_threads`` field, then the
-    ``REPRO_WAVE_THREADS`` environment knob; 1 (fully sequential — the
-    byte-for-bit unchanged code path) is the default."""
-    if override is not None and int(override) > 0:
-        return int(override)
-    configured = int(getattr(spec, "wave_threads", 0) or 0)
-    if configured > 0:
-        return configured
-    env = os.environ.get("REPRO_WAVE_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
+def wave_thread_count(spec=None) -> int:
+    """The threads a wave runs on: always one, its caller's (multicore
+    runs shard the seeds over processes, ``run_spec(workers=N)``)."""
     return 1
 
 
@@ -226,21 +191,17 @@ def run_wave(
     seeds: Sequence[int],
     shared_pool: bool = False,
     pool_seed: int = 0,
-    threads: int | None = None,
 ) -> list[TuningResult]:
     """Run one arm's seeds in lockstep waves (see the module docstring).
 
     ``spec`` is a :class:`repro.tuning.runner.SessionSpec` (duck-typed:
     anything with ``build(seed) -> TuningSession``).  Returns one
-    :class:`TuningResult` per seed, in ``seeds`` order.  ``threads``
-    overrides the spec/environment thread count (byte-identical results
-    at any value; see the module docstring's multicore section).
+    :class:`TuningResult` per seed, in ``seeds`` order.
     """
     return run_wave_mixed(
         [(spec, seed) for seed in seeds],
         shared_pool=shared_pool,
         pool_seed=pool_seed,
-        threads=threads,
     )
 
 
@@ -248,7 +209,6 @@ def run_wave_mixed(
     tasks: Sequence[tuple],
     shared_pool: bool = False,
     pool_seed: int = 0,
-    threads: int | None = None,
 ) -> list[TuningResult]:
     """Run ``(spec, seed)`` pairs — possibly of *different* specs — in one
     heterogeneous wave (see the module docstring's heterogeneous-waves
@@ -284,7 +244,6 @@ def run_wave_mixed(
     sessions = [spec.build(seed) for spec, seed in tasks]
     drive(
         sessions,
-        threads=max(wave_thread_count(spec, threads) for spec in specs),
         pool_rng=np.random.default_rng(pool_seed) if shared_pool else None,
     )
     return [session.result() for session in sessions]
@@ -292,33 +251,22 @@ def run_wave_mixed(
 
 def drive(
     sessions: Sequence[TuningSession],
-    threads: int = 1,
     pool_rng: np.random.Generator | None = None,
 ) -> None:
     """THE tuning loop (see the module docstring's one-driver section):
     start every ``"new"`` session, run the batched init phase
     (:func:`_stacked_init`), then lockstep rounds (:func:`_wave_round`)
     until no session is live, and leave every session ``"done"``.
-    ``threads > 1`` runs the prepares on a thread pool; ``pool_rng``
-    opts into the shared-pool protocol."""
+    ``pool_rng`` opts into the shared-pool protocol."""
     for session in sessions:
         if session.state == "new":
             session.start()
     members = [_Member(session, _member_group(session)) for session in sessions]
-    executor = (
-        ThreadPoolExecutor(max_workers=threads, thread_name_prefix="wave-fit")
-        if threads > 1
-        else None
-    )
-    try:
-        _stacked_init(members)
-        live = [m for m in members if m.live]
-        while live:
-            _wave_round(live, pool_rng, executor, threads)
-            live = [m for m in live if m.live]
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    _stacked_init(members)
+    live = [m for m in members if m.live]
+    while live:
+        _wave_round(live, pool_rng)
+        live = [m for m in live if m.live]
     for session in sessions:
         session.finish()
 
@@ -402,28 +350,20 @@ def _pool_provider(
     optimizer,
     cache: dict,
     pool_rng: np.random.Generator,
-    lock: threading.Lock | None = None,
 ) -> Callable[[], np.ndarray] | None:
     """Lazy per-wave shared pool: generated on the first round that
     actually reaches its pool draw (random interleaves don't), once per
-    wave, from the dedicated pool stream.  Under threaded prepares the
-    check-and-generate is serialized by ``lock``: same-spec members all
-    request the same pool size, so exactly one draw happens per wave and
-    the pool stream's position is schedule-independent."""
+    wave, from the dedicated pool stream.  Same-spec members all request
+    the same pool size, so exactly one draw happens per wave."""
     n = getattr(optimizer, "n_random_candidates", None)
     if n is None:
         return None
     encoding = optimizer.encoding
 
     def provide() -> np.ndarray:
-        if lock is None:
-            if n not in cache:
-                cache[n] = encoding.random_vectors(n, pool_rng)
-            return cache[n]
-        with lock:
-            if n not in cache:
-                cache[n] = encoding.random_vectors(n, pool_rng)
-            return cache[n]
+        if n not in cache:
+            cache[n] = encoding.random_vectors(n, pool_rng)
+        return cache[n]
 
     return provide
 
@@ -453,7 +393,7 @@ def _stack_candidates(rounds: list[SuggestRound]) -> np.ndarray:
     return stacked
 
 
-def score_rounds(rounds: Sequence[SuggestRound], n_threads: int = 1) -> None:
+def score_rounds(rounds: Sequence[SuggestRound]) -> None:
     """One stacked model phase over prepared rounds from any mix of
     sessions/specs: every forest-backed round — one or many — scores in
     one ``predict_mean_var_stacked`` call (mixed candidate widths
@@ -482,7 +422,6 @@ def score_rounds(rounds: Sequence[SuggestRound], n_threads: int = 1) -> None:
                 [r.prepared.model for r in forest_rounds],
                 _stack_candidates(forest_rounds),
                 [len(r.prepared.candidates) for r in forest_rounds],
-                n_threads=n_threads,
             )
             elapsed = time.perf_counter() - started
             total_rows = sum(len(r.prepared.candidates) for r in forest_rounds)
@@ -528,8 +467,6 @@ def score_rounds(rounds: Sequence[SuggestRound], n_threads: int = 1) -> None:
 
 def suggest_wave(
     sessions: Sequence[TuningSession],
-    n_threads: int = 1,
-    executor: ThreadPoolExecutor | None = None,
     pool_rng: np.random.Generator | None = None,
 ) -> list[SuggestRound]:
     """One round's suggestion step, shared by every driver — the wave
@@ -538,38 +475,25 @@ def suggest_wave(
     them in one model phase (:func:`score_rounds`), and convert each
     round's configs to target space — the scalar plan for one-suggestion
     rounds, the batch pass otherwise (both pinned bit-identical).
-    Returns one :class:`SuggestRound` per session, in order.
-
-    With an ``executor``, the prepares (each dominated by one
-    GIL-dropping ``build_forest`` call) run concurrently.  Every prepare
-    consumes only its own session's RNG stream and touches only its own
-    optimizer state, and the shared-pool draw is serialized and
-    generated exactly once per wave, so results are byte-identical to
-    the serial loop in session order."""
+    Returns one :class:`SuggestRound` per session, in order."""
     pool_cache: dict = {}
-    pool_lock = threading.Lock() if executor is not None else None
-
-    def prepare(session: TuningSession) -> SuggestRound:
+    rounds = []
+    for session in sessions:
         q = min(
             session.suggest_batch,
             session.n_iterations - session.iteration,
         )
         provider = (
-            _pool_provider(session.optimizer, pool_cache, pool_rng, pool_lock)
+            _pool_provider(session.optimizer, pool_cache, pool_rng)
             if pool_rng is not None
             else None
         )
         started = time.perf_counter()
         prepared = session.optimizer.suggest_prepare(q, shared_pool=provider)
         elapsed = time.perf_counter() - started
-        return SuggestRound(session, q, prepared, elapsed)
+        rounds.append(SuggestRound(session, q, prepared, elapsed))
 
-    if executor is None:
-        rounds = [prepare(session) for session in sessions]
-    else:
-        rounds = list(executor.map(prepare, sessions))
-
-    score_rounds(rounds, n_threads=n_threads)
+    score_rounds(rounds)
 
     for r in rounds:
         adapter = r.session.adapter
@@ -583,16 +507,12 @@ def suggest_wave(
 def _wave_round(
     live: list[_Member],
     pool_rng: np.random.Generator | None,
-    executor: ThreadPoolExecutor | None = None,
-    n_threads: int = 1,
 ) -> None:
     """One lockstep wave: every live member's suggestion step
     (:func:`suggest_wave`), then one evaluation and feedback pass
     (:func:`_evaluate_and_feed`).  A function of its own so the round's
     candidate matrices are freed before the next round builds its own."""
-    rounds = suggest_wave(
-        [m.session for m in live], n_threads, executor, pool_rng
-    )
+    rounds = suggest_wave([m.session for m in live], pool_rng)
     _evaluate_and_feed([
         (m, r.configs, r.targets, r.suggest_seconds)
         for m, r in zip(live, rounds)

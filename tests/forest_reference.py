@@ -5,9 +5,9 @@ node arrays with a per-tree frontier, and ``predict_mean_var_per_tree``
 averages those per-tree answers the textbook way (stack, mean, variance
 across trees plus mean within-leaf variance).  They share no traversal
 code with :mod:`repro.optimizers.forest`, whose packed one-pass walk —
-native or numpy — must reproduce them byte for byte
-(``tests/test_forest.py``, ``tests/test_determinism_pins.py``,
-``tests/test_wave_threads.py``).
+native or numpy, one forest or several stacked — must reproduce them
+byte for byte (``tests/test_forest.py``,
+``tests/test_determinism_pins.py``).
 """
 
 from __future__ import annotations

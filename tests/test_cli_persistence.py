@@ -202,6 +202,30 @@ class TestCli:
         assert main(argv + ["--iterations", "4", "--no-plot"]) == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--iterations", "0", "--no-plot"], "--iterations"),
+            (["serve", "--tenants", "1", "--iterations", "0"], "--iterations"),
+            (["serve", "--tenants", "1", "--iterations", "2",
+              "--gather-window", "-1"], "--gather-window"),
+            (["serve", "--tenants", "1", "--iterations", "2",
+              "--n-init", "0"], "--n-init"),
+            (["serve", "--tenants", "1", "--iterations", "2",
+              "--seeds", ","], "--seeds"),
+        ],
+        ids=["tune-iterations-0", "serve-iterations-0",
+             "serve-negative-gather-window", "serve-n-init-0",
+             "serve-no-seeds"],
+    )
+    def test_budget_and_window_errors(self, argv, flag, capsys):
+        """An empty budget (no iterations, no init design, no seeds) or a
+        negative gather window is an argument error (exit 2), not a
+        crash or a quarantine report."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+
     def test_plot_output(self, capsys):
         code = main(["--workload", "ycsb-a", "--iterations", "5",
                      "--optimizer", "random"])

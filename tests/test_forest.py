@@ -24,6 +24,7 @@ from repro.optimizers.forest import (
     RegressionTree,
     _stacked_leaves_numpy,
     _super_table,
+    predict_mean_var_stacked,
 )
 
 
@@ -157,6 +158,31 @@ class TestPackedForest:
         np.testing.assert_array_equal(mean_packed, mean_ref)
         np.testing.assert_array_equal(var_packed, var_ref)
 
+    @pytest.mark.parametrize(
+        "rows", [(1, 63, 64, 65, 129), (1, 0, 64, 0, 3)],
+        ids=["slabs", "zero-row-groups"],
+    )
+    def test_stacked_matches_per_forest_predict(self, rows):
+        """One stacked call over five forests gives each forest's slab
+        exactly what the per-tree reference gives that forest alone,
+        zero-row groups included."""
+        rng = np.random.default_rng(42)
+        forests, slabs = [], []
+        for g, n_rows in enumerate(rows):
+            X = rng.normal(size=(80, 7))
+            y = rng.normal(size=80) + X[:, 0]
+            forests.append(
+                RandomForestRegressor(n_trees=12, seed=g + 1).fit(X, y)
+            )
+            slabs.append(rng.normal(size=(n_rows, 7)))
+        stacked = predict_mean_var_stacked(
+            forests, np.concatenate(slabs), rows
+        )
+        for forest, slab, (mean, var) in zip(forests, slabs, stacked):
+            mean_ref, var_ref = predict_mean_var_per_tree(forest, slab)
+            np.testing.assert_array_equal(mean, mean_ref)
+            np.testing.assert_array_equal(var, var_ref)
+
     def test_empty_batch(self):
         X, y = make_data()
         forest = RandomForestRegressor(n_trees=4, seed=0).fit(X, y)
@@ -203,7 +229,7 @@ class TestPackedForest:
 LANE_WALK_DEPTH = 1 << 20
 
 
-def native_leaves(lib, forests, X, row_counts, depths=None, n_threads=1):
+def native_leaves(lib, forests, X, row_counts, depths=None):
     """The kernel's grouped walk over ``forests`` (their super-table, or
     a lone forest's own table), with ``depths`` in place of the recorded
     per-tree depths when given."""
@@ -211,7 +237,7 @@ def native_leaves(lib, forests, X, row_counts, depths=None, n_threads=1):
     return _forest_kernel.predict_leaves_grouped(
         lib, table.nodes4, table.offsets,
         [len(f._packed.offsets) for f in forests], row_counts,
-        table.tree_depths if depths is None else depths, X, n_threads,
+        table.tree_depths if depths is None else depths, X,
     )
 
 
@@ -282,12 +308,10 @@ class TestNativePredict:
         )
         self._assert_both_walks_match(lib, forest, X)
 
-    @pytest.mark.parametrize("n_threads", [1, 4])
-    def test_deep_shallow_and_empty_groups_in_one_call(self, n_threads):
+    def test_deep_shallow_and_empty_groups_in_one_call(self):
         """One call mixing a forest deeper than the depth-walk limit (lane
         walk), shallow forests (depth walk) and empty groups: every
-        group's block matches the numpy frontier, serially and on the
-        worker pool."""
+        group's block matches the numpy frontier."""
         lib = self._require_kernel()
         rng = np.random.default_rng(6)
         X_deep = rng.random((300, 6))
@@ -304,7 +328,7 @@ class TestNativePredict:
         X = rng.random((sum(row_counts), 6))
         X[::7, 2] = np.nan
         np.testing.assert_array_equal(
-            native_leaves(lib, forests, X, row_counts, n_threads=n_threads),
+            native_leaves(lib, forests, X, row_counts),
             numpy_leaves(forests, X, row_counts),
         )
 

@@ -20,6 +20,7 @@ from repro.tuning.runner import (
     run_spec,
     space_for_version,
 )
+from repro.tuning.server import SessionServer
 from repro.tuning.session import TuningResult
 
 
@@ -57,6 +58,17 @@ class TestSessionSpec:
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError):
             SessionSpec(workload="tpch").build(seed=1)
+
+    def test_one_thread_constants(self):
+        """Waves run on one thread: the names that sized a thread pool
+        accept one thread and refuse more (the default and the spec's
+        identity are pinned in ``test_wave_threads.py``)."""
+        SessionSpec(workload="ycsb-a", wave_threads=1)
+        with pytest.raises(ValueError, match="wave_threads"):
+            SessionSpec(workload="ycsb-a", wave_threads=2)
+        with pytest.raises(ValueError, match="wave_threads"):
+            SessionServer(wave_threads=2)
+        SessionServer(wave_threads=1)
 
     def test_adapter_seed_varies_projection(self):
         factory = llamatune_factory()

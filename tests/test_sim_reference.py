@@ -193,6 +193,21 @@ class TestPlanFill:
         with pytest.raises(TypeError, match="random_page_cost"):
             simulator.evaluate(row)
 
+    def test_validated_int_in_float_knob_is_stored_as_float(self):
+        """A Configuration stores a validated int in a float knob as a
+        float, so it evaluates exactly like the float it stands for; only
+        plain-dict rows keep the TypeError above."""
+        space = postgres_v96_space()
+        config = space.partial_configuration({"random_page_cost": 4})
+        assert type(config["random_page_cost"]) is float
+        assert config["random_page_cost"] == 4.0
+        as_float = space.partial_configuration({"random_page_cost": 4.0})
+        assert config.fingerprint() == as_float.fingerprint()
+        simulator = PostgresSimulator(get_workload("tpcc"))
+        got = simulator.evaluate(config, rng=np.random.default_rng(7))
+        want = simulator.evaluate(as_float, rng=np.random.default_rng(7))
+        assert_same_measurements([got], [want])
+
     def test_non_string_categorical_raises(self, simulator):
         space = postgres_v96_space()
         row = space.default_configuration().to_dict()
