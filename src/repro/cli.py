@@ -89,12 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: sequentially); per-seed "
                              "trajectories are byte-identical to the "
                              "sequential run at any N")
-    parser.add_argument("--wave-shared-pool", action="store_true",
-                        help="with --workers, share one per-wave candidate "
-                             "pool (drawn from a dedicated pool RNG) across "
-                             "seeds; trajectories then differ from "
-                             "sequential runs but stay reproducible per "
-                             "(spec, seed, pool seed)")
     parser.add_argument("--suggest-batch", type=int, default=1, metavar="Q",
                         help="model-phase batch size: fit the surrogate "
                              "once per round and evaluate the top-Q "
@@ -363,9 +357,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.workers is not None and args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
-    if args.wave_shared_pool and args.workers is None:
-        print("error: --wave-shared-pool requires --workers", file=sys.stderr)
-        return 2
     if args.checkpoint_every < 0:
         print("error: --checkpoint-every must be >= 0", file=sys.stderr)
         return 2
@@ -471,12 +462,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{len(seeds)} seed{'s' if len(seeds) > 1 else ''})"
     )
     try:
-        results = run_spec(
-            spec,
-            seeds,
-            workers=args.workers,
-            wave_shared_pool=args.wave_shared_pool,
-        )
+        results = run_spec(spec, seeds, workers=args.workers)
     except QuarantinedSessionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(

@@ -104,6 +104,10 @@ def main(argv: list[str] | None = None) -> int:
         help="dedicated seed for the fault schedule",
     )
     args = parser.parse_args(argv)
+    if args.checkpoint_every < 0:
+        parser.error("--checkpoint-every must be >= 0")
+    if not 0.0 <= args.fault_rate <= 1.0:
+        parser.error("--fault-rate must be in [0, 1]")
     if (args.checkpoint_every or args.resume) and not args.checkpoint_dir:
         parser.error("--checkpoint-every/--resume require --checkpoint-dir")
     if args.force_resume and not args.resume:

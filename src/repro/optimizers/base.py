@@ -109,9 +109,7 @@ class Optimizer(ABC):
         mean, var = prepared.model.predict_mean_var(prepared.candidates)
         return self.suggest_finish(prepared, mean, var)
 
-    def suggest_prepare(
-        self, q: int = 1, shared_pool: np.ndarray | None = None
-    ) -> PreparedSuggest:
+    def suggest_prepare(self, q: int = 1) -> PreparedSuggest:
         """Phase one of :meth:`suggest_batch`: everything up to (and
         including) the surrogate fit and candidate generation, without
         scoring.
@@ -126,12 +124,6 @@ class Optimizer(ABC):
         exactly :meth:`suggest_batch` (same RNG draws, same float ops, in
         the same order), so trajectories are byte-identical whichever way
         the round is driven.
-
-        ``shared_pool`` (the wave scheduler's cross-session protocol)
-        replaces the optimizer's own random candidate pool with
-        externally generated rows; per-seed local-search additions are
-        still drawn from the optimizer's stream.  Leave it ``None`` for
-        the sequential-equivalent behavior.
         """
         if q < 1:
             raise ValueError("q must be >= 1")
@@ -139,12 +131,10 @@ class Optimizer(ABC):
             return PreparedSuggest(
                 q=q, configs=self.encoding.decode_batch(self._init_vectors(q))
             )
-        return self._prepare_model_batch(q, shared_pool)
+        return self._prepare_model_batch(q)
 
     @abstractmethod
-    def _prepare_model_batch(
-        self, q: int, shared_pool: np.ndarray | None = None
-    ) -> PreparedSuggest:
+    def _prepare_model_batch(self, q: int) -> PreparedSuggest:
         """The model-guided round after the init phase (see
         :meth:`suggest_prepare`)."""
 
@@ -292,9 +282,7 @@ class Optimizer(ABC):
 class RandomSearchOptimizer(Optimizer):
     """Uniform random search (the no-model baseline)."""
 
-    def _prepare_model_batch(
-        self, q: int, shared_pool: np.ndarray | None = None
-    ) -> PreparedSuggest:
+    def _prepare_model_batch(self, q: int) -> PreparedSuggest:
         return PreparedSuggest(
             q=q,
             configs=self.encoding.decode_batch(

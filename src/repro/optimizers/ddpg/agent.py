@@ -132,9 +132,7 @@ class DDPGOptimizer(Optimizer):
         replay transition, so its design points come one per round."""
         return []
 
-    def suggest_prepare(
-        self, q: int = 1, shared_pool: np.ndarray | None = None
-    ) -> PreparedSuggest:
+    def suggest_prepare(self, q: int = 1) -> PreparedSuggest:
         """One step per round whatever ``q``: each action must be observed
         before the next is drawn, so every round resolves to the single
         next configuration (the session then advances one iteration per
@@ -149,9 +147,7 @@ class DDPGOptimizer(Optimizer):
         self._last_action = self._action_from_vector(vector)
         return PreparedSuggest(q=q, configs=[self.encoding.decode(vector)])
 
-    def _prepare_model_batch(
-        self, q: int, shared_pool: np.ndarray | None = None
-    ) -> PreparedSuggest:
+    def _prepare_model_batch(self, q: int) -> PreparedSuggest:
         """The actor's step: its action for the current state plus
         exploration noise."""
         action = self.actor.forward(self._state)[0]

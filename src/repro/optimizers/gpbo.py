@@ -63,9 +63,7 @@ class GPBOOptimizer(Optimizer):
             gp.load_state(gp_state, X[:n], y[:n])
             self._gp = gp
 
-    def _prepare_model_batch(
-        self, q: int, shared_pool: np.ndarray | None = None
-    ) -> PreparedSuggest:
+    def _prepare_model_batch(self, q: int) -> PreparedSuggest:
         """One GP fit (subject to ``refit_every``), one shared candidate
         pool — scoring deferred to the caller.
 
@@ -109,21 +107,14 @@ class GPBOOptimizer(Optimizer):
         return PreparedSuggest(
             q=q,
             model=self._gp,
-            candidates=self._candidates(X, y, pool=shared_pool),
+            candidates=self._candidates(X, y),
             best=float(y.max()),
         )
 
-    def _candidates(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        pool: np.ndarray | None = None,
-    ) -> np.ndarray:
-        if pool is None:
-            pool = self.encoding.random_vectors(self.n_random_candidates, self.rng)
-        elif callable(pool):
-            pool = pool()
-        pools = [pool]
+    def _candidates(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        pools = [
+            self.encoding.random_vectors(self.n_random_candidates, self.rng)
+        ]
         top = np.argsort(y)[-5:]
         for i in top:
             pools.append(

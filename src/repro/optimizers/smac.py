@@ -60,9 +60,7 @@ class SMACOptimizer(Optimizer):
         super().load_state(state, configs, values)
         self._model_suggestions = int(state["model_suggestions"])
 
-    def _prepare_model_batch(
-        self, q: int, shared_pool: np.ndarray | None = None
-    ) -> PreparedSuggest:
+    def _prepare_model_batch(self, q: int) -> PreparedSuggest:
         """One forest fit, one shared candidate pool — scoring deferred to
         the caller (``suggest_batch`` completes the round immediately; the
         wave scheduler stacks it with other sessions').  Every
@@ -87,33 +85,21 @@ class SMACOptimizer(Optimizer):
         return PreparedSuggest(
             q=q,
             model=forest,
-            candidates=self._candidates(X, y, pool=shared_pool),
+            candidates=self._candidates(X, y),
             best=float(y.max()),
         )
 
-    def _candidates(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        pool: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def _candidates(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Random pool + local-search neighborhoods of the top incumbents.
 
         Everything stays in encoded matrix form end to end: the random pool,
         the vectorized neighbor perturbations, and the EI scoring all operate
         on one ``N x D`` candidate matrix; only the single argmax winner is
-        decoded back to a configuration.  ``pool`` substitutes an external
-        (wave-shared) random pool for the optimizer's own draw — a rows
-        matrix, or a zero-argument callable invoked only when the round
-        actually reaches the pool draw (so a shared pool stream advances
-        on exactly the waves that consume it); the local-search rows
-        always come from the optimizer's stream.
+        decoded back to a configuration.
         """
-        if pool is None:
-            pool = self.encoding.random_vectors(self.n_random_candidates, self.rng)
-        elif callable(pool):
-            pool = pool()
-        pools = [pool]
+        pools = [
+            self.encoding.random_vectors(self.n_random_candidates, self.rng)
+        ]
         top = np.argsort(y)[-5:]
         for i in top:
             pools.append(

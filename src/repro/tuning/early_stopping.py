@@ -49,6 +49,17 @@ class EarlyStoppingPolicy:
             warmup=self.warmup,
         )
 
+    def earliest_stop(self, iteration: int) -> int:
+        """The first iteration (0-based, ``>= iteration``) after which
+        :meth:`should_stop` could return True from the current state: a
+        stop needs the warmup behind it and ``patience`` iterations past
+        the reference, which only ever moves forward (with no reference
+        yet, the row at ``iteration`` sets it)."""
+        reference = (
+            iteration if self._reference is None else self._reference_iteration
+        )
+        return max(self.warmup, reference + self.patience, iteration)
+
     def should_stop(self, iteration: int, best_value: float, maximize: bool) -> bool:
         """Feed the best-so-far value after ``iteration`` (0-based); returns
         True when the session should terminate."""

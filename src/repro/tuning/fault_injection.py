@@ -15,9 +15,8 @@ modes drawn from a :class:`FaultProfile`:
   throughput/latency with NaN.
 
 **Fault-stream independence.**  Fault decisions come from a *dedicated*
-PCG64 seeded by ``(spec_token, session_seed, fault_seed)`` — the same
-design as the wave scheduler's shared-pool stream — never from the
-evaluation-noise or optimizer streams.  With ``fault_rate = 0`` the fault
+PCG64 seeded by ``(spec_token, session_seed, fault_seed)``, never from
+the evaluation-noise or optimizer streams.  With ``fault_rate = 0`` the fault
 stream is never even consulted, and because the subclassed ``evaluate``
 routes ``evaluate_batch`` through the pinned row-by-row fallback
 (batch == N scalar calls, bit-identical), a zero-rate run replays the

@@ -131,6 +131,10 @@ class SessionSpec:
     wave_threads: int = 0
 
     def __post_init__(self) -> None:
+        if not 0.0 <= self.fault_rate <= 1.0:
+            raise ValueError(
+                f"fault_rate must be in [0, 1] (got {self.fault_rate!r})"
+            )
         if self.wave_threads not in (0, 1):
             raise ValueError(
                 f"wave_threads must be 0 or 1 (got {self.wave_threads!r}): "
@@ -381,8 +385,6 @@ def run_spec(
     spec: SessionSpec,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     workers: int | None = None,
-    wave_shared_pool: bool = False,
-    wave_pool_seed: int = 0,
 ) -> list[TuningResult]:
     """Run one arm across seeds; one :class:`TuningResult` per seed, in
     ``seeds`` order.
@@ -397,11 +399,6 @@ def run_spec(
     in this process).  Per-seed trajectories do not depend on the wave
     roster, so every strategy returns results byte-identical to the
     sequential loop.
-
-    ``wave_shared_pool``/``wave_pool_seed`` opt the waves into the shared
-    candidate-pool protocol: trajectories then differ from sequential
-    runs but stay reproducible per ``(spec, seed, pool_seed)``, whatever
-    the shards.
 
     ``backend="live"`` refuses ``workers >= 2``: every shard's driver
     would ``ALTER SYSTEM`` and restart the same server concurrently, so
@@ -424,21 +421,14 @@ def run_spec(
             "one seed at a time)"
         )
     if workers is None:
-        if wave_shared_pool:
-            raise ValueError("wave_shared_pool requires workers=")
         return [spec.build(seed).run() for seed in seeds]
     seeds = list(seeds)
     n_shards = min(workers, len(seeds))
     if n_shards <= 1:
-        return run_wave(
-            spec, seeds, shared_pool=wave_shared_pool, pool_seed=wave_pool_seed
-        )
+        return run_wave(spec, seeds)
     with ProcessPoolExecutor(max_workers=n_shards) as pool:
         futures = [
-            pool.submit(
-                run_wave, spec, seeds[i::n_shards], wave_shared_pool,
-                wave_pool_seed,
-            )
+            pool.submit(run_wave, spec, seeds[i::n_shards])
             for i in range(n_shards)
         ]
         results: list = [None] * len(seeds)

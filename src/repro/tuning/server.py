@@ -16,8 +16,10 @@ exactly as the offline wave scheduler does for same-host sweeps.
 outstanding: ``suggest`` → evaluate it however the tenant likes (the
 server never runs the simulator for model rounds — evaluation is the
 client's job, which is what makes this *service* shaped) → ``observe``
-the outcome (a measured value, a crash, or retry exhaustion).  The
-server drives scalar rounds (one configuration per ``suggest``), so
+the outcome (a measured value, a crash, or retry exhaustion).  A
+``suggest`` cancelled after its wave ran leaves its round outstanding
+but undelivered; the next ``suggest`` hands it over.  The server drives
+scalar rounds (one configuration per ``suggest``), so
 sessions must be built with ``suggest_batch=1``.
 
 **Determinism.**  The split-phase optimizer API guarantees
@@ -134,12 +136,14 @@ class _PendingSuggest:
     session's :meth:`~repro.tuning.session.TuningSession.checkpoint_state`
     from before the wave that prepared it (``None`` for sessions without
     a checkpoint path) — what a checkpoint taken before the ``observe``
-    writes."""
+    writes.  ``delivered`` turns True once a ``suggest`` has returned it
+    to the tenant."""
 
     opt_config: object
     target_config: object
     suggest_seconds: float
     checkpoint_state: dict | None = None
+    delivered: bool = False
 
 
 @dataclass
@@ -325,7 +329,9 @@ class SessionServer:
     async def suggest(self, key: SessionKey):
         """Next configuration for this session (target-space), batched
         into a heterogeneous wave with every other tenant's concurrent
-        request.  Raises
+        request.  A suggestion whose ``suggest`` was cancelled after its
+        wave ran is returned by the next ``suggest`` at once, without a
+        second prepare.  Raises
         :class:`~repro.tuning.session.QuarantinedSessionError` for
         quarantined sessions and :class:`ServerProtocolError` for
         double-suggests or exhausted budgets."""
@@ -333,10 +339,16 @@ class SessionServer:
         session = entry.session
         if session.quarantined_at is not None:
             raise QuarantinedSessionError(session.quarantined_at)
-        if entry.pending is not None or entry.waiter is not None:
+        pending = entry.pending
+        if entry.waiter is not None or (
+            pending is not None and pending.delivered
+        ):
             raise ServerProtocolError(
                 f"session {key} already has an outstanding suggestion"
             )
+        if pending is not None:
+            pending.delivered = True
+            return pending.target_config
         if not session.live:
             raise ServerProtocolError(
                 f"session {key} is finished "
@@ -348,9 +360,11 @@ class SessionServer:
         entry.waiter = future
         self._queue.put_nowait(_SuggestRequest(entry, future))
         try:
-            return await future
+            pending = await future
         finally:
             entry.waiter = None
+        pending.delivered = True
+        return pending.target_config
 
     async def observe(
         self,
@@ -523,9 +537,8 @@ class SessionServer:
         ]
         rounds = suggest_wave(sessions)
         for request, round_, state in zip(requests, rounds, states):
-            target_config = round_.targets[0]
             request.entry.pending = _PendingSuggest(
-                round_.configs[0], target_config, round_.suggest_seconds,
+                round_.configs[0], round_.targets[0], round_.suggest_seconds,
                 state,
             )
-            request.future.set_result(target_config)
+            request.future.set_result(request.entry.pending)

@@ -161,7 +161,7 @@ class TuningSession:
         early_stopping: Optional Appendix-A policy.
         suggest_batch: Model-phase batch size q.  Each round fits the
             surrogate once, takes the top-q EI-ranked candidates from
-            one shared pool (``Optimizer.suggest_batch``, split at the
+            one candidate pool (``Optimizer.suggest_batch``, split at the
             scoring seam), evaluates them in one batch pass, and feeds
             all q results back before the next fit — q-fold fewer model
             fits per iteration budget.  This is batch Bayesian

@@ -21,7 +21,8 @@ per-session), but the rest of the round is executed **once** across all
 sessions:
 
 * the LHS init phase is one cross-session ``evaluate_batch_stacked`` pass
-  over every session's decoded design;
+  over every session's decoded design (one per round when an early stop
+  could fire inside a design, see :func:`_stacked_init`);
 * each model round's forest candidate matrices are concatenated and
   scored in a single ``predict_mean_var_stacked`` call over one
   packed-forest super-table (per-session node-offset slabs; GP
@@ -86,29 +87,13 @@ later waves exactly like early-stop dropout — and because every member
 owns its simulator, envelope, and streams (fault-handling members never
 join a stacked-evaluation group), the survivors' trajectories are
 untouched.
-
-**Shared-pool protocol** (``shared_pool=True``): the random candidate
-pool is generated once per wave from a *dedicated* pool PCG64 stream
-(``pool_seed``) and shared by every session; per-seed local-search
-neighborhoods still come from each session's own stream.  Trajectories
-then intentionally differ from sequential runs, but stay reproducible:
-each seed's trajectory depends only on ``(spec, seed, pool_seed)`` — the
-pool stream advances on exactly the waves whose rounds reach a pool draw,
-a schedule all same-spec sessions share — so any single seed can be
-replayed standalone (``run_wave(spec, [seed], shared_pool=True)``) and
-match its trajectory from the full sweep.  That replay property is a
-*same-spec* property: sessions from different specs reach pool draws on
-different wave schedules and may request different pool sizes, so a
-cross-spec shared pool would make every member's trajectory depend on
-the whole wave roster.  :func:`run_wave_mixed` therefore rejects
-``shared_pool=True`` across distinct specs.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -186,78 +171,31 @@ def wave_thread_count(spec=None) -> int:
     return 1
 
 
-def run_wave(
-    spec,
-    seeds: Sequence[int],
-    shared_pool: bool = False,
-    pool_seed: int = 0,
-) -> list[TuningResult]:
+def run_wave(spec, seeds: Sequence[int]) -> list[TuningResult]:
     """Run one arm's seeds in lockstep waves (see the module docstring).
 
     ``spec`` is a :class:`repro.tuning.runner.SessionSpec` (duck-typed:
     anything with ``build(seed) -> TuningSession``).  Returns one
     :class:`TuningResult` per seed, in ``seeds`` order.
     """
-    return run_wave_mixed(
-        [(spec, seed) for seed in seeds],
-        shared_pool=shared_pool,
-        pool_seed=pool_seed,
-    )
+    return run_wave_mixed([(spec, seed) for seed in seeds])
 
 
-def run_wave_mixed(
-    tasks: Sequence[tuple],
-    shared_pool: bool = False,
-    pool_seed: int = 0,
-) -> list[TuningResult]:
+def run_wave_mixed(tasks: Sequence[tuple]) -> list[TuningResult]:
     """Run ``(spec, seed)`` pairs — possibly of *different* specs — in one
     heterogeneous wave (see the module docstring's heterogeneous-waves
     section).  Returns one :class:`TuningResult` per task, in order.
-
-    ``shared_pool=True`` requires every task to share one spec: the
-    shared pool stream's advance schedule (and the standalone-replay
-    property it buys) is a per-spec invariant, so a cross-spec pool is
-    rejected rather than silently entangling every member's trajectory
-    with the wave roster.
     """
-    tasks = list(tasks)
-    if not tasks:
-        return []
-    specs: list = []
-    for spec, __ in tasks:
-        if not any(existing is spec for existing in specs):
-            specs.append(spec)
-    if shared_pool and len(specs) > 1:
-        # Distinct spec *objects* may still describe one trajectory
-        # (duck-typed wrappers); compare trajectory tokens when every
-        # spec can produce one, else distinct objects mean distinct specs.
-        if all(hasattr(spec, "spec_token") for spec in specs):
-            distinct = len({spec.spec_token() for spec in specs}) > 1
-        else:
-            distinct = True
-        if distinct:
-            raise ValueError(
-                "shared_pool requires all wave members to share one spec: "
-                "the pool stream's advance schedule — and the per-seed "
-                "standalone-replay property — is defined per spec"
-            )
     sessions = [spec.build(seed) for spec, seed in tasks]
-    drive(
-        sessions,
-        pool_rng=np.random.default_rng(pool_seed) if shared_pool else None,
-    )
+    drive(sessions)
     return [session.result() for session in sessions]
 
 
-def drive(
-    sessions: Sequence[TuningSession],
-    pool_rng: np.random.Generator | None = None,
-) -> None:
+def drive(sessions: Sequence[TuningSession]) -> None:
     """THE tuning loop (see the module docstring's one-driver section):
     start every ``"new"`` session, run the batched init phase
     (:func:`_stacked_init`), then lockstep rounds (:func:`_wave_round`)
-    until no session is live, and leave every session ``"done"``.
-    ``pool_rng`` opts into the shared-pool protocol."""
+    until no session is live, and leave every session ``"done"``."""
     for session in sessions:
         if session.state == "new":
             session.start()
@@ -265,7 +203,7 @@ def drive(
     _stacked_init(members)
     live = [m for m in members if m.live]
     while live:
-        _wave_round(live, pool_rng)
+        _wave_round(live)
         live = [m for m in live if m.live]
     for session in sessions:
         session.finish()
@@ -320,52 +258,40 @@ def _evaluate_and_feed(feeds) -> None:
 
 def _stacked_init(members: list[_Member]) -> None:
     """The batched LHS init phase of every live session, evaluated in one
-    cross-session simulator pass per group.  Each session takes the rest
-    of its design, capped at the iterations its budget has left (a
-    session resumed inside its design may have fewer left than the
-    design has points); optimizers that cannot batch their init (DDPG)
-    and sessions past their init contribute nothing and take the generic
-    rounds instead."""
-    feeds = []
-    for member in members:
-        session = member.session
-        if not member.live:
-            continue
-        started = time.perf_counter()
-        init_configs = session.optimizer.suggest_init_batch()[
-            : session.n_iterations - session.iteration
-        ]
-        elapsed = time.perf_counter() - started
-        if not init_configs:
-            continue
-        target_configs = session.adapter.to_target_batch(init_configs)
-        feeds.append(
-            (member, init_configs, target_configs, elapsed / len(init_configs))
-        )
-    if feeds:
+    cross-session simulator pass per group and round.  Each round, a
+    session takes the rest of its design, capped at the iterations its
+    budget has left (a session resumed inside its design may have fewer
+    left than the design has points) and at its early-stopping policy's
+    earliest possible stop (rows past a stop would be evaluated and then
+    discarded); rounds repeat until no live session has design left, so
+    a stop that does not fire leaves the trajectory as one round would.
+    Optimizers that cannot batch their init (DDPG) and sessions past
+    their init contribute nothing and take the generic rounds instead."""
+    while True:
+        feeds = []
+        for member in members:
+            session = member.session
+            if not member.live:
+                continue
+            end = session.n_iterations
+            policy = session.early_stopping
+            if policy is not None:
+                end = min(end, policy.earliest_stop(session.iteration) + 1)
+            started = time.perf_counter()
+            init_configs = session.optimizer.suggest_init_batch()[
+                : end - session.iteration
+            ]
+            elapsed = time.perf_counter() - started
+            if not init_configs:
+                continue
+            target_configs = session.adapter.to_target_batch(init_configs)
+            feeds.append(
+                (member, init_configs, target_configs,
+                 elapsed / len(init_configs))
+            )
+        if not feeds:
+            return
         _evaluate_and_feed(feeds)
-
-
-def _pool_provider(
-    optimizer,
-    cache: dict,
-    pool_rng: np.random.Generator,
-) -> Callable[[], np.ndarray] | None:
-    """Lazy per-wave shared pool: generated on the first round that
-    actually reaches its pool draw (random interleaves don't), once per
-    wave, from the dedicated pool stream.  Same-spec members all request
-    the same pool size, so exactly one draw happens per wave."""
-    n = getattr(optimizer, "n_random_candidates", None)
-    if n is None:
-        return None
-    encoding = optimizer.encoding
-
-    def provide() -> np.ndarray:
-        if n not in cache:
-            cache[n] = encoding.random_vectors(n, pool_rng)
-        return cache[n]
-
-    return provide
 
 
 def _stack_candidates(rounds: list[SuggestRound]) -> np.ndarray:
@@ -465,10 +391,7 @@ def score_rounds(rounds: Sequence[SuggestRound]) -> None:
             r.configs = r.prepared.configs
 
 
-def suggest_wave(
-    sessions: Sequence[TuningSession],
-    pool_rng: np.random.Generator | None = None,
-) -> list[SuggestRound]:
+def suggest_wave(sessions: Sequence[TuningSession]) -> list[SuggestRound]:
     """One round's suggestion step, shared by every driver — the wave
     loop and the session server: prepare each session's round (q = its
     ``suggest_batch``, capped by the remaining budget), score all of
@@ -476,20 +399,14 @@ def suggest_wave(
     round's configs to target space — the scalar plan for one-suggestion
     rounds, the batch pass otherwise (both pinned bit-identical).
     Returns one :class:`SuggestRound` per session, in order."""
-    pool_cache: dict = {}
     rounds = []
     for session in sessions:
         q = min(
             session.suggest_batch,
             session.n_iterations - session.iteration,
         )
-        provider = (
-            _pool_provider(session.optimizer, pool_cache, pool_rng)
-            if pool_rng is not None
-            else None
-        )
         started = time.perf_counter()
-        prepared = session.optimizer.suggest_prepare(q, shared_pool=provider)
+        prepared = session.optimizer.suggest_prepare(q)
         elapsed = time.perf_counter() - started
         rounds.append(SuggestRound(session, q, prepared, elapsed))
 
@@ -504,15 +421,12 @@ def suggest_wave(
     return rounds
 
 
-def _wave_round(
-    live: list[_Member],
-    pool_rng: np.random.Generator | None,
-) -> None:
+def _wave_round(live: list[_Member]) -> None:
     """One lockstep wave: every live member's suggestion step
     (:func:`suggest_wave`), then one evaluation and feedback pass
     (:func:`_evaluate_and_feed`).  A function of its own so the round's
     candidate matrices are freed before the next round builds its own."""
-    rounds = suggest_wave([m.session for m in live], pool_rng)
+    rounds = suggest_wave([m.session for m in live])
     _evaluate_and_feed([
         (m, r.configs, r.targets, r.suggest_seconds)
         for m, r in zip(live, rounds)

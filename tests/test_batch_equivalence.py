@@ -498,10 +498,9 @@ class TestSessionBatchInitEquivalence:
 
     def _run_both(self, early_stopping=None, **kwargs):
         """``run()`` and the round-by-round drive of two equal sessions;
-        both optimizer streams must end in the same place, and so must
-        both noise streams unless an early stop lands inside the design
-        (the batched round has drawn the noise of its whole design by
-        then)."""
+        both optimizer streams and both noise streams must end in the
+        same place (an init round ends at the earliest row an early stop
+        could follow, so no design row past a stop draws noise)."""
         batched_session = self._session(
             early_stopping=early_stopping() if early_stopping else None,
             **kwargs,
@@ -512,10 +511,10 @@ class TestSessionBatchInitEquivalence:
         )
         batched = batched_session.run()
         per_round = run_round_by_round(rounds_session)
-        streams = [(batched_session.optimizer.rng, rounds_session.optimizer.rng)]
-        if early_stopping is None:
-            streams.append((batched_session.rng, rounds_session.rng))
-        for a, b in streams:
+        for a, b in (
+            (batched_session.optimizer.rng, rounds_session.optimizer.rng),
+            (batched_session.rng, rounds_session.rng),
+        ):
             assert a.bit_generator.state == b.bit_generator.state
         return batched, per_round
 
@@ -548,6 +547,36 @@ class TestSessionBatchInitEquivalence:
         assert batched.stopped_early_at is not None
         assert batched.stopped_early_at < 8  # stopped mid-design
         self._assert_identical_results(batched, per_round)
+
+    def test_early_stop_inside_init_batch_evaluates_only_recorded_rows(self):
+        """No design row past the stop is evaluated: on the live backend
+        each one would be a restart plus a workload replay."""
+        session = self._session(
+            early_stopping=EarlyStoppingPolicy(
+                min_improvement=10.0, patience=1, warmup=2
+            )
+        )
+        evaluated = []
+        evaluate_batch = session.simulator.evaluate_batch
+
+        def counting(configs, *args, **kwargs):
+            evaluated.append(len(configs))
+            return evaluate_batch(configs, *args, **kwargs)
+
+        session.simulator.evaluate_batch = counting
+        result = session.run()
+        assert result.stopped_early_at == 3
+        assert sum(evaluated) == len(result.knowledge_base) == 3
+
+    def test_capped_init_rounds_keep_the_trajectory(self):
+        """A policy whose stop never fires still caps every init round at
+        its earliest possible stop; the design then runs over several
+        rounds and the trajectory is the one without a policy."""
+        never = EarlyStoppingPolicy(min_improvement=0.0, patience=1, warmup=2)
+        capped, per_round = self._run_both(early_stopping=never.fresh)
+        assert capped.stopped_early_at is None
+        self._assert_identical_results(capped, per_round)
+        self._assert_identical_results(capped, self._session().run())
 
 
 class TestParallelRunnerEquivalence:

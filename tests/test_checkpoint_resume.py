@@ -20,6 +20,7 @@ import pytest
 
 from repro.optimizers import make_optimizer
 from repro.space.postgres import postgres_v96_space
+from repro.tuning.early_stopping import EarlyStoppingPolicy
 from repro.tuning.persistence import (
     CHECKPOINT_FORMAT_VERSION,
     load_checkpoint,
@@ -702,8 +703,13 @@ class TestTornTails:
             ("random", {}),
             ("gp-bo", {}),
             ("gp-bo", {"optimizer_kwargs": (("refit_every", 5),)}),
+            # A policy that could stop inside the design splits it into
+            # rounds (and records) that end at its earliest possible stop.
+            ("smac", {"early_stopping": EarlyStoppingPolicy(
+                min_improvement=0.0, patience=1, warmup=2
+            )}),
         ],
-        ids=["smac", "random", "gp-bo", "gp-bo-refit5"],
+        ids=["smac", "random", "gp-bo", "gp-bo-refit5", "smac-capped-init"],
     )
     def test_resume_after_every_record(self, optimizer, kwargs, tmp_path):
         """Truncated after any record, the journal resumes into the

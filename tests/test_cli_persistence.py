@@ -192,11 +192,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["--workers", "0"],
-            ["--seeds", "1,2", "--wave-shared-pool"],
-        ],
-        ids=["workers-0", "shared-pool-without-workers"],
+        [["--workers", "0"]],
+        ids=["workers-0"],
     )
     def test_strategy_flag_errors(self, argv, capsys):
         assert main(argv + ["--iterations", "4", "--no-plot"]) == 2

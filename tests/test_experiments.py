@@ -129,6 +129,25 @@ class TestResilienceFlags:
             spec.force_resume, spec.fault_rate, spec.fault_seed,
         ) == (4, str(tmp_path), True, True, 0.1, 3)
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--fault-rate", "-0.5"], "--fault-rate"),
+            (["--fault-rate", "2"], "--fault-rate"),
+            (["--checkpoint-every", "-3", "--checkpoint-dir", "D"],
+             "--checkpoint-every"),
+        ],
+        ids=["fault-rate-negative", "fault-rate-above-one",
+             "checkpoint-every-negative"],
+    )
+    def test_out_of_range_flags_rejected(self, argv, flag, scales, capsys):
+        """An argument error (exit 2) before any experiment runs."""
+        with pytest.raises(SystemExit) as exit_info:
+            experiments_cli.main(["table5", "--scale", "quick", *argv])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert scales == []
+
     def test_unset_flags_leave_specs_unchanged(self, scales, capsys):
         assert experiments_cli.main(["table5", "--scale", "quick"]) == 0
         (scale,) = scales

@@ -70,6 +70,11 @@ class TestSessionSpec:
             SessionServer(wave_threads=2)
         SessionServer(wave_threads=1)
 
+    @pytest.mark.parametrize("rate", [-0.5, 1.5, float("nan")])
+    def test_fault_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match="fault_rate"):
+            SessionSpec(workload="ycsb-a", fault_rate=rate)
+
     def test_adapter_seed_varies_projection(self):
         factory = llamatune_factory()
         space = postgres_v96_space()
@@ -111,11 +116,6 @@ class TestRunners:
         spec = SessionSpec(workload="ycsb-a", optimizer="random", n_iterations=4)
         with pytest.raises(ValueError, match="workers"):
             run_spec(spec, seeds=(1, 2), workers=0)
-
-    def test_shared_pool_requires_workers(self):
-        spec = SessionSpec(workload="ycsb-a", optimizer="random", n_iterations=4)
-        with pytest.raises(ValueError, match="workers"):
-            run_spec(spec, seeds=(1, 2), wave_shared_pool=True)
 
 
 def assert_same_results(expected, actual, label):
@@ -220,26 +220,3 @@ class TestProcessPool:
                 sequential, run_spec(spec, seeds, workers=workers),
                 f"workers={workers}",
             )
-
-    def test_sharded_shared_pool_matches_one_wave(self):
-        """Shared-pool trajectories depend only on (spec, seed, pool
-        seed): shards [1, 3, 5] and [2, 4] return what one wave over all
-        five seeds returns."""
-        spec = SessionSpec(
-            workload="ycsb-a", optimizer="smac",
-            adapter=llamatune_factory(target_dim=4), n_iterations=14,
-            n_init=6,
-        )
-        seeds = (1, 2, 3, 4, 5)
-        one_wave = run_spec(
-            spec, seeds, workers=1, wave_shared_pool=True, wave_pool_seed=3
-        )
-        sharded = run_spec(
-            spec, seeds, workers=2, wave_shared_pool=True, wave_pool_seed=3
-        )
-        sequential = run_spec(spec, seeds)
-        assert any(
-            not np.array_equal(a.values, b.values)
-            for a, b in zip(sequential, one_wave)
-        ), "the shared pool must move some trajectory"
-        assert_same_results(one_wave, sharded, "sharded shared pool")

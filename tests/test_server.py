@@ -69,6 +69,17 @@ async def drive(server, key):
         await observe_own(server, key, await server.suggest(key))
 
 
+async def cancel_after_wave(server, key):
+    """Start a ``suggest`` and cancel it once its wave has run: the round
+    is pending, but the tenant never received its configuration."""
+    task = asyncio.ensure_future(server.suggest(key))
+    while not (await server.status(key)).pending:
+        await asyncio.sleep(0)
+    task.cancel()
+    with pytest.raises(asyncio.CancelledError):
+        await task
+
+
 def serve_tasks(tasks, gather_window=0.001, **server_kwargs):
     """Open every (tenant_id, spec, seed) task, drive them concurrently,
     return (results, rng_states) in task order."""
@@ -377,6 +388,64 @@ class TestServerProtocol:
                     await server.suggest(key)
                 await first
                 # ...and again while the suggestion awaits its observe.
+                with pytest.raises(ServerProtocolError, match="outstanding"):
+                    await server.suggest(key)
+
+        asyncio.run(go())
+
+    @pytest.mark.parametrize("cancel_at", [0, 7], ids=["init", "model"])
+    def test_suggest_cancelled_after_its_wave(self, cancel_at):
+        """The next ``suggest`` hands the cancelled round over without a
+        second prepare, so the session still ends on its solo trajectory
+        and both PCG64 positions."""
+        spec = make_spec()
+
+        async def go():
+            async with SessionServer(gather_window=0) as server:
+                key = await server.open("acme", spec, 1)
+                for __ in range(cancel_at):
+                    await observe_own(server, key, await server.suggest(key))
+                await cancel_after_wave(server, key)
+                await drive(server, key)
+                session = server.session(key)
+                state = (
+                    session.optimizer.rng.bit_generator.state,
+                    session.rng.bit_generator.state,
+                )
+                return await server.close(key), state
+
+        served, served_state = asyncio.run(go())
+        (solo,), (solo_state,) = solo_states_and_results([("acme", spec, 1)])
+        assert_same_trajectory(solo, served)
+        assert served_state == solo_state
+
+    def test_suggest_cancelled_before_its_wave(self):
+        """A ``suggest`` cancelled while queued never reaches a wave: the
+        next ``suggest`` prepares the round afresh, on the solo
+        trajectory."""
+        spec = make_spec()
+
+        async def go():
+            async with SessionServer(gather_window=0.05) as server:
+                key = await server.open("acme", spec, 1)
+                task = asyncio.ensure_future(server.suggest(key))
+                await asyncio.sleep(0)  # let the request enqueue
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+                assert not (await server.status(key)).pending
+                await drive(server, key)
+                return await server.close(key)
+
+        (solo,), __ = solo_states_and_results([("acme", spec, 1)])
+        assert_same_trajectory(solo, asyncio.run(go()))
+
+    def test_suggest_after_a_handed_over_suggestion_refused(self):
+        async def go():
+            async with SessionServer(gather_window=0) as server:
+                key = await server.open("acme", make_spec(), 1)
+                await cancel_after_wave(server, key)
+                await server.suggest(key)  # hands the round over
                 with pytest.raises(ServerProtocolError, match="outstanding"):
                     await server.suggest(key)
 

@@ -8,15 +8,7 @@ and one cross-session evaluation per round.  If one of these fails, the
 wave reordered or shared some per-seed RNG consumption; that is a
 correctness regression, not a tolerance issue — do not loosen the
 comparison.
-
-The shared-pool protocol (``shared_pool=True``) intentionally diverges
-from sequential trajectories; its pin is *reproducibility*: a seed's
-trajectory depends only on ``(spec, seed, pool_seed)``, so replaying one
-seed standalone matches its rows from the full sweep.
 """
-
-import numpy as np
-import pytest
 
 from repro.dbms.engine import PostgresSimulator
 from repro.dbms.errors import DbmsCrashError
@@ -230,39 +222,6 @@ def trajectory(result):
         (o.iteration, o.value, o.crashed, tuple(sorted(dict(o.target_config).items())))
         for o in result.knowledge_base
     ]
-
-
-class TestSharedPoolProtocol:
-    SPEC = SessionSpec(
-        workload="ycsb-a", optimizer="smac",
-        adapter=llamatune_factory(), n_iterations=16, n_init=6,
-    )
-
-    def test_reproducible_per_seed(self):
-        """A seed's shared-pool trajectory is a function of
-        ``(spec, seed, pool_seed)`` — replaying it standalone matches the
-        full sweep (the pool stream advances on the same waves)."""
-        sweep = run_wave(self.SPEC, SEEDS, shared_pool=True, pool_seed=7)
-        for seed, from_sweep in zip(SEEDS, sweep):
-            alone = run_wave(
-                self.SPEC, [seed], shared_pool=True, pool_seed=7
-            )[0]
-            assert trajectory(alone) == trajectory(from_sweep)
-
-    def test_differs_from_sequential(self):
-        """The shared pool replaces per-seed candidate draws, so the
-        model phase intentionally diverges from the sequential runner."""
-        sweep = run_wave(self.SPEC, SEEDS, shared_pool=True, pool_seed=7)
-        sequential = run_spec(self.SPEC, SEEDS)
-        assert any(
-            trajectory(a) != trajectory(b)
-            for a, b in zip(sweep, sequential)
-        )
-
-    def test_pool_seed_changes_trajectories(self):
-        a = run_wave(self.SPEC, (1,), shared_pool=True, pool_seed=7)[0]
-        b = run_wave(self.SPEC, (1,), shared_pool=True, pool_seed=8)[0]
-        assert trajectory(a) != trajectory(b)
 
 
 class TestRunSpecWiring:

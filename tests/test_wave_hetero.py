@@ -16,7 +16,6 @@ loudly rather than silently sampling one spec's pool for another.
 """
 
 import numpy as np
-import pytest
 
 from repro.dbms.live import FakePg, FlakyPg
 from repro.tuning.early_stopping import EarlyStoppingPolicy
@@ -261,34 +260,3 @@ class TestLiveBackendMembers:
         # connections on the first tuned evaluation) and still finished.
         assert solo[0].quarantined_at is None
         assert len(solo[0].knowledge_base) == 10
-
-
-class TestSharedPoolBoundary:
-    def test_shared_pool_rejected_across_specs(self):
-        a = SessionSpec(
-            workload="ycsb-a", optimizer="smac",
-            adapter=llamatune_factory(), n_iterations=8, n_init=4,
-        )
-        b = SessionSpec(
-            workload="tpcc", optimizer="smac",
-            adapter=llamatune_factory(), n_iterations=8, n_init=4,
-        )
-        with pytest.raises(ValueError, match="shared.*pool"):
-            run_wave_mixed([(a, 1), (b, 1)], shared_pool=True)
-
-    def test_shared_pool_single_spec_still_works(self):
-        # The rejection must not break the legitimate single-spec case:
-        # one spec, several seeds, pooled candidates → reproducible
-        # per (spec, seed, pool_seed).
-        spec = SessionSpec(
-            workload="ycsb-a", optimizer="smac",
-            adapter=llamatune_factory(), n_iterations=10, n_init=4,
-        )
-        first = run_wave_mixed(
-            [(spec, 1), (spec, 2)], shared_pool=True, pool_seed=7
-        )
-        again = run_wave_mixed(
-            [(spec, 1), (spec, 2)], shared_pool=True, pool_seed=7
-        )
-        for r1, r2 in zip(first, again):
-            np.testing.assert_array_equal(r1.values, r2.values)
