@@ -7,10 +7,10 @@ the tuner minimizes 95th-percentile latency instead of maximizing
 throughput.  Demonstrates the `objective="latency"` / `target_rate` knobs
 of the public API.
 
-The seeds of each arm run in lockstep waves sharded over two worker
-processes (``run_spec(..., workers=2)``; the CLI equivalent is
-``python -m repro --seeds 1,2,3 --workers 2``).  Results are identical to
-sequential execution — sessions share no mutable state.
+Both arms and all their seeds run as one grid, in lockstep waves
+sharded over two worker processes (``run_grid(tasks, workers=2)``; the
+experiments CLI equivalent is ``--workers 2``).  Results are identical
+to sequential execution — sessions share no mutable state.
 
 Usage::
 
@@ -19,7 +19,7 @@ Usage::
 
 import numpy as np
 
-from repro.tuning import SessionSpec, llamatune_factory, run_spec
+from repro.tuning import SessionSpec, llamatune_factory, run_grid
 from repro.tuning.metrics import final_improvement
 
 WORKLOAD = "tpcc"
@@ -41,8 +41,13 @@ def main() -> None:
     )
     baseline_spec = SessionSpec(adapter=None, **common)
     treatment_spec = SessionSpec(adapter=llamatune_factory(), **common)
-    baselines = run_spec(baseline_spec, SEEDS, workers=2)
-    treatments = run_spec(treatment_spec, SEEDS, workers=2)
+    tasks = [
+        (spec, seed)
+        for spec in (baseline_spec, treatment_spec)
+        for seed in SEEDS
+    ]
+    results = run_grid(tasks, workers=2)
+    baselines, treatments = results[:len(SEEDS)], results[len(SEEDS):]
     base_curve = np.mean([r.best_curve for r in baselines], axis=0)
     treat_curve = np.mean([r.best_curve for r in treatments], axis=0)
 

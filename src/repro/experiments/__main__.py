@@ -58,10 +58,10 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="run each tuning arm's seeds in lockstep waves: N=1 in one "
-             "wave, N>=2 in waves sharded over N worker processes "
-             "(default: sequentially); results are byte-identical either "
-             "way, and Table 10 always runs sequentially",
+        help="run an experiment's arms and seeds as one grid in lockstep "
+             "waves: N=1 in one wave, N>=2 in waves sharded over N worker "
+             "processes (default: sequentially); results are byte-identical "
+             "either way, and Table 10 always runs sequentially",
     )
     parser.add_argument(
         "--checkpoint-every",

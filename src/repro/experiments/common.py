@@ -9,17 +9,20 @@ pytest-benchmark use ``Scale.quick()``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Collection, Hashable, Mapping
 
-from repro.tuning.runner import SessionSpec
+from repro.tuning.runner import SessionSpec, mean_best_curve, run_grid
+from repro.tuning.session import TuningResult
 
 
 @dataclass(frozen=True)
 class Scale:
     """Execution scale of an experiment.
 
-    ``workers`` is the multi-seed strategy every tuning arm hands to
-    :func:`repro.tuning.runner.run_spec` (``--workers``): None runs the
-    seeds sequentially, 1 in one wave, N >= 2 in waves sharded over N
+    ``workers`` is the execution strategy of :meth:`run_arms`, which runs
+    an experiment's arms and seeds as one grid
+    (:func:`repro.tuning.runner.run_grid`, ``--workers``): None runs the
+    sessions sequentially, 1 in one wave, N >= 2 in waves sharded over N
     worker processes — execution strategy only, results unchanged.
 
     The resilience fields (``--checkpoint-every``, ``--checkpoint-dir``,
@@ -51,6 +54,38 @@ class Scale:
             fault_rate=self.fault_rate,
             fault_seed=self.fault_seed,
         )
+
+    def run_arms(
+        self, specs: Mapping[Hashable, SessionSpec]
+    ) -> dict[Hashable, list[TuningResult]]:
+        """Run every arm (through :meth:`arm`) across this scale's seeds
+        as one grid with this scale's ``workers``; each key's results in
+        seed order."""
+        arms = [self.arm(spec) for spec in specs.values()]
+        results = iter(run_grid(
+            [(arm, seed) for arm in arms for seed in self.seeds], self.workers
+        ))
+        return {key: [next(results) for __ in self.seeds] for key in specs}
+
+    def run_sweep(
+        self, workloads: Collection[str], adapters: Mapping[str, object]
+    ) -> dict[str, dict[str, list[TuningResult]]]:
+        """SMAC on every workload with every labelled adapter factory
+        (None: the full space) at this scale's budget, as one
+        :meth:`run_arms` grid; results by workload, then label."""
+        results = self.run_arms({
+            (workload, label): SessionSpec(
+                workload=workload,
+                adapter=adapter,
+                n_iterations=self.n_iterations,
+            )
+            for workload in workloads
+            for label, adapter in adapters.items()
+        })
+        return {
+            workload: {label: results[workload, label] for label in adapters}
+            for workload in workloads
+        }
 
     @classmethod
     def paper(cls) -> "Scale":
@@ -97,3 +132,16 @@ def format_series(label: str, values, every: int = 10) -> str:
         if (i + 1) % every == 0 or i == 0
     ]
     return f"  {label:32s} " + "  ".join(points)
+
+
+def add_mean_curves(
+    report: ExperimentReport, arms: Mapping[str, list[TuningResult]]
+) -> dict[str, float]:
+    """Add each arm's seed-averaged best-so-far curve to ``report`` as one
+    series; return each arm's final mean best, by label."""
+    finals = {}
+    for label, results in arms.items():
+        curve = mean_best_curve(results)
+        finals[label] = float(curve[-1])
+        report.add(format_series(label, curve))
+    return finals

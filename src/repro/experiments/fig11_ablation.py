@@ -8,13 +8,8 @@ value on YCSB-B; bucketization's effect is small either way.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentReport, Scale, format_series
-from repro.tuning.runner import (
-    SessionSpec,
-    llamatune_factory,
-    mean_best_curve,
-    run_spec,
-)
+from repro.experiments.common import ExperimentReport, Scale, add_mean_curves
+from repro.tuning.runner import llamatune_factory
 
 WORKLOADS = ("ycsb-a", "ycsb-b", "tpcc")
 
@@ -33,21 +28,11 @@ def run(scale: Scale | None = None) -> ExperimentReport:
     report = ExperimentReport(
         "fig11", "Ablation of LlamaTune's components (SMAC backend)"
     )
+    results = scale.run_sweep(WORKLOADS, _arms())
     report.data = {}
     for workload in WORKLOADS:
         report.add(f"{workload}:")
-        finals = {}
-        for label, adapter in _arms().items():
-            spec = SessionSpec(
-                workload=workload,
-                adapter=adapter,
-                n_iterations=scale.n_iterations,
-            )
-            curve = mean_best_curve(
-                run_spec(scale.arm(spec), scale.seeds, workers=scale.workers)
-            )
-            finals[label] = float(curve[-1])
-            report.add(format_series(label, curve))
+        finals = add_mean_curves(report, results[workload])
         baseline = finals["SMAC"]
         for label, value in finals.items():
             report.add(

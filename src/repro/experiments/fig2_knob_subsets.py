@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.pipeline import SubspaceAdapter
-from repro.experiments.common import ExperimentReport, Scale, format_series
+from repro.experiments.common import ExperimentReport, Scale, add_mean_curves
 from repro.experiments.table1_importance import HAND_PICKED_YCSB_A, shap_ranking
 from repro.space.configspace import ConfigurationSpace
-from repro.tuning.runner import SessionSpec, mean_best_curve, run_spec
 
 
 @dataclass(frozen=True)
@@ -51,22 +50,12 @@ def run(scale: Scale | None = None) -> ExperimentReport:
         "Hand-picked (top-8)": SubsetFactory(HAND_PICKED_YCSB_A),
         "SHAP (top-8)": SubsetFactory(shap_top8),
     }
+    panels = {"(a) YCSB-A": "ycsb-a", "(b) TPC-C": "tpcc"}
+    results = scale.run_sweep(panels.values(), arms)
 
     report.data = {"shap_top8": list(shap_top8)}
-    for panel, workload in (("(a) YCSB-A", "ycsb-a"), ("(b) TPC-C", "tpcc")):
+    for panel, workload in panels.items():
         report.add(f"{panel}: best throughput, SMAC, {scale.n_iterations} iters")
-        finals = {}
-        for label, adapter in arms.items():
-            spec = scale.arm(SessionSpec(
-                workload=workload,
-                optimizer="smac",
-                adapter=adapter,
-                n_iterations=scale.n_iterations,
-            ))
-            results = run_spec(spec, scale.seeds, workers=scale.workers)
-            curve = mean_best_curve(results)
-            finals[label] = float(curve[-1])
-            report.add(format_series(label, curve))
+        report.data[panel] = add_mean_curves(report, results[workload])
         report.add()
-        report.data[panel] = finals
     return report

@@ -8,13 +8,8 @@ projected points to the facets of the knob space.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentReport, Scale, format_series
-from repro.tuning.runner import (
-    SessionSpec,
-    llamatune_factory,
-    mean_best_curve,
-    run_spec,
-)
+from repro.experiments.common import ExperimentReport, Scale, add_mean_curves
+from repro.tuning.runner import llamatune_factory
 
 
 def run(scale: Scale | None = None) -> ExperimentReport:
@@ -23,28 +18,14 @@ def run(scale: Scale | None = None) -> ExperimentReport:
         "fig3", "SMAC over REMBO/HeSBO projections of the 90-knob space (YCSB-A)"
     )
 
-    arms: dict[str, SessionSpec] = {
-        "High-Dim (baseline)": SessionSpec(
-            workload="ycsb-a", n_iterations=scale.n_iterations
-        )
-    }
+    arms = {"High-Dim (baseline)": None}
     for kind in ("hesbo", "rembo"):
         for d in (8, 16, 24):
-            arms[f"{kind.upper()}-{d}"] = SessionSpec(
-                workload="ycsb-a",
-                adapter=llamatune_factory(
-                    projection=kind, target_dim=d, bias=0.0, max_values=None
-                ),
-                n_iterations=scale.n_iterations,
+            arms[f"{kind.upper()}-{d}"] = llamatune_factory(
+                projection=kind, target_dim=d, bias=0.0, max_values=None
             )
-
-    finals = {}
-    for label, spec in arms.items():
-        curve = mean_best_curve(
-            run_spec(scale.arm(spec), scale.seeds, workers=scale.workers)
-        )
-        finals[label] = float(curve[-1])
-        report.add(format_series(label, curve))
+    results = scale.run_sweep(("ycsb-a",), arms)
+    finals = add_mean_curves(report, results["ycsb-a"])
 
     baseline = finals["High-Dim (baseline)"]
     report.add()

@@ -7,15 +7,11 @@ hybrid knobs hide the writeback discontinuity), YCSB-A stays roughly flat.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentReport, Scale, format_series
-from repro.tuning.runner import (
-    SessionSpec,
-    llamatune_factory,
-    mean_best_curve,
-    run_spec,
-)
+from repro.experiments.common import ExperimentReport, Scale, add_mean_curves
+from repro.tuning.runner import llamatune_factory
 
 BIAS_LEVELS = (0.05, 0.10, 0.20, 0.30)
+WORKLOADS = ("ycsb-a", "ycsb-b")
 
 
 def run(scale: Scale | None = None) -> ExperimentReport:
@@ -23,26 +19,15 @@ def run(scale: Scale | None = None) -> ExperimentReport:
     report = ExperimentReport(
         "fig6", "Special-value biasing sweep (YCSB-A, YCSB-B)"
     )
+    arms = {"No Special Value Biasing": None}
+    for bias in BIAS_LEVELS:
+        arms[f"SVB={int(bias * 100)}%"] = llamatune_factory(
+            projection=None, bias=bias, max_values=None
+        )
+    results = scale.run_sweep(WORKLOADS, arms)
     report.data = {}
-    for workload in ("ycsb-a", "ycsb-b"):
+    for workload in WORKLOADS:
         report.add(f"{workload}:")
-        finals = {}
-        arms = {"No Special Value Biasing": None}
-        for bias in BIAS_LEVELS:
-            arms[f"SVB={int(bias * 100)}%"] = llamatune_factory(
-                projection=None, bias=bias, max_values=None
-            )
-        for label, adapter in arms.items():
-            spec = SessionSpec(
-                workload=workload,
-                adapter=adapter,
-                n_iterations=scale.n_iterations,
-            )
-            curve = mean_best_curve(
-                run_spec(scale.arm(spec), scale.seeds, workers=scale.workers)
-            )
-            finals[label] = float(curve[-1])
-            report.add(format_series(label, curve))
+        report.data[workload] = add_mean_curves(report, results[workload])
         report.add()
-        report.data[workload] = finals
     return report

@@ -8,16 +8,12 @@ reach comparable or better configurations; effects vary across workloads.
 from __future__ import annotations
 
 from repro.core.bucketization import bucketized_fraction
-from repro.experiments.common import ExperimentReport, Scale, format_series
+from repro.experiments.common import ExperimentReport, Scale, add_mean_curves
 from repro.space.postgres import postgres_v96_space
-from repro.tuning.runner import (
-    SessionSpec,
-    llamatune_factory,
-    mean_best_curve,
-    run_spec,
-)
+from repro.tuning.runner import llamatune_factory
 
 BUCKET_LEVELS = (1_000, 5_000, 10_000, 20_000)
+WORKLOADS = ("ycsb-a", "ycsb-b")
 
 
 def run(scale: Scale | None = None) -> ExperimentReport:
@@ -32,26 +28,15 @@ def run(scale: Scale | None = None) -> ExperimentReport:
         )
     report.add()
 
+    arms = {"No Bucketization": None}
+    for K in BUCKET_LEVELS:
+        arms[f"K={K:,}"] = llamatune_factory(
+            projection=None, bias=0.0, max_values=K
+        )
+    results = scale.run_sweep(WORKLOADS, arms)
     report.data = {}
-    for workload in ("ycsb-a", "ycsb-b"):
+    for workload in WORKLOADS:
         report.add(f"{workload}:")
-        finals = {}
-        arms = {"No Bucketization": None}
-        for K in BUCKET_LEVELS:
-            arms[f"K={K:,}"] = llamatune_factory(
-                projection=None, bias=0.0, max_values=K
-            )
-        for label, adapter in arms.items():
-            spec = SessionSpec(
-                workload=workload,
-                adapter=adapter,
-                n_iterations=scale.n_iterations,
-            )
-            curve = mean_best_curve(
-                run_spec(scale.arm(spec), scale.seeds, workers=scale.workers)
-            )
-            finals[label] = float(curve[-1])
-            report.add(format_series(label, curve))
+        report.data[workload] = add_mean_curves(report, results[workload])
         report.add()
-        report.data[workload] = finals
     return report

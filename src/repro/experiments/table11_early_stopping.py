@@ -14,8 +14,7 @@ import numpy as np
 from repro.experiments.common import ExperimentReport, Scale
 from repro.experiments.table5_smac import WORKLOADS
 from repro.tuning.early_stopping import EarlyStoppingPolicy
-from repro.tuning.metrics import final_improvement
-from repro.tuning.runner import SessionSpec, llamatune_factory, run_spec
+from repro.tuning.runner import SessionSpec, llamatune_factory
 
 POLICIES = ((0.005, 10), (0.01, 10), (0.01, 20))
 
@@ -31,33 +30,33 @@ def run(scale: Scale | None = None) -> ExperimentReport:
     )
     report.add(header)
 
+    specs = {}
     for workload in WORKLOADS:
-        baseline = run_spec(
-            scale.arm(
-                SessionSpec(workload=workload, n_iterations=scale.n_iterations)
-            ),
-            scale.seeds,
-            workers=scale.workers,
+        specs[workload, None] = SessionSpec(
+            workload=workload, n_iterations=scale.n_iterations
         )
+        for policy in POLICIES:
+            specs[workload, policy] = SessionSpec(
+                workload=workload,
+                adapter=llamatune_factory(),
+                n_iterations=scale.n_iterations,
+                early_stopping=EarlyStoppingPolicy(*policy),
+            )
+    results = scale.run_arms(specs)
+
+    for workload in WORKLOADS:
+        baseline = results[workload, None]
         baseline_final = float(np.mean([r.best_value for r in baseline]))
         cells = []
         report.data[workload] = {}
         for min_improvement, patience in POLICIES:
-            spec = SessionSpec(
-                workload=workload,
-                adapter=llamatune_factory(),
-                n_iterations=scale.n_iterations,
-                early_stopping=EarlyStoppingPolicy(min_improvement, patience),
-            )
-            results = run_spec(
-                scale.arm(spec), scale.seeds, workers=scale.workers
-            )
+            runs = results[workload, (min_improvement, patience)]
             improvement = float(
-                np.mean([r.best_value / baseline_final - 1.0 for r in results])
+                np.mean([r.best_value / baseline_final - 1.0 for r in runs])
             )
             iters = float(
                 np.mean(
-                    [r.stopped_early_at or scale.n_iterations for r in results]
+                    [r.stopped_early_at or scale.n_iterations for r in runs]
                 )
             )
             cells.append(f"  {improvement * 100:+6.2f}% / {iters:5.1f}")

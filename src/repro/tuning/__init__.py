@@ -31,9 +31,9 @@ from repro.tuning.runner import (
     DEFAULT_ITERATIONS,
     DEFAULT_SEEDS,
     SessionSpec,
-    compare_specs,
     llamatune_factory,
     mean_best_curve,
+    run_grid,
     run_spec,
     space_for_version,
 )
@@ -74,7 +74,6 @@ __all__ = [
     "TuningSession",
     "VirtualClock",
     "append_checkpoint",
-    "compare_specs",
     "confidence_interval",
     "final_improvement",
     "iteration_mapping",
@@ -83,6 +82,7 @@ __all__ = [
     "load_result",
     "mean_best_curve",
     "result_to_dict",
+    "run_grid",
     "run_spec",
     "save_checkpoint",
     "save_result",

@@ -1,9 +1,10 @@
-"""Multi-seed experiment runner: build sessions, run them, summarize.
+"""Experiment runner: build sessions from specs, run grids of them.
 
-This is the scaffolding every experiment module uses: a *session factory*
-builds one (simulator, optimizer, adapter) triple per seed, the runner
-executes the paper's protocol (five seeds by default) and the metrics
-module turns the curves into Table-style rows.
+This is the scaffolding every experiment module uses: a
+:class:`SessionSpec` builds one (simulator, optimizer, adapter) triple
+per seed, :func:`run_grid` executes the paper's protocol (five seeds by
+default) over any set of arms, and the metrics module turns the curves
+into Table-style rows.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import hashlib
 import pathlib
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,9 +32,8 @@ from repro.space.postgres import postgres_space_for_version
 from repro.tuning.early_stopping import EarlyStoppingPolicy
 from repro.tuning.fault_injection import FaultInjectingSimulator
 from repro.tuning.faults import FaultPolicy, VirtualClock
-from repro.tuning.metrics import ComparisonSummary, summarize_comparison
 from repro.tuning.session import TuningResult, TuningSession
-from repro.tuning.wave import run_wave
+from repro.tuning.wave import run_wave_mixed
 from repro.workloads.base import Workload
 from repro.workloads.catalog import get_workload
 
@@ -41,8 +41,6 @@ from repro.workloads.catalog import get_workload
 DEFAULT_SEEDS: tuple[int, ...] = (1, 2, 3, 4, 5)
 DEFAULT_ITERATIONS = 100
 DEFAULT_N_INIT = 10
-
-SessionFactory = Callable[[int], TuningSession]
 
 
 def space_for_version(version: PostgresVersion) -> ConfigurationSpace:
@@ -148,10 +146,13 @@ class SessionSpec:
 
         ``fault_seed`` is excluded (it is the fault-schedule key's own
         third component), as are the checkpoint/resume fields (resuming
-        must not change the fault schedule) and
-        ``n_iterations``/``early_stopping`` — they only decide where a
-        trajectory *ends*, so a resumed session may extend the budget and
-        still find its checkpoint and replay its fault schedule.
+        must not change the fault schedule) and ``n_iterations`` — it
+        only decides where a trajectory *ends*, so a resumed session may
+        extend the budget and still find its checkpoint and replay its
+        fault schedule.  An ``early_stopping`` policy is appended: arms
+        that differ only in their policy (Table 11's) follow different
+        trajectories once one of them stops, so each needs its own
+        checkpoint files.
         """
         adapter = self.adapter
         adapter_token = (
@@ -181,6 +182,10 @@ class SessionSpec:
             # is identified by (trace-id, spec, seed), with the trace-id
             # carried by the trace file itself.
             parts.append(f"backend={self.backend}")
+        if self.early_stopping is not None:
+            # Appended conditionally too, so policy-free specs keep their
+            # token and fingerprint.
+            parts.append(f"early_stopping={astuple(self.early_stopping)!r}")
         return "|".join(parts)
 
     def spec_token(self) -> int:
@@ -381,60 +386,71 @@ def llamatune_factory(
     )
 
 
+def run_grid(
+    tasks: Sequence[tuple[SessionSpec, int]],
+    workers: int | None = None,
+) -> list[TuningResult]:
+    """Run ``(spec, seed)`` pairs of any specs; one :class:`TuningResult`
+    per task, in task order.
+
+    ``workers`` picks the execution strategy.  ``None`` (the default) runs
+    the tasks one after another — the paper's loop.  ``workers=1`` runs
+    them in lockstep in one heterogeneous wave in this process
+    (:func:`repro.tuning.wave.run_wave_mixed`: one stacked model phase and
+    one evaluation pass per simulator group per round).  ``workers >= 2``
+    deals the tasks round-robin into ``min(workers, len(tasks))`` shards
+    and runs each shard as one wave in its own worker process (a lone
+    shard runs in this process).  A task's trajectory does not depend on
+    its wave's roster, so every strategy returns results byte-identical
+    to the sequential loop.
+
+    ``backend="live"`` refuses ``workers >= 2``: every shard's driver
+    would ``ALTER SYSTEM`` and restart the same server concurrently, so
+    one session could measure under another's configuration.  Sequential
+    and one-wave runs evaluate live members one at a time.
+    ``record_trace`` refuses any ``workers``: the trace file is merged
+    after each evaluation, in task order.  Both are checked over every
+    task before any runs.
+    """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1 (got {workers})")
+    if workers is None:
+        return [spec.build(seed).run() for spec, seed in tasks]
+    tasks = list(tasks)
+    if any(spec.record_trace is not None for spec, __ in tasks):
+        raise ValueError(
+            "record_trace captures traces sequentially; drop workers="
+        )
+    if workers >= 2 and any(spec.backend == "live" for spec, __ in tasks):
+        raise ValueError(
+            "backend='live' cannot run sessions in parallel: every worker "
+            "process would reconfigure and restart the same server "
+            "concurrently; use workers=None or workers=1 (they evaluate "
+            "one session at a time)"
+        )
+    n_shards = min(workers, len(tasks))
+    if n_shards <= 1:
+        return run_wave_mixed(tasks)
+    with ProcessPoolExecutor(max_workers=n_shards) as pool:
+        futures = [
+            pool.submit(run_wave_mixed, tasks[i::n_shards])
+            for i in range(n_shards)
+        ]
+        results: list = [None] * len(tasks)
+        for i, future in enumerate(futures):
+            results[i::n_shards] = future.result()
+    return results
+
+
 def run_spec(
     spec: SessionSpec,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     workers: int | None = None,
 ) -> list[TuningResult]:
-    """Run one arm across seeds; one :class:`TuningResult` per seed, in
-    ``seeds`` order.
-
-    ``workers`` picks the execution strategy.  ``None`` (the default) runs
-    the seeds one after another — the paper's loop.  ``workers=1`` runs
-    them in lockstep waves in this process
-    (:func:`repro.tuning.wave.run_wave`: one stacked model phase and one
-    cross-session evaluation per round).  ``workers >= 2`` deals the
-    seeds round-robin into ``min(workers, len(seeds))`` shards and runs
-    each shard as one wave in its own worker process (a lone shard runs
-    in this process).  Per-seed trajectories do not depend on the wave
-    roster, so every strategy returns results byte-identical to the
-    sequential loop.
-
-    ``backend="live"`` refuses ``workers >= 2``: every shard's driver
-    would ``ALTER SYSTEM`` and restart the same server concurrently, so
-    one seed could measure under another seed's configuration.
-    Sequential and one-wave runs evaluate live members one at a time.
-    ``record_trace`` refuses any ``workers``: the trace file is merged
-    after each evaluation, in seed order.
-    """
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1 (got {workers})")
-    if spec.record_trace is not None and workers is not None:
-        raise ValueError(
-            "record_trace captures traces sequentially; drop workers="
-        )
-    if spec.backend == "live" and workers is not None and workers >= 2:
-        raise ValueError(
-            "backend='live' cannot run seeds in parallel: every worker "
-            "process would reconfigure and restart the same server "
-            "concurrently; use workers=None or workers=1 (they evaluate "
-            "one seed at a time)"
-        )
-    if workers is None:
-        return [spec.build(seed).run() for seed in seeds]
-    seeds = list(seeds)
-    n_shards = min(workers, len(seeds))
-    if n_shards <= 1:
-        return run_wave(spec, seeds)
-    with ProcessPoolExecutor(max_workers=n_shards) as pool:
-        futures = [
-            pool.submit(run_wave, spec, seeds[i::n_shards])
-            for i in range(n_shards)
-        ]
-        results: list = [None] * len(seeds)
-        for i, future in enumerate(futures):
-            results[i::n_shards] = future.result()
-    return results
+    """Run one arm across seeds: the one-spec :func:`run_grid`.  One
+    :class:`TuningResult` per seed, in ``seeds`` order; with no
+    ``workers``, the seeds run one after another."""
+    return run_grid([(spec, seed) for seed in seeds], workers)
 
 
 def mean_best_curve(results: Sequence[TuningResult]) -> np.ndarray:
@@ -449,22 +465,3 @@ def mean_best_curve(results: Sequence[TuningResult]) -> np.ndarray:
             )
         curves.append(curve)
     return np.mean(curves, axis=0)
-
-
-def compare_specs(
-    baseline: SessionSpec,
-    treatment: SessionSpec,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    workers: int | None = None,
-) -> tuple[ComparisonSummary, list[TuningResult], list[TuningResult]]:
-    """Run both arms (``workers`` as in :func:`run_spec`) and summarize
-    treatment vs. baseline."""
-    baseline_results = run_spec(baseline, seeds, workers=workers)
-    treatment_results = run_spec(treatment, seeds, workers=workers)
-    summary = summarize_comparison(
-        baseline.workload,
-        [r.best_curve for r in baseline_results],
-        [r.best_curve for r in treatment_results],
-        maximize=(baseline.objective == "throughput"),
-    )
-    return summary, baseline_results, treatment_results

@@ -18,9 +18,9 @@ server never runs the simulator for model rounds — evaluation is the
 client's job, which is what makes this *service* shaped) → ``observe``
 the outcome (a measured value, a crash, or retry exhaustion).  A
 ``suggest`` cancelled after its wave ran leaves its round outstanding
-but undelivered; the next ``suggest`` hands it over.  The server drives
-scalar rounds (one configuration per ``suggest``), so
-sessions must be built with ``suggest_batch=1``.
+but undelivered: ``observe`` refuses it until the next ``suggest`` hands
+it over.  The server drives scalar rounds (one configuration per
+``suggest``), so sessions must be built with ``suggest_batch=1``.
 
 **Determinism.**  The split-phase optimizer API guarantees
 ``suggest_prepare`` + stacked scoring + ``suggest_select`` is
@@ -387,12 +387,18 @@ class SessionServer:
         retry budget ran out — the session is *quarantined*: no
         observation is recorded and further ``suggest`` calls refuse).
         Returns the post-observe :class:`SessionStatus` so callers see
-        early stops and quarantines immediately."""
+        early stops and quarantines immediately.  Raises
+        :class:`ServerProtocolError` when no suggestion was delivered."""
         entry = self._entry(key)
         pending = entry.pending
         if pending is None:
             raise ServerProtocolError(
                 f"session {key} has no outstanding suggestion to observe"
+            )
+        if not pending.delivered:
+            raise ServerProtocolError(
+                f"session {key}'s outstanding suggestion was never "
+                "delivered; call suggest to receive it before observing"
             )
         if exhausted:
             outcome = EXHAUSTED

@@ -385,6 +385,16 @@ class TestSpecFingerprintGuards:
         assert a.spec_fingerprint() in a.checkpoint_path(1).name
         # Same spec, different seeds: same fingerprint, different files.
         assert a.checkpoint_path(1) != a.checkpoint_path(2)
+        # Arms that differ only in their early-stopping policy (Table
+        # 11's) end their trajectories apart, so each needs its own file.
+        c = make_spec(
+            "smac", tmp_path, early_stopping=EarlyStoppingPolicy(0.005, 10)
+        )
+        d = make_spec(
+            "smac", tmp_path, early_stopping=EarlyStoppingPolicy(0.01, 10)
+        )
+        paths = {spec.checkpoint_path(1) for spec in (a, c, d)}
+        assert len(paths) == 3
 
     def test_spec_token_is_still_the_crc32_of_the_canonical_form(self):
         # The 32-bit token keys fault schedules and wave identities;

@@ -156,14 +156,26 @@ class TestResilienceFlags:
         assert scale.arm(spec) == spec
 
     def test_one_checkpoint_per_arm_and_seed(self, tmp_path):
-        """fig2 at tiny scale, sharded: 3 arms x 2 workloads x 2 seeds,
-        each arm with its own checkpoint files."""
+        """Sharded grids give each arm its own checkpoint files: fig2 at
+        tiny scale (3 arms x 2 workloads x 2 seeds) and table11 (4 arms
+        x 6 workloads x 1 seed; three arms differ only in their
+        early-stopping policy).  Resumed from its checkpoints, table11
+        reports what its uninterrupted run reported."""
         scale = dataclasses.replace(
             TINY, seeds=(1, 2), workers=2, checkpoint_every=6,
-            checkpoint_dir=str(tmp_path),
+            checkpoint_dir=str(tmp_path / "fig2"),
         )
         run_experiment("fig2", scale)
-        files = sorted(path.name for path in tmp_path.iterdir())
+        files = sorted(path.name for path in (tmp_path / "fig2").iterdir())
         assert len(files) == 12, files
         assert sum(name.startswith("ycsb-a-") for name in files) == 6
         assert sum(name.endswith("-seed2.ckpt.json") for name in files) == 6
+
+        scale = dataclasses.replace(
+            TINY, n_iterations=40, workers=2, checkpoint_every=5,
+            checkpoint_dir=str(tmp_path / "table11"),
+        )
+        fresh = run_experiment("table11", scale).text()
+        assert len(list((tmp_path / "table11").iterdir())) == 24
+        resumed = dataclasses.replace(scale, resume=True)
+        assert run_experiment("table11", resumed).text() == fresh

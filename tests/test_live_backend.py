@@ -41,7 +41,7 @@ from repro.dbms.live import (
 )
 from repro.space.configspace import Configuration, config_fingerprint
 from repro.tuning.faults import EXHAUSTED, FaultEnvelope, FaultPolicy
-from repro.tuning.runner import SessionSpec, run_spec
+from repro.tuning.runner import SessionSpec, run_grid, run_spec
 from repro.workloads import get_workload
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -458,11 +458,19 @@ class TestParallelSeedsRefused:
         workload="ycsb-a", optimizer="smac", n_init=4, n_iterations=6,
         backend="live", live_transport=FakePg,
     )
+    SIM = SessionSpec(workload="tpcc", n_init=4, n_iterations=6)
 
-    @pytest.mark.parametrize("workers", [pytest.param(2, id="process")])
-    def test_run_spec_refuses_parallel_seeds(self, workers):
+    @pytest.mark.parametrize(
+        "tasks",
+        [
+            pytest.param([(SPEC, 1), (SPEC, 2)], id="process"),
+            # One live task among simulator tasks refuses the whole grid.
+            pytest.param([(SIM, 1), (SPEC, 1), (SIM, 2)], id="mixed"),
+        ],
+    )
+    def test_run_spec_refuses_parallel_seeds(self, tasks):
         with pytest.raises(ValueError, match="parallel"):
-            run_spec(self.SPEC, seeds=[1, 2], workers=workers)
+            run_grid(tasks, workers=2)
 
     def test_sequential_and_wave_runs_stay_allowed(self):
         sequential = run_spec(self.SPEC, seeds=[1, 2])
@@ -477,6 +485,11 @@ class TestParallelSeedsRefused:
         for workers in (1, 2):
             with pytest.raises(ValueError, match="sequentially"):
                 run_spec(spec, seeds=[1, 2], workers=workers)
+        # One recording task among simulator tasks refuses the grid
+        # before any task runs.
+        with pytest.raises(ValueError, match="sequentially"):
+            run_grid([(self.SIM, 1), (spec, 1)], workers=1)
+        assert not (tmp_path / "trace.json").exists()
 
     def test_cli_exits_2(self, capsys):
         from repro.cli import main

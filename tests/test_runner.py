@@ -11,12 +11,14 @@ from repro.space.postgres import postgres_v96_space, postgres_v136_space
 from repro.tuning.early_stopping import EarlyStoppingPolicy
 from repro.tuning.faults import FaultPolicy
 from repro.tuning.knowledge_base import Observation
+from repro.experiments.fig2_knob_subsets import SubsetFactory
+from repro.experiments.table1_importance import HAND_PICKED_YCSB_A
 from repro.tuning.runner import (
     LlamaTuneFactory,
     SessionSpec,
-    compare_specs,
     llamatune_factory,
     mean_best_curve,
+    run_grid,
     run_spec,
     space_for_version,
 )
@@ -100,18 +102,6 @@ class TestRunners:
         expected = np.mean([r.best_curve for r in results], axis=0)
         np.testing.assert_allclose(curve, expected)
 
-    def test_compare_specs_summary(self):
-        base = SessionSpec(workload="ycsb-a", optimizer="random", n_iterations=8)
-        treat = SessionSpec(
-            workload="ycsb-a",
-            optimizer="random",
-            adapter=llamatune_factory(),
-            n_iterations=8,
-        )
-        summary, b, t = compare_specs(base, treat, seeds=(1, 2))
-        assert summary.n_seeds == 2
-        assert len(b) == len(t) == 2
-
     def test_workers_below_one_rejected(self):
         spec = SessionSpec(workload="ycsb-a", optimizer="random", n_iterations=4)
         with pytest.raises(ValueError, match="workers"):
@@ -160,63 +150,85 @@ class TestProcessPool:
         assert clone.adapter.target_dim == 8
 
     @pytest.mark.parametrize(
-        "spec,feature",
+        "specs,seeds,feature",
         [
             pytest.param(
-                SessionSpec(
+                [SessionSpec(
                     workload="ycsb-a",
                     optimizer="random",
                     adapter=llamatune_factory(),
                     n_iterations=6,
-                ),
+                )],
+                (1, 2, 3),
                 None,
                 id="random",
             ),
             pytest.param(
                 # The raw 90-knob space over-commits memory: crash rows
                 # with None throughput/latency.
-                SessionSpec(
+                [SessionSpec(
                     workload="tpcc", optimizer="smac", adapter=None,
                     n_iterations=10, n_init=6,
-                ),
+                )],
+                (1, 2, 3),
                 lambda r: r.crash_count > 0,
                 id="crash-rows",
             ),
             pytest.param(
-                SessionSpec(
+                [SessionSpec(
                     workload="ycsb-a", optimizer="smac",
                     adapter=llamatune_factory(), n_iterations=25, n_init=6,
                     early_stopping=EarlyStoppingPolicy(
                         min_improvement=0.5, patience=4
                     ),
-                ),
+                )],
+                (1, 2, 3),
                 lambda r: r.stopped_early_at is not None,
                 id="early-stop",
             ),
             pytest.param(
-                SessionSpec(
+                [SessionSpec(
                     workload="ycsb-a",
                     adapter=llamatune_factory(target_dim=4),
                     n_iterations=20, n_init=4,
                     fault_rate=0.02, fault_seed=1,
                     fault_policy=FaultPolicy(max_retries=0),
-                ),
+                )],
+                (1, 2, 3),
                 lambda r: r.quarantined_at is not None,
                 id="quarantine",
             ),
+            pytest.param(
+                # An experiment's grid: two workloads, vanilla (90 knobs),
+                # LlamaTune (16) and a knob subset (8) in one task list.
+                [
+                    SessionSpec(workload="tpcc", n_iterations=8, n_init=4),
+                    SessionSpec(
+                        workload="ycsb-a", adapter=llamatune_factory(),
+                        n_iterations=8, n_init=4,
+                    ),
+                    SessionSpec(
+                        workload="ycsb-a",
+                        adapter=SubsetFactory(HAND_PICKED_YCSB_A),
+                        n_iterations=8, n_init=4,
+                    ),
+                ],
+                (1, 2),
+                None,
+                id="mixed",
+            ),
         ],
     )
-    def test_process_pool_matches_sequential(self, spec, feature):
-        """Each strategy returns the sequential results in seed order:
-        one in-process wave (``workers=1``), shards [1, 3] and [2] in two
-        worker processes (``workers=2``), and one-seed shards
-        (``workers=3``)."""
-        seeds = (1, 2, 3)
-        sequential = run_spec(spec, seeds)
+    def test_process_pool_matches_sequential(self, specs, seeds, feature):
+        """Each strategy returns the sequential results in task order:
+        one in-process wave (``workers=1``), round-robin shards in two
+        worker processes (``workers=2``), and in three (``workers=3``)."""
+        tasks = [(spec, seed) for spec in specs for seed in seeds]
+        sequential = run_grid(tasks)
         if feature is not None:
             assert any(feature(r) for r in sequential), "fixture must hit it"
         for workers in (1, 2, 3):
             assert_same_results(
-                sequential, run_spec(spec, seeds, workers=workers),
+                sequential, run_grid(tasks, workers=workers),
                 f"workers={workers}",
             )

@@ -451,6 +451,23 @@ class TestServerProtocol:
 
         asyncio.run(go())
 
+    def test_observe_of_an_undelivered_suggestion_refused(self):
+        """A round whose ``suggest`` was cancelled after its wave never
+        reached the tenant: ``observe`` refuses it until the next
+        ``suggest`` hands it over."""
+
+        async def go():
+            async with SessionServer(gather_window=0) as server:
+                key = await server.open("acme", make_spec(), 1)
+                await cancel_after_wave(server, key)
+                with pytest.raises(ServerProtocolError, match="delivered"):
+                    await server.observe(key, 1234.0)
+                assert (await server.status(key)).iteration == 0
+                await server.suggest(key)
+                assert (await server.observe(key, 1234.0)).iteration == 1
+
+        asyncio.run(go())
+
     def test_observe_without_suggest_refused(self):
         async def go():
             async with SessionServer() as server:
