@@ -15,7 +15,10 @@ import pytest
 from repro.core.pipeline import LlamaTuneAdapter, llamatune_adapter
 from repro.dbms.engine import PostgresSimulator
 from repro.optimizers import _forest_kernel
-from repro.optimizers.forest import RandomForestRegressor
+from repro.optimizers.forest import (
+    RandomForestRegressor,
+    predict_mean_var_stacked,
+)
 from repro.optimizers.gp import GaussianProcess
 from repro.optimizers.smac import SMACOptimizer
 from repro.space.postgres import postgres_v96_space
@@ -65,15 +68,12 @@ def test_forest_fit_50x90(benchmark):
     benchmark(lambda: RandomForestRegressor(n_trees=20, seed=0).fit(X, y))
 
 
-def test_forest_fit_smac_55x16(benchmark):
-    """The refit a SMAC + LlamaTune session makes mid-run: 55 rows on the
-    16 projected dimensions, collected the way SMAC collects them — 10
-    random initial rows, then mostly one-coordinate local-search steps
-    (std 0.08) from earlier rows, clipped to [0, 1], with every third row
-    a fresh random one.  About 70 % of the cells sit in tie runs (61 % in
-    recorded sessions), where the build's presort and split search spend
-    their time; the uniform 90-column benches above have none."""
-    rng = np.random.default_rng(0)
+def _smac_observations(rng):
+    """55 rows on the 16 projected dimensions of a SMAC + LlamaTune
+    session, collected the way SMAC collects them — 10 random initial
+    rows, then mostly one-coordinate local-search steps (std 0.08) from
+    earlier rows, clipped to [0, 1], with every third row a fresh random
+    one — and their targets."""
     X = rng.random((55, 16))
     for i in range(10, 55):
         if i % 3 == 0:
@@ -81,16 +81,50 @@ def test_forest_fit_smac_55x16(benchmark):
         X[i] = X[rng.integers(i)]
         j = rng.integers(16)
         X[i, j] = np.clip(X[i, j] + rng.normal(0.0, 0.08), 0.0, 1.0)
-    y = rng.normal(size=55)
+    return X, rng.normal(size=55)
+
+
+def _smac_round(seed):
+    """A forest fit like ``forest_fit_smac_55x16``, and the 1,100 rows a
+    SMAC round scores with it: 1,000 random rows, then ten one-coordinate
+    neighbours at step 0.08 and ten at 0.02 around each of the five best
+    observed rows."""
+    rng = np.random.default_rng(seed)
+    X, y = _smac_observations(rng)
+    forest = RandomForestRegressor(n_trees=20, seed=seed).fit(X, y)
+    pools = [rng.random((1000, 16))]
+    for i in np.argsort(y)[-5:]:
+        for step in (0.08, 0.02):
+            local = np.repeat(X[i][None, :], 10, axis=0)
+            dims = rng.integers(0, 16, size=10)
+            local[np.arange(10), dims] = np.clip(
+                X[i, dims] + rng.normal(0.0, step, size=10), 0.0, 1.0
+            )
+            pools.append(local)
+    return forest, np.vstack(pools)
+
+
+def test_forest_fit_smac_55x16(benchmark):
+    """The refit a SMAC + LlamaTune session makes mid-run
+    (:func:`_smac_observations`).  About 70 % of the cells sit in tie runs
+    (61 % in recorded sessions), where the build's presort and split
+    search spend their time; the uniform 90-column benches above have
+    none."""
+    X, y = _smac_observations(np.random.default_rng(0))
     benchmark(lambda: RandomForestRegressor(n_trees=20, seed=0).fit(X, y))
 
 
 def test_forest_predict_1000_candidates(benchmark):
+    """The native scoring pass (skips when no compiler), so a run never
+    silently benchmarks the numpy fallback."""
+    if not _forest_kernel.kernel_available():
+        pytest.skip("native forest kernel unavailable on this host")
     rng = np.random.default_rng(0)
     X = rng.random((100, 90))
     y = rng.normal(size=100)
     forest = RandomForestRegressor(n_trees=20, seed=0).fit(X, y)
     candidates = rng.random((1000, 90))
+    forest.predict_mean_var(candidates)  # warm-up
     benchmark(forest.predict_mean_var, candidates)
 
 
@@ -105,19 +139,22 @@ def test_forest_predict_64_candidates(benchmark):
     benchmark(forest.predict_mean_var, candidates)
 
 
-def test_forest_predict_native_1000_candidates(benchmark):
-    """The C leaf walk specifically (skips when no compiler): the default
-    predict path's hot core, measured without the possibility of silently
-    benchmarking the numpy fallback."""
-    if not _forest_kernel.kernel_available():
-        pytest.skip("native forest kernel unavailable on this host")
-    rng = np.random.default_rng(0)
-    X = rng.random((100, 90))
-    y = rng.normal(size=100)
-    forest = RandomForestRegressor(n_trees=20, seed=0).fit(X, y)
-    candidates = rng.random((1000, 90))
-    forest.predict_mean_var(candidates)  # build the packed node table
+def test_forest_predict_smac_1100x16(benchmark):
+    """One SMAC + LlamaTune model round's scoring (:func:`_smac_round`):
+    the call seq-ckpt makes once per suggestion."""
+    forest, candidates = _smac_round(0)
+    forest.predict_mean_var(candidates)
     benchmark(forest.predict_mean_var, candidates)
+
+
+def test_forest_predict_stacked_8x1100x16(benchmark):
+    """Eight sessions' rounds in one ``predict_mean_var_stacked`` call —
+    a wave's model phase."""
+    forests, candidates = zip(*(_smac_round(seed) for seed in range(8)))
+    X = np.concatenate(candidates)
+    rows = [len(c) for c in candidates]
+    predict_mean_var_stacked(list(forests), X, rows)
+    benchmark(predict_mean_var_stacked, list(forests), X, rows)
 
 
 def test_gp_refit_incremental(benchmark):

@@ -9,7 +9,7 @@ tenants' sessions open at once, each tenant drives its own
 ``suggest`` → evaluate → ``observe`` loop against its own DBMS, and
 the server batches every concurrently-pending ``suggest`` into one
 heterogeneous wave — all forest-backed tenants score in a single
-stacked super-table call, whatever their workload, adapter width, or
+stacked scoring call, whatever their workload, adapter width, or
 seed.
 
 Three properties worth noticing in the output:

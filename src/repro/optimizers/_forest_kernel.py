@@ -1,4 +1,4 @@
-"""Optional native (C) forest-build and predict kernel for the surrogate.
+"""Optional native (C) forest-build and scoring kernel for the surrogate.
 
 The pure-numpy tree builder in :mod:`repro.optimizers.forest` is exact but
 dispatch-bound: one CART node costs ~30 small numpy calls, and at the
@@ -48,19 +48,32 @@ Bit-exactness contract (enforced by ``tests/test_forest.py`` and
   sanitizer noticing — the native == numpy property in
   ``tests/test_forest.py`` is the check.
 
-The same shared library exports one leaf walk, ``predict_leaves_grouped``,
-behind every forest predict: groups of trees — one group per forest —
-each score their own candidate-row slab against one packed node table (a
-lone forest's own table, or several forests' concatenated super-table),
-walking every (tree, row) pair down to its leaf in one C pass.  The
-kernel picks, per group, a branchless fixed-level walk for shallow trees
-or an early-exit lane walk for deep ones from the recorded per-tree
-depths.  The walks perform no float arithmetic — only
-``x <= threshold`` comparisons — and return leaf indices; the
-mean/variance reductions stay in numpy, shared verbatim with the fallback
-path, so native predict is byte-identical to the numpy frontier
-traversal by construction.  The walk runs on its caller's thread, and
-the C source keeps no mutable static state.
+The same shared library exports one scoring pass,
+``predict_mean_var_grouped``, behind every forest predict: groups — one
+per forest, each passed by pointer to its own packed table — each score
+their own candidate-row slab.  A group's rows go in blocks of 256, one
+tree at a time: a frontier of live (row, node) pairs steps one level per
+pass (``!(x <= threshold)`` sends NaN right, as the numpy frontier
+does) and compacts without branches, so a pair stops at its leaf.  Each
+row's leaf values and leaf variances are then reduced in tree order into
+its ``(mean, var)``, replicating the numpy tail over the ``(n_trees,
+n_rows)`` stacks byte for byte:
+
+* a group of two or more rows sums from ``0.0`` in tree order (numpy's
+  axis-0 reduction); a one-row group adds numpy's pairwise sum to
+  ``0.0`` (its reduction runs along the trees);
+* ``var = sum((v - mean)**2) / T + sum(w) / T`` under
+  ``-ffp-contract=off``;
+* the floor is ``1e-12``, and a NaN stays NaN, as ``np.maximum``
+  leaves it.
+
+The walk's frontier lives on the stack, and the leaf buffer and the
+one-row reduction's buffer are two separate ``malloc`` calls, so the
+sanitized build sees an overrun of any of them; the hypothesis property
+``tests/test_forest.py::TestFusedPassProperty`` (native == numpy
+fallback == per-tree reference) is the net for the bytes.  The pass
+runs on its caller's thread, and the C source keeps no mutable static
+state.
 
 If no compiler is available, everything falls back to the numpy
 implementation with one ``RuntimeWarning`` per process — results are
@@ -191,8 +204,6 @@ typedef struct {
     double *value;           /* cap_total */
     double *variance;        /* cap_total */
     int64_t *offsets;        /* n_trees: global root index per tree */
-    int64_t *counts;         /* n_trees: node count per tree */
-    int64_t *tree_depths;    /* n_trees: deepest node level per tree */
     double *ws_d;            /* double scratch, laid out per tree */
     int64_t *ws_i;           /* int64 scratch: per-fit ranks, then per tree */
     uint8_t *member;         /* n node-membership flags, zero between nodes */
@@ -240,7 +251,7 @@ static void store_node(int64_t *nodes4, double *value, double *variance,
  * capacity overflow. */
 static int64_t build_tree_packed(fparams_t *p, const int64_t *rank,
                                  const int64_t *n_ranks, int64_t *tables,
-                                 int64_t base, int64_t *depth_out)
+                                 int64_t base)
 {
     const int64_t n = p->n, d = p->d, m = p->m;
     const int64_t min_split = p->min_split, max_depth = p->max_depth;
@@ -335,7 +346,6 @@ static int64_t build_tree_packed(fparams_t *p, const int64_t *rank,
         if (base + n_nodes >= p->cap_total) return -1;
         const int64_t node = n_nodes++;
         const int64_t gnode = base + node;
-        if (depth > *depth_out) *depth_out = depth;
         if (parent >= 0)
             p->nodes4[(base + parent) * 4 + (is_right ? 3 : 2)] = gnode;
         store_node(p->nodes4, p->value, p->variance, gnode);
@@ -537,190 +547,151 @@ int64_t build_forest(fparams_t *p)
     int64_t total = 0;
     for (int64_t t = 0; t < p->n_trees; t++) {
         p->offsets[t] = total;
-        p->tree_depths[t] = 0;
         const int64_t cnt = build_tree_packed(p, rank, n_ranks,
-                                              n_ranks + p->d, total,
-                                              &p->tree_depths[t]);
+                                              n_ranks + p->d, total);
         if (cnt < 0) return -1;
-        p->counts[t] = cnt;
         total += cnt;
     }
     return total;
 }
 
-/* The leaf walk over the packed node table: for every (tree, row) pair,
- * descend from the tree's root to its leaf and record the leaf's node
- * index.  Pure comparisons, no float arithmetic: `idx = !(x <= t)` sends
- * NaN feature values right, exactly like the numpy frontier's
- * `where(x <= t, left, right)`, so both paths find the same leaves.
- *
- * The node table arrives pre-packed as 32-byte structs (one cache line
- * holds two nodes) so each step touches one node line plus one x value. */
+/* The packed node table: one 32-byte struct per node (one cache line
+ * holds two), so each walk step touches one node line plus one x value. */
 typedef struct {
     int64_t feature;   /* -1 for leaves */
     double threshold;
     int64_t child[2];  /* [left, right] */
 } pnode_t;
 
-/* Groups whose deepest tree has at most this many levels take the
- * branchless depth walk; deeper groups take the early-exit lane walk,
- * whose cost tracks the *average* leaf depth instead of the maximum. */
-enum { DEPTH_WALK_LIMIT = 16 };
+/* One forest of a scoring pass: its own packed table (child indices
+ * local to it, one root per tree) and the number of rows it scores. */
+typedef struct {
+    const pnode_t *nodes;
+    const double *value;
+    const double *variance;
+    const int64_t *roots;
+    int64_t n_trees;
+    int64_t n_rows;
+} fgroup_t;
 
-/* Early-exit lane walk over one group's rows, written into the group's
- * tree-major block (out[t * n_rows + i]).  Each descent is a dependent
- * load chain, so a single walk is latency-bound; rows form the outer
- * loop (the row vector stays in L1) while every tree's independent chain
- * advances in lockstep, finished lanes swap-removed so the flight group
- * stays dense. */
-static void walk_lanes(const pnode_t *nodes, const int64_t *offsets,
-                       int64_t n_trees, const double *x, int64_t n_rows,
-                       int64_t d, int64_t *out)
+/* Rows per block: each tree walks one block of rows at a time. */
+enum { BLOCK_ROWS = 256 };
+
+/* Walk one tree over a block of nb rows (x row-major, d columns) and
+ * write each row's leaf into leaf[r].  The frontier holds the live
+ * (row, node) pairs; every level steps each pair once, `!(x <= t)`
+ * sending NaN right like the numpy frontier's `where(x <= t, l, r)`,
+ * and compacts the frontier in place without branches: every pair is
+ * stored, and the cursor advances only past pairs that are still
+ * internal, so a pair stops at its leaf.  The cursor never passes the
+ * pair being read, so no store overwrites an unread pair. */
+static void walk_block(const pnode_t *nodes, int64_t root, const double *x,
+                       int64_t nb, int64_t d, int64_t *leaf)
 {
-    enum { CHUNK = 64 };
-    int64_t cur[CHUNK];
-    int64_t lane_out[CHUNK];
-    for (int64_t t0 = 0; t0 < n_trees; t0 += CHUNK) {
-        const int64_t nt = n_trees - t0 < CHUNK ? n_trees - t0 : CHUNK;
-        for (int64_t i = 0; i < n_rows; i++) {
-            const double *xi = x + i * d;
-            int64_t n_active = 0;
-            for (int64_t l = 0; l < nt; l++) {
-                const int64_t root = offsets[t0 + l];
-                if (nodes[root].feature >= 0) {
-                    cur[n_active] = root;
-                    lane_out[n_active] = (t0 + l) * n_rows + i;
-                    n_active++;
-                }
-                else {
-                    out[(t0 + l) * n_rows + i] = root;
-                }
-            }
-            while (n_active > 0) {
-                int64_t j = 0;
-                while (j < n_active) {
-                    const pnode_t *pn = nodes + cur[j];
-                    const int64_t nx =
-                        pn->child[!(xi[pn->feature] <= pn->threshold)];
-                    if (nodes[nx].feature >= 0) {
-                        cur[j] = nx;
-                        j++;
-                    }
-                    else {
-                        out[lane_out[j]] = nx;
-                        n_active--;
-                        cur[j] = cur[n_active];
-                        lane_out[j] = lane_out[n_active];
-                    }
-                }
-            }
+    int64_t node[BLOCK_ROWS], row[BLOCK_ROWS];
+    for (int64_t r = 0; r < nb; r++) {
+        leaf[r] = root;
+        node[r] = root;
+        row[r] = r;
+    }
+    int64_t live = nodes[root].feature >= 0 ? nb : 0;
+    while (live > 0) {
+        int64_t k = 0;
+        for (int64_t j = 0; j < live; j++) {
+            const pnode_t *pn = nodes + node[j];
+            const int64_t r = row[j];
+            const int64_t nx =
+                pn->child[!(x[r * d + pn->feature] <= pn->threshold)];
+            leaf[r] = nx;
+            node[k] = nx;
+            row[k] = r;
+            k += nodes[nx].feature >= 0;
         }
+        live = k;
     }
 }
 
-/* Branchless leaf walk: lanes advance in fixed lockstep levels with no
- * leaf-exit branches and no lane bookkeeping.  Leaves freeze in place
- * via conditional moves (the feature index is clamped to 0 for the dead
- * comparison, and a pair already at a leaf keeps its node), so pairs
- * that arrive early just spin; the decisions are the same pure
- * comparisons, hence the final indices are identical to the early-exit
- * lane walk.  Lanes are ordered by *per-tree* depth (descending, stable)
- * so level k only steps the lanes whose tree still has nodes there —
- * total steps are the sum of tree depths, not n_trees x max depth.
- * Wins for the shallow trees of in-session observation counts.
- *
- * Rows advance through the level schedule in blocks of ROWBLK: the lane
- * state is a contiguous lane-major x row-minor block, so the inner row
- * loop is a fixed-width strip of independent blend-style conditional
- * moves over adjacent state words — the shape compilers auto-vectorize
- * (gather x, compare, blend child index).  Per (tree, row) the visited
- * nodes and comparisons are unchanged, so the leaf indices match the
- * one-row-at-a-time walk exactly. */
-static void walk_depth(const pnode_t *nodes, const int64_t *offsets,
-                       const int64_t *tree_depths, int64_t n_trees,
-                       const double *x, int64_t n_rows, int64_t d,
-                       int64_t *out)
+/* numpy's np.maximum(v, 1e-12): a NaN stays NaN. */
+static double var_floor(double v)
 {
-    enum { CHUNK = 64, ROWBLK = 8 };
-    _Static_assert((int)DEPTH_WALK_LIMIT <= (int)CHUNK,
-                   "level_count holds one entry per level");
-    int64_t ord[CHUNK], level_count[CHUNK];
-    int64_t cur[CHUNK * ROWBLK];
-    for (int64_t t0 = 0; t0 < n_trees; t0 += CHUNK) {
-        const int64_t nt = n_trees - t0 < CHUNK ? n_trees - t0 : CHUNK;
-        /* stable insertion sort of the chunk's lanes, deepest first */
-        for (int64_t l = 0; l < nt; l++) ord[l] = t0 + l;
-        for (int64_t l = 1; l < nt; l++) {
-            const int64_t t = ord[l];
-            const int64_t dep = tree_depths[t];
-            int64_t j = l - 1;
-            while (j >= 0 && tree_depths[ord[j]] < dep) {
-                ord[j + 1] = ord[j];
-                j--;
-            }
-            ord[j + 1] = t;
-        }
-        const int64_t dmax = nt ? tree_depths[ord[0]] : 0;
-        for (int64_t k = 0; k < dmax; k++) {
-            int64_t c = 0;
-            while (c < nt && tree_depths[ord[c]] > k) c++;
-            level_count[k] = c;
-        }
-        for (int64_t i0 = 0; i0 < n_rows; i0 += ROWBLK) {
-            const int64_t nb = n_rows - i0 < ROWBLK ? n_rows - i0 : ROWBLK;
-            for (int64_t l = 0; l < nt; l++) {
-                const int64_t root = offsets[ord[l]];
-                for (int64_t r = 0; r < nb; r++)
-                    cur[l * ROWBLK + r] = root;
-            }
-            for (int64_t k = 0; k < dmax; k++) {
-                const int64_t c = level_count[k];
-                for (int64_t l = 0; l < c; l++) {
-                    int64_t *lane = cur + l * ROWBLK;
-                    for (int64_t r = 0; r < nb; r++) {
-                        const pnode_t *pn = nodes + lane[r];
-                        const int64_t f = pn->feature;
-                        const double xv = x[(i0 + r) * d + (f >= 0 ? f : 0)];
-                        const int64_t nx = pn->child[!(xv <= pn->threshold)];
-                        lane[r] = f >= 0 ? nx : lane[r];
-                    }
-                }
-            }
-            for (int64_t l = 0; l < nt; l++) {
-                int64_t *dst = out + ord[l] * n_rows;
-                for (int64_t r = 0; r < nb; r++)
-                    dst[i0 + r] = cur[l * ROWBLK + r];
-            }
-        }
-    }
+    return v >= 1e-12 || isnan(v) ? v : 1e-12;
 }
 
-/* The leaf walk.  Group g owns tree_counts[g] trees of the node table —
- * its slices of offsets (roots) and tree_depths, child indices global to
- * the table — and scores its own row_counts[g]-row slab of x; each
- * group's tree-major leaf block (out[t * rows + i]) is written back to
- * back into out.  Each group takes the depth walk or the lane walk by
- * its deepest tree. */
-void predict_leaves_grouped(const pnode_t *nodes, const int64_t *offsets,
-                            const int64_t *tree_counts,
-                            const int64_t *row_counts,
-                            const int64_t *tree_depths, int64_t n_groups,
-                            int64_t d, const double *x, int64_t *out)
+/* The scoring pass.  Group g scores its own row_counts-row slab of x
+ * (slabs back to back, d columns) against its own table, and writes
+ * each row's ensemble mean to mean[] and total variance to var[] (both
+ * indexed by the row's position in x).  Each block of a group's rows
+ * walks the group's trees in order, then reduces every row's leaf values
+ * and variances in tree order, exactly as numpy's tail over the
+ * (n_trees, n_rows) stacks does:
+ *   mean = S(v) / T,  var = S((v - mean)^2) / T + S(w) / T,
+ * floored at 1e-12, where S sums from 0.0 in tree order for a group of
+ * two or more rows (numpy's axis-0 reduction), and is 0.0 plus numpy's
+ * pairwise sum for a one-row group (its reduction then runs along the
+ * trees).  leaf holds max_trees * BLOCK_ROWS indices and one_row
+ * max_trees doubles.  Returns 0, or -1 when the scratch cannot be
+ * allocated. */
+int predict_mean_var_grouped(const fgroup_t *groups, int64_t n_groups,
+                             int64_t d, const double *x, double *mean,
+                             double *var)
 {
+    int64_t max_trees = 1;
+    for (int64_t g = 0; g < n_groups; g++)
+        if (groups[g].n_trees > max_trees) max_trees = groups[g].n_trees;
+    int64_t *leaf = malloc(sizeof(int64_t) * (size_t)(max_trees * BLOCK_ROWS));
+    double *one_row = malloc(sizeof(double) * (size_t)max_trees);
+    if (leaf == NULL || one_row == NULL) {
+        free(leaf);
+        free(one_row);
+        return -1;
+    }
     for (int64_t g = 0; g < n_groups; g++) {
-        const int64_t nt = tree_counts[g], nr = row_counts[g];
-        int64_t dmax = 0;
-        for (int64_t t = 0; t < nt; t++)
-            if (tree_depths[t] > dmax) dmax = tree_depths[t];
-        if (dmax <= DEPTH_WALK_LIMIT)
-            walk_depth(nodes, offsets, tree_depths, nt, x, nr, d, out);
-        else
-            walk_lanes(nodes, offsets, nt, x, nr, d, out);
-        offsets += nt;
-        tree_depths += nt;
+        const fgroup_t *grp = groups + g;
+        const int64_t nt = grp->n_trees, nr = grp->n_rows;
+        const double ntd = (double)nt;
+        for (int64_t i0 = 0; i0 < nr; i0 += BLOCK_ROWS) {
+            const int64_t nb = nr - i0 < BLOCK_ROWS ? nr - i0 : BLOCK_ROWS;
+            for (int64_t t = 0; t < nt; t++)
+                walk_block(grp->nodes, grp->roots[t], x + i0 * d, nb, d,
+                           leaf + t * BLOCK_ROWS);
+            if (nr == 1) {
+                for (int64_t t = 0; t < nt; t++)
+                    one_row[t] = grp->value[leaf[t * BLOCK_ROWS]];
+                const double m = (0.0 + pairwise_sum(one_row, nt)) / ntd;
+                for (int64_t t = 0; t < nt; t++) {
+                    const double dv = one_row[t] - m;
+                    one_row[t] = dv * dv;
+                }
+                const double v = (0.0 + pairwise_sum(one_row, nt)) / ntd;
+                for (int64_t t = 0; t < nt; t++)
+                    one_row[t] = grp->variance[leaf[t * BLOCK_ROWS]];
+                const double w = (0.0 + pairwise_sum(one_row, nt)) / ntd;
+                mean[i0] = m;
+                var[i0] = var_floor(v + w);
+                continue;
+            }
+            for (int64_t r = 0; r < nb; r++) {
+                double s = 0.0, sq = 0.0, sw = 0.0;
+                for (int64_t t = 0; t < nt; t++)
+                    s += grp->value[leaf[t * BLOCK_ROWS + r]];
+                const double m = s / ntd;
+                for (int64_t t = 0; t < nt; t++) {
+                    const double dv = grp->value[leaf[t * BLOCK_ROWS + r]] - m;
+                    sq += dv * dv;
+                }
+                for (int64_t t = 0; t < nt; t++)
+                    sw += grp->variance[leaf[t * BLOCK_ROWS + r]];
+                mean[i0 + r] = m;
+                var[i0 + r] = var_floor(sq / ntd + sw / ntd);
+            }
+        }
         x += nr * d;
-        out += nt * nr;
+        mean += nr;
+        var += nr;
     }
+    free(leaf);
+    free(one_row);
+    return 0;
 }
 """
 
@@ -744,8 +715,6 @@ class _FParams(ctypes.Structure):
         ("value", ctypes.c_void_p),
         ("variance", ctypes.c_void_p),
         ("offsets", ctypes.c_void_p),
-        ("counts", ctypes.c_void_p),
-        ("tree_depths", ctypes.c_void_p),
         ("ws_d", ctypes.c_void_p),
         ("ws_i", ctypes.c_void_p),
         ("member", ctypes.c_void_p),
@@ -830,17 +799,14 @@ def _build_library() -> ctypes.CDLL | None:
         return None
     lib.build_forest.restype = ctypes.c_int64
     lib.build_forest.argtypes = [ctypes.POINTER(_FParams)]
-    lib.predict_leaves_grouped.restype = None
-    lib.predict_leaves_grouped.argtypes = [
-        ctypes.c_void_p,  # nodes (packed 32-byte structs)
-        ctypes.c_void_p,  # offsets (every group's tree roots)
-        ctypes.c_void_p,  # tree_counts
-        ctypes.c_void_p,  # row_counts
-        ctypes.c_void_p,  # tree_depths (every group's trees)
+    lib.predict_mean_var_grouped.restype = ctypes.c_int
+    lib.predict_mean_var_grouped.argtypes = [
+        ctypes.c_void_p,  # groups (fgroup_t structs)
         ctypes.c_int64,   # n_groups
         ctypes.c_int64,   # d
-        ctypes.c_void_p,  # x (stacked row slabs)
-        ctypes.c_void_p,  # out
+        ctypes.c_void_p,  # x (the groups' row slabs, back to back)
+        ctypes.c_void_p,  # mean
+        ctypes.c_void_p,  # var
     ]
     return lib
 
@@ -993,14 +959,13 @@ def build_forest(
     max_depth: int,
     n_thresholds: int,
     bootstrap: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Build ``n_trees`` packed trees in one native call.
 
-    Returns ``(nodes4, value, variance, offsets, counts, tree_depths)`` —
-    the concatenated node table in the 32-byte ``pnode_t`` layout with
-    child indices already rebased to the table, per-node leaf statistics,
-    each tree's root offset / node count, and each tree's deepest node
-    level (the branchless predict walk's per-lane step counts).  The RNG
+    Returns ``(nodes4, value, variance, offsets)`` — the concatenated node
+    table in the 32-byte ``pnode_t`` layout with child indices already
+    rebased to the table, per-node leaf statistics, and each tree's root
+    offset.  The RNG
     draws consume ``rng``'s underlying bit-generator stream exactly as
     the numpy builder's ``Generator`` calls would (same algorithms, same
     order), so trees and the final stream position are byte-identical to
@@ -1017,9 +982,7 @@ def build_forest(
 
     ws = _workspace()
     ws.ensure(n, d, m, n_trees, max_depth, n_thresholds)
-    # offsets, counts and tree_depths: one allocation, three rows
-    per_tree = np.empty((3, n_trees), dtype=np.int64)
-    per_tree_ptr = per_tree.ctypes.data
+    offsets = np.empty(n_trees, dtype=np.int64)
 
     p = ws.params
     p.n, p.d, p.m = n, d, m
@@ -1032,9 +995,7 @@ def build_forest(
     p.x_t = x_t.ctypes.data
     p.y = y.ctypes.data
     p.presort0 = presort0.ctypes.data
-    p.offsets = per_tree_ptr
-    p.counts = per_tree_ptr + 8 * n_trees
-    p.tree_depths = per_tree_ptr + 16 * n_trees
+    p.offsets = offsets.ctypes.data
 
     total = int(lib.build_forest(ctypes.byref(p)))
     if total < 0:
@@ -1043,46 +1004,58 @@ def build_forest(
         ws.nodes4[:total].copy(),
         ws.value[:total].copy(),
         ws.variance[:total].copy(),
-        *per_tree,
+        offsets,
     )
 
 
-def predict_leaves_grouped(
+def predict_mean_var_grouped(
     lib: ctypes.CDLL,
-    nodes: np.ndarray,
-    offsets: np.ndarray,
-    tree_counts: Sequence[int],
+    tables: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
     row_counts: Sequence[int],
-    tree_depths: np.ndarray,
     X: np.ndarray,
 ) -> np.ndarray:
-    """Leaf index for every (group, tree, row) triple of one walk.
+    """Every row's ensemble mean and total variance, in one native pass.
 
-    ``nodes`` is a :func:`pack_nodes` table whose child indices point into
-    the table itself.  Group ``g`` owns ``tree_counts[g]`` trees — its
-    slices of ``offsets`` (roots) and ``tree_depths`` (deepest level per
-    tree) — and scores rows ``[sum(row_counts[:g]), sum(row_counts[:g+1]))``
-    of ``X``.  Returns each group's tree-major leaf block back to back:
-    the layout, and the values, of the numpy frontier traversal.  The
-    kernel picks the depth walk or the lane walk per group from its
-    deepest tree; the indices are the same either way.
+    ``tables[g]`` is group ``g``'s own ``(nodes, value, variance, roots)``:
+    a :func:`pack_nodes` table whose child indices point into it, the
+    per-node leaf statistics, and one root index per tree.  Group ``g``
+    scores rows ``[sum(row_counts[:g]), sum(row_counts[:g+1]))`` of
+    ``X``, which must hold every column the group's trees split on (the
+    caller checks).  Returns a ``(2, len(X))`` array, means then
+    variances, byte-identical to the numpy tail over the group's leaf
+    stacks.
     """
-    nodes = np.ascontiguousarray(nodes, dtype=np.int64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    tree_counts = np.ascontiguousarray(tree_counts, dtype=np.int64)
-    row_counts = np.ascontiguousarray(row_counts, dtype=np.int64)
-    tree_depths = np.ascontiguousarray(tree_depths, dtype=np.int64)
     X = np.ascontiguousarray(X, dtype=float)
-    out = np.empty(int(tree_counts @ row_counts), dtype=np.int64)
-    lib.predict_leaves_grouped(
-        nodes.ctypes.data,
-        offsets.ctypes.data,
-        tree_counts.ctypes.data,
-        row_counts.ctypes.data,
-        tree_depths.ctypes.data,
-        len(tree_counts),
-        X.shape[1],
-        X.ctypes.data,
-        out.ctypes.data,
+    row_counts = [int(n) for n in row_counts]
+    if len(tables) != len(row_counts) or sum(row_counts) != len(X):
+        raise ValueError("tables, row_counts and X do not line up")
+    # fgroup_t's six fields are all eight bytes wide, so one int64 row
+    # per group is the struct; ``keep`` holds every array the kernel
+    # reads until it returns.
+    keep = []
+    groups = np.empty((len(tables), 6), dtype=np.int64)
+    for g, ((nodes, value, variance, roots), n_rows) in enumerate(
+        zip(tables, row_counts)
+    ):
+        nodes = np.ascontiguousarray(nodes, dtype=np.int64)
+        value = np.ascontiguousarray(value, dtype=float)
+        variance = np.ascontiguousarray(variance, dtype=float)
+        roots = np.ascontiguousarray(roots, dtype=np.int64)
+        if (
+            nodes.ndim != 2 or nodes.shape[1] != 4
+            or len(value) != len(nodes) or len(variance) != len(nodes)
+        ):
+            raise ValueError("group table has inconsistent node arrays")
+        keep += [nodes, value, variance, roots]
+        groups[g] = (
+            nodes.ctypes.data, value.ctypes.data, variance.ctypes.data,
+            roots.ctypes.data, len(roots), n_rows,
+        )
+    out = np.empty((2, len(X)))
+    status = lib.predict_mean_var_grouped(
+        groups.ctypes.data, len(groups), X.shape[1], X.ctypes.data,
+        out.ctypes.data, out[1].ctypes.data,
     )
+    if status != 0:
+        raise MemoryError("the forest kernel could not allocate its scratch")
     return out

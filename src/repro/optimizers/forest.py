@@ -9,12 +9,12 @@ improvement.
 Trees are stored as flat arrays, and the whole ensemble is additionally
 *packed* into one concatenated node table (:class:`_ForestArrays`).  One
 scoring path serves one forest and many: :func:`predict_mean_var_stacked`
-resolves every (forest, tree, row) leaf lookup in one pass — through the
-native kernel's grouped walk when available, else a numpy simultaneous
-frontier traversal — and ``predict_mean_var`` is its one-forest call, on
-the forest's own table.  Both walks return the same leaf indices (they
-are pure comparisons), and the mean/variance reductions are shared numpy
-code, so the paths are byte-identical.  The fit side hoists the per-node
+scores every forest's row slab against the forest's own table — in one
+native call that walks each row to its leaves and reduces them into the
+row's ``(mean, var)``, or, without the kernel, a numpy frontier traversal
+and numpy's reductions per forest — and ``predict_mean_var`` is its
+one-forest call.  The native reduction replicates numpy's summation
+order, so the paths are byte-identical.  The fit side hoists the per-node
 ``argsort`` into one stable presort per tree whose order arrays are
 filtered down the recursion, so split search costs a membership gather
 per node instead of an O(n log n) sort.
@@ -67,7 +67,7 @@ class _ForestArrays:
     value: np.ndarray
     variance: np.ndarray
     offsets: np.ndarray  # (n_trees,) root index of each tree
-    tree_depths: np.ndarray  # (n_trees,) deepest level per tree
+    n_columns: int  # columns a scored matrix needs: highest split + 1
     _nodes4: np.ndarray | None = None  # native-kernel node layout (lazy)
 
     @property
@@ -87,11 +87,9 @@ class _ForestArrays:
         value: np.ndarray,
         variance: np.ndarray,
         offsets: np.ndarray,
-        tree_depths: np.ndarray,
     ) -> "_ForestArrays":
-        """Wrap a packed node table whose child indices are already
-        global — the native builder's output, or a stacked super-table —
-        so the column fields are views into it."""
+        """Wrap the native builder's packed node table (child indices
+        already global to it), so the column fields are views into it."""
         return cls(
             feature=nodes4[:, 0],
             threshold=nodes4[:, 1].view(np.float64),
@@ -100,7 +98,7 @@ class _ForestArrays:
             value=value,
             variance=variance,
             offsets=offsets,
-            tree_depths=tree_depths,
+            n_columns=int(nodes4[:, 0].max(initial=-1)) + 1,
             _nodes4=nodes4,
         )
 
@@ -117,21 +115,6 @@ class _ForestArrays:
              for t, off in zip(trees, offsets)]
         )
         feature = np.concatenate([t.feature for t in trees])
-        # Per-node levels by level-order descent from the roots (the
-        # native builder records the per-tree maxima during the build).
-        node_depth = np.zeros(len(feature), dtype=np.int64)
-        frontier = np.asarray(offsets, dtype=np.int64)
-        depth = 0
-        while True:
-            internal = frontier[feature[frontier] >= 0]
-            if not internal.size:
-                break
-            frontier = np.concatenate([left[internal], right[internal]])
-            depth += 1
-            node_depth[frontier] = depth
-        tree_depths = np.maximum.reduceat(
-            node_depth, np.asarray(offsets, dtype=np.int64)
-        ) if len(trees) else np.empty(0, dtype=np.int64)
         return cls(
             feature=feature,
             threshold=np.concatenate([t.threshold for t in trees]),
@@ -140,7 +123,7 @@ class _ForestArrays:
             value=np.concatenate([t.value for t in trees]),
             variance=np.concatenate([t.variance for t in trees]),
             offsets=offsets,
-            tree_depths=tree_depths,
+            n_columns=int(feature.max(initial=-1)) + 1,
         )
 
 
@@ -439,7 +422,7 @@ class RandomForestRegressor:
         trees and the post-fit stream position are byte-identical to
         :meth:`_fit_numpy`."""
         n_features = X.shape[1]
-        nodes4, value, variance, offsets, __, tree_depths = _forest_kernel.build_forest(
+        nodes4, value, variance, offsets = _forest_kernel.build_forest(
             lib,
             X,
             y,
@@ -454,7 +437,7 @@ class RandomForestRegressor:
             bootstrap=self.bootstrap,
         )
         self._packed = _ForestArrays.from_packed(
-            nodes4, value, variance, offsets, tree_depths
+            nodes4, value, variance, offsets
         )
 
     def _fit_numpy(self, X: np.ndarray, y: np.ndarray) -> None:
@@ -510,15 +493,14 @@ def predict_mean_var_stacked(
 
     Forest ``k`` scores only its own candidate slab — rows
     ``[sum(row_counts[:k]), sum(row_counts[:k+1]))`` of ``X`` — against its
-    own trees, in one grouped leaf walk over every (forest, tree, row)
-    lookup: one native call, or one numpy frontier traversal on the
-    fallback path.  The walk reads one node table (:func:`_super_table`):
-    a lone forest's own, or every forest's concatenated into its own
-    node-offset slab.  The per-forest value/variance gathers and
-    reductions are the same numpy ops for every forest count, so each
-    returned ``(mean, var)`` pair is byte-identical to scoring
-    ``forests[k]`` alone on ``X_k`` — the wave scheduler's cross-session
-    contract.
+    own packed table: one native call for every forest, which walks each
+    forest's trees and reduces each row's leaves into its ``(mean, var)``,
+    or, without the kernel, one numpy frontier and reduction per forest
+    (:func:`_predict_numpy`).  Both paths give the same bytes, and each
+    returned pair is byte-identical to scoring ``forests[k]`` alone on
+    ``X_k`` — the wave scheduler's cross-session contract.  ``X`` may be
+    wider than a forest's training matrix (the wave zero-pads mixed
+    widths), but never narrower than the columns its trees split on.
     """
     if len(forests) != len(row_counts):
         raise ValueError("forests and row_counts length mismatch")
@@ -527,90 +509,49 @@ def predict_mean_var_stacked(
     if sum(row_counts) != len(X):
         raise ValueError("row_counts do not cover X")
     packs = []
-    for forest in forests:
+    for k, forest in enumerate(forests):
         if forest._packed is None:
             raise RuntimeError("forest is not fitted")
+        if X.shape[1] < forest._packed.n_columns:
+            raise ValueError(
+                f"X has {X.shape[1]} columns, but forest {k} splits on "
+                f"column {forest._packed.n_columns - 1}"
+            )
         packs.append(forest._packed)
-    table = _super_table(packs)
-    tree_counts = [len(p.offsets) for p in packs]
+    bounds = np.cumsum([0, *row_counts]).tolist()
 
     lib = _forest_kernel.load_kernel()
-    if lib is not None and len(X):
-        leaves = _forest_kernel.predict_leaves_grouped(
-            lib, table.nodes4, table.offsets, tree_counts, row_counts,
-            table.tree_depths, X,
-        )
-    else:
-        leaves = _stacked_leaves_numpy(table, tree_counts, row_counts, X)
-
-    results: list[tuple[np.ndarray, np.ndarray]] = []
-    out_pos = 0
-    for n_trees, n_rows in zip(tree_counts, row_counts):
-        block = leaves[out_pos:out_pos + n_trees * n_rows]
-        out_pos += n_trees * n_rows
-        mean_stack = table.value[block].reshape(n_trees, n_rows)
-        var_stack = table.variance[block].reshape(n_trees, n_rows)
-        mean = mean_stack.mean(axis=0)
-        total_var = mean_stack.var(axis=0) + var_stack.mean(axis=0)
-        results.append((mean, np.maximum(total_var, 1e-12)))
-    return results
-
-
-def _super_table(packs: list[_ForestArrays]) -> _ForestArrays:
-    """The node table one grouped walk reads: a lone forest's own packed
-    table as it is, else every forest's table concatenated, with child
-    indices and per-tree roots rebased by the forest's node base."""
-    if len(packs) == 1:
-        return packs[0]
-    sizes = np.array([len(p.feature) for p in packs], dtype=np.int64)
-    bases = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    nodes4 = np.concatenate([p.nodes4 for p in packs])
-    # Rebase child indices into the super-table, leaves (-1) preserved.
-    pos = 0
-    for p, base in zip(packs, bases):
-        if base:
-            block = nodes4[pos:pos + len(p.feature), 2:4]
-            np.add(block, base, out=block, where=block >= 0)
-        pos += len(p.feature)
-    return _ForestArrays.from_packed(
-        nodes4,
-        np.concatenate([p.value for p in packs]),
-        np.concatenate([p.variance for p in packs]),
-        np.concatenate([p.offsets + base for p, base in zip(packs, bases)]),
-        np.concatenate([p.tree_depths for p in packs]),
+    if lib is None:
+        return [
+            _predict_numpy(p, X[a:b])
+            for p, a, b in zip(packs, bounds[:-1], bounds[1:])
+        ]
+    out = _forest_kernel.predict_mean_var_grouped(
+        lib, [(p.nodes4, p.value, p.variance, p.offsets) for p in packs],
+        row_counts, X,
     )
+    return [(out[0, a:b], out[1, a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _stacked_leaves_numpy(
-    table: _ForestArrays,
-    tree_counts: Sequence[int],
-    row_counts: Sequence[int],
-    X: np.ndarray,
-) -> np.ndarray:
-    """Fallback grouped leaf lookup: one simultaneous frontier traversal
-    over every (forest, tree, row) pair of the table; pairs that reach a
-    leaf drop out of the frontier.  Laid out exactly like the native
-    ``predict_leaves_grouped`` output (groups back to back, tree-major
-    within each group)."""
-    node_parts = []
-    row_parts = []
-    row_start = 0
-    tree_pos = 0
-    for n_trees, n_rows in zip(tree_counts, row_counts):
-        roots = table.offsets[tree_pos:tree_pos + n_trees]
-        node_parts.append(np.repeat(roots, n_rows))
-        row_parts.append(
-            np.tile(np.arange(row_start, row_start + n_rows), n_trees)
-        )
-        tree_pos += n_trees
-        row_start += n_rows
-    node = np.concatenate(node_parts) if node_parts else np.empty(0, np.int64)
-    row = np.concatenate(row_parts) if row_parts else np.empty(0, np.int64)
-    active = np.flatnonzero(table.feature[node] >= 0)
+def _predict_numpy(
+    pack: _ForestArrays, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fallback for one forest: a simultaneous frontier traversal over
+    every (tree, row) pair of its own table — pairs that reach a leaf drop
+    out — then numpy's reductions over the ``(n_trees, n_rows)`` leaf
+    value and variance stacks.  The native pass reproduces these bytes."""
+    n_trees, n_rows = len(pack.offsets), len(X)
+    node = np.repeat(pack.offsets, n_rows)
+    row = np.tile(np.arange(n_rows), n_trees)
+    active = np.flatnonzero(pack.feature[node] >= 0)
     while active.size:
         nd = node[active]
-        go_left = X[row[active], table.feature[nd]] <= table.threshold[nd]
-        nd = np.where(go_left, table.left[nd], table.right[nd])
+        go_left = X[row[active], pack.feature[nd]] <= pack.threshold[nd]
+        nd = np.where(go_left, pack.left[nd], pack.right[nd])
         node[active] = nd
-        active = active[table.feature[nd] >= 0]
-    return node
+        active = active[pack.feature[nd] >= 0]
+    mean_stack = pack.value[node].reshape(n_trees, n_rows)
+    var_stack = pack.variance[node].reshape(n_trees, n_rows)
+    mean = mean_stack.mean(axis=0)
+    total_var = mean_stack.var(axis=0) + var_stack.mean(axis=0)
+    return mean, np.maximum(total_var, 1e-12)

@@ -8,7 +8,7 @@ multiplexes every concurrently-pending ``suggest`` into one
 **heterogeneous wave** suggestion step
 (:func:`~repro.tuning.wave.suggest_wave`, the step every wave round
 runs): all forest-backed tenants — regardless of spec — score in a
-single stacked ``predict_mean_var`` super-table call plus one EI pass,
+single ``predict_mean_var_stacked`` call plus one EI pass,
 exactly as the offline wave scheduler does for same-host sweeps.
 
 **Protocol.**  Sessions are keyed by ``(tenant_id, spec_token, seed)``

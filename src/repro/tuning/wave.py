@@ -11,23 +11,25 @@ path as a wave — one ``predict_mean_var_stacked`` call, whose one-forest
 walk reads the forest's own node table — while a lone group member
 evaluates through its session's own dispatch.
 
-``run_spec(spec, seeds, workers=N)`` runs S same-spec sessions in
-*waves*: one wave in this process at ``N=1``, or one wave per shard of
-a round-robin split of the seeds over N worker processes (a seed's
+:func:`runner.run_grid <repro.tuning.runner.run_grid>` runs any
+``(spec, seed)`` tasks — the seeds of one spec, or an experiment's
+whole grid of arms — in *waves*: one :func:`run_wave_mixed` in this
+process at ``workers=1``, or one per shard of a round-robin split of
+the tasks over N worker processes, each shard mixing specs (a task's
 trajectory does not depend on its wave's roster, so the shards return
-what one wave would).  Every iteration still fits S surrogates (each on
-its own seed's data and RNG stream — that part is irreducibly
-per-session), but the rest of the round is executed **once** across all
-sessions:
+what one wave would).  Every round of a wave of S sessions still fits S
+surrogates (each on its own session's data and RNG stream — that part
+is irreducibly per-session), but the rest of the round is executed
+**once** across all sessions:
 
 * the LHS init phase is one cross-session ``evaluate_batch_stacked`` pass
   over every session's decoded design (one per round when an early stop
   could fire inside a design, see :func:`_stacked_init`);
 * each model round's forest candidate matrices are concatenated and
-  scored in a single ``predict_mean_var_stacked`` call over one
-  packed-forest super-table (per-session node-offset slabs; GP
-  surrogates score per-session — dense linear algebra has no shared
-  table to stack);
+  scored in a single ``predict_mean_var_stacked`` call, one native pass
+  in which each forest walks and reduces its own slab against its own
+  packed table (GP surrogates score per-session — dense linear algebra
+  has no shared table to stack);
 * expected improvement runs as one pass with per-row incumbents;
 * all suggestions evaluate in one simulator matrix pass per *simulator
   group*, with each session's noise pairs drawn from its own stream.
@@ -41,7 +43,7 @@ the same workload/version/hardware profile stack even when the rest of
 their specs differ; different profiles simply evaluate in separate
 passes within the same wave).  The stacked *model* phase is
 group-agnostic: every forest-backed member of the wave joins one
-``predict_mean_var_stacked`` super-table regardless of spec — candidate
+``predict_mean_var_stacked`` call regardless of spec — candidate
 matrices of different widths are zero-padded to the widest, which is
 byte-identical because each forest's leaf walk only ever indexes its own
 training features, never the pad columns — and one EI pass scores all

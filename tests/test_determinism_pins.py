@@ -21,10 +21,7 @@ import pytest
 from forest_reference import predict_mean_var_per_tree
 from repro.dbms.engine import PostgresSimulator
 from repro.optimizers import _forest_kernel
-from repro.optimizers.forest import (
-    RandomForestRegressor,
-    _stacked_leaves_numpy,
-)
+from repro.optimizers.forest import RandomForestRegressor
 from repro.optimizers.smac import SMACOptimizer
 from repro.space.configspace import ConfigurationSpace
 from repro.space.knob import CategoricalKnob, FloatKnob
@@ -90,11 +87,11 @@ class TestForestPins:
 
 class TestNativePredictPins:
     """Native predict against the pre-refactor pins, decoupled from the
-    build path: a native-built forest queried through both C leaf walks
-    AND through the numpy frontier traversal (and the per-tree reference)
-    must all reproduce the pinned predictions byte-for-byte."""
+    build path: a native-built forest scored by the fused native pass
+    AND by the numpy fallback (and the per-tree reference) must all
+    reproduce the pinned predictions byte-for-byte."""
 
-    def test_native_predict_matches_pins(self, pins):
+    def test_native_predict_matches_pins(self, pins, monkeypatch):
         if not _forest_kernel.kernel_available():
             pytest.skip("native forest kernel unavailable on this host")
         pin = pins["forest"]
@@ -104,20 +101,13 @@ class TestNativePredictPins:
         forest = RandomForestRegressor(n_trees=10, seed=7).fit(X, y)
         probes = rng.random((25, 12))
 
-        lib = _forest_kernel.load_kernel()
-        p = forest._packed
-        numpy_leaves = _stacked_leaves_numpy(p, [10], [25], probes)
-        # The recorded depths take the depth walk; depths above its limit
-        # force the lane walk on the same shallow trees.
-        for depths in (p.tree_depths, np.full_like(p.tree_depths, 1 << 20)):
-            native_leaves = _forest_kernel.predict_leaves_grouped(
-                lib, p.nodes4, p.offsets, [10], [25], depths, probes
-            )
-            np.testing.assert_array_equal(native_leaves, numpy_leaves)
-
-        mean, var = forest.predict_mean_var(probes)  # routed natively
+        mean, var = forest.predict_mean_var(probes)  # the native pass
         np.testing.assert_array_equal(mean, np.array(pin["mean"]))
         np.testing.assert_array_equal(var, np.array(pin["var"]))
+        monkeypatch.setenv("REPRO_FOREST_KERNEL", "0")
+        numpy_mean, numpy_var = forest.predict_mean_var(probes)
+        assert numpy_mean.tobytes() == mean.tobytes()
+        assert numpy_var.tobytes() == var.tobytes()
         ref_mean, ref_var = predict_mean_var_per_tree(forest, probes)
         np.testing.assert_array_equal(mean, ref_mean)
         np.testing.assert_array_equal(var, ref_var)

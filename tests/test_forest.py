@@ -22,8 +22,7 @@ from repro.optimizers import _forest_kernel
 from repro.optimizers.forest import (
     RandomForestRegressor,
     RegressionTree,
-    _stacked_leaves_numpy,
-    _super_table,
+    _ForestArrays,
     predict_mean_var_stacked,
 )
 
@@ -222,103 +221,151 @@ class TestPackedForest:
         np.testing.assert_allclose(mean, 7.0)
         np.testing.assert_allclose(var, 1e-12)
 
-
-#: A per-tree depth above the kernel's depth-walk limit: passed as every
-#: tree's depth, it sends a group down the early-exit lane walk however
-#: shallow its trees really are (the lane walk never reads the depths).
-LANE_WALK_DEPTH = 1 << 20
-
-
-def native_leaves(lib, forests, X, row_counts, depths=None):
-    """The kernel's grouped walk over ``forests`` (their super-table, or
-    a lone forest's own table), with ``depths`` in place of the recorded
-    per-tree depths when given."""
-    table = _super_table([f._packed for f in forests])
-    return _forest_kernel.predict_leaves_grouped(
-        lib, table.nodes4, table.offsets,
-        [len(f._packed.offsets) for f in forests], row_counts,
-        table.tree_depths if depths is None else depths, X,
+    @pytest.mark.parametrize(
+        "kernel", ["1", "0"], ids=["native-kernel", "numpy-fallback"]
     )
+    def test_narrow_matrix_rejected(self, kernel, monkeypatch):
+        """A matrix narrower than the columns a forest splits on raises
+        ``ValueError`` on both paths, before any walk reads past its rows;
+        a wider, zero-padded matrix (a mixed-width wave's) scores as the
+        forest's own width does."""
+        if kernel == "1" and not _forest_kernel.kernel_available():
+            pytest.skip("native forest kernel unavailable on this host")
+        monkeypatch.setenv("REPRO_FOREST_KERNEL", kernel)
+        X, y = make_data(n=80, d=16)
+        forest = RandomForestRegressor(n_trees=8, seed=0).fit(X, y)
+        with pytest.raises(ValueError, match="columns"):
+            forest.predict_mean_var(X[:5, :4])
+        other = RandomForestRegressor(n_trees=3, seed=1).fit(X[:, :4], y)
+        with pytest.raises(ValueError, match="forest 1"):
+            predict_mean_var_stacked([other, forest], X[:6, :4], [3, 3])
+        padded = np.zeros((5, 20))
+        padded[:, :16] = X[:5]
+        for a, b in zip(forest.predict_mean_var(padded),
+                        forest.predict_mean_var(X[:5])):
+            assert a.tobytes() == b.tobytes()
 
 
-def numpy_leaves(forests, X, row_counts):
-    """The numpy frontier traversal over the same table: the oracle."""
-    return _stacked_leaves_numpy(
-        _super_table([f._packed for f in forests]),
-        [len(f._packed.offsets) for f in forests], row_counts, X,
+def require_kernel():
+    if not _forest_kernel.kernel_available():
+        pytest.skip("native forest kernel unavailable on this host")
+
+
+def assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_paths_match_reference(forests, X, row_counts):
+    """Every group's native ``(mean, var)`` equals the numpy fallback's
+    and the per-tree reference's, byte for byte."""
+    native = predict_mean_var_stacked(forests, X, row_counts)
+    with mock.patch.dict(os.environ, {"REPRO_FOREST_KERNEL": "0"}):
+        fallback = predict_mean_var_stacked(forests, X, row_counts)
+    start = 0
+    for forest, n_rows, pair, numpy_pair in zip(
+        forests, row_counts, native, fallback
+    ):
+        reference = (
+            predict_mean_var_per_tree(forest, X[start:start + n_rows])
+            if n_rows else (np.empty(0), np.empty(0))
+        )
+        for a, b, c in zip(pair, numpy_pair, reference):
+            assert_same_bytes(a, b)
+            assert_same_bytes(a, c)
+        start += n_rows
+
+
+def walk_leaves(forest, X):
+    """The ``(n_trees, n_rows)`` leaf indices the scoring pass reaches on
+    the current kernel path.  Each tree is scored as a one-tree group
+    over the forest's own nodes, with every node's value set to its own
+    index and every variance to zero, so a row's mean is its leaf."""
+    p = forest._packed
+    index_values = np.arange(len(p.feature), dtype=float)
+    stand_ins = []
+    for t in range(len(p.offsets)):
+        stand_in = RandomForestRegressor(seed=0)
+        stand_in._packed = _ForestArrays.from_packed(
+            p.nodes4, index_values, np.zeros(len(p.feature)),
+            p.offsets[t:t + 1],
+        )
+        stand_ins.append(stand_in)
+    n_trees = len(stand_ins)
+    stacked = predict_mean_var_stacked(
+        stand_ins, np.tile(X, (n_trees, 1)), [len(X)] * n_trees
     )
+    return np.array([mean for mean, __ in stacked]).reshape(n_trees, len(X))
+
+
+def assert_walks_match(forest, X):
+    """The native walk lands every (tree, row) pair on the numpy
+    frontier's leaf."""
+    native = walk_leaves(forest, X)
+    with mock.patch.dict(os.environ, {"REPRO_FOREST_KERNEL": "0"}):
+        fallback = walk_leaves(forest, X)
+    np.testing.assert_array_equal(native, fallback)
 
 
 class TestNativePredict:
-    """The native leaf walk must return the exact leaf indices of the numpy
-    frontier traversal — predictions are then byte-identical by construction
-    (both paths share the same numpy reductions).  Each case runs on both
-    walks: the recorded depths pick the depth walk for these shallow
-    forests, and ``LANE_WALK_DEPTH`` forces the lane walk."""
-
-    def _require_kernel(self):
-        if not _forest_kernel.kernel_available():
-            pytest.skip("native forest kernel unavailable on this host")
-        return _forest_kernel.load_kernel()
-
-    def _assert_both_walks_match(self, lib, forest, X):
-        p = forest._packed
-        assert p.tree_depths.max() <= 16  # the depth walk's domain
-        expected = numpy_leaves([forest], X, [len(X)])
-        for depths in (None, np.full_like(p.tree_depths, LANE_WALK_DEPTH)):
-            np.testing.assert_array_equal(
-                native_leaves(lib, [forest], X, [len(X)], depths), expected
-            )
+    """The fused native pass (one walk, then each row's reduction into
+    ``(mean, var)``) against the numpy frontier and the numpy tail: the
+    same leaves, and the same bytes.  ``TestFusedPassProperty`` draws the
+    general case; these are fixed examples of it."""
 
     @pytest.mark.parametrize("batch", [1, 7, 63, 64, 65, 500])
     def test_leaf_indices_match_numpy(self, batch):
-        lib = self._require_kernel()
+        require_kernel()
         X, y = make_data(n=90, d=8)
         forest = RandomForestRegressor(n_trees=12, seed=5).fit(X, y)
         probes = np.random.default_rng(1).random((batch, 8))
-        self._assert_both_walks_match(lib, forest, probes)
+        assert_walks_match(forest, probes)
+        assert_paths_match_reference([forest], probes, [batch])
 
     def test_many_trees_chunked(self):
-        """More trees than the kernel's lane chunk (64) exercises the
-        chunked outer loop."""
-        lib = self._require_kernel()
+        """70 trees over rows that span two of the kernel's row blocks."""
+        require_kernel()
         X, y = make_data(n=40, d=5)
         forest = RandomForestRegressor(n_trees=70, seed=2).fit(X, y)
-        probes = np.random.default_rng(3).random((33, 5))
-        self._assert_both_walks_match(lib, forest, probes)
+        probes = np.random.default_rng(3).random((300, 5))
+        assert_walks_match(forest, probes)
+        assert_paths_match_reference([forest], probes, [300])
 
     def test_nan_probes_go_right_like_numpy(self):
         """A NaN feature value fails ``<=`` and must take the right child
         on both paths."""
-        lib = self._require_kernel()
+        require_kernel()
         X, y = make_data(n=80, d=4)
         forest = RandomForestRegressor(n_trees=8, seed=7).fit(X, y)
         probes = np.random.default_rng(4).random((40, 4))
         probes[::3, 1] = np.nan
         probes[1::5] = np.nan
-        self._assert_both_walks_match(lib, forest, probes)
+        assert_walks_match(forest, probes)
+        assert_paths_match_reference([forest], probes, [40])
 
     def test_stump_forest_roots_are_leaves(self):
-        """Root-only trees never enter the walk loop; the lane setup must
-        still emit the root index for every pair."""
-        lib = self._require_kernel()
+        """Root-only trees never step; every row's leaf is the root."""
+        require_kernel()
         X = np.random.default_rng(0).random((20, 3))
         forest = RandomForestRegressor(n_trees=5, seed=0).fit(
             X, np.full(20, 7.0)
         )
-        self._assert_both_walks_match(lib, forest, X)
+        np.testing.assert_array_equal(
+            walk_leaves(forest, X),
+            np.repeat(forest._packed.offsets[:, None], 20, axis=1),
+        )
+        assert_paths_match_reference([forest], X, [20])
 
     def test_deep_shallow_and_empty_groups_in_one_call(self):
-        """One call mixing a forest deeper than the depth-walk limit (lane
-        walk), shallow forests (depth walk) and empty groups: every
-        group's block matches the numpy frontier."""
-        lib = self._require_kernel()
+        """One call mixing deep forests (``min_samples_split=2``),
+        shallow ones and empty groups: every group's ``(mean, var)``
+        matches the numpy fallback and the reference."""
+        require_kernel()
         rng = np.random.default_rng(6)
         X_deep = rng.random((300, 6))
         deep = RandomForestRegressor(
             n_trees=6, min_samples_split=2, seed=1
         ).fit(X_deep, rng.normal(size=300))
-        assert deep._packed.tree_depths.max() > 16
         shallow = [
             RandomForestRegressor(n_trees=9, seed=k).fit(*make_data(60, 6, k))
             for k in range(2)
@@ -327,15 +374,12 @@ class TestNativePredict:
         row_counts = [70, 130, 0, 0, 5]
         X = rng.random((sum(row_counts), 6))
         X[::7, 2] = np.nan
-        np.testing.assert_array_equal(
-            native_leaves(lib, forests, X, row_counts),
-            numpy_leaves(forests, X, row_counts),
-        )
+        assert_paths_match_reference(forests, X, row_counts)
 
     def test_predict_identical_across_kernel_setting(self, monkeypatch):
         """predict_mean_var under REPRO_FOREST_KERNEL=0 equals the native
         output byte-for-byte on the same fitted forest."""
-        self._require_kernel()
+        require_kernel()
         X, y = make_data(n=100, d=6)
         forest = RandomForestRegressor(n_trees=10, seed=9).fit(X, y)
         probes = np.random.default_rng(8).random((200, 6))
@@ -356,6 +400,88 @@ class TestNativePredict:
         np.testing.assert_array_equal(nodes[:, 1].view(float), p.threshold)
         np.testing.assert_array_equal(nodes[:, 2], p.left)
         np.testing.assert_array_equal(nodes[:, 3], p.right)
+
+
+@dataclass(frozen=True)
+class ScoringCase:
+    """One stacked scoring call: fitted forests, their row slabs stacked
+    into one matrix, and each slab's row count."""
+
+    forests: tuple
+    X: np.ndarray
+    row_counts: tuple
+
+
+@st.composite
+def scoring_cases(draw) -> ScoringCase:
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_groups = draw(st.integers(1, 5))
+    widths = [draw(st.integers(1, 12)) for _ in range(n_groups)]
+    forests, row_counts = [], []
+    for d in widths:
+        shape = draw(st.sampled_from(["plain", "stump", "deep"]))
+        n = 300 if shape == "deep" else draw(st.integers(2, 60))
+        X = rng.random((n, d))
+        y = rng.normal(size=n)
+        target = draw(
+            st.sampled_from(["normal", "negative-zero", "wide", "nan"])
+        )
+        if target == "wide":  # magnitudes where summation order shows
+            y *= 10.0 ** rng.integers(-12, 13, size=n)
+        elif target == "nan":  # NaN leaves: the variance floor keeps NaN
+            y[rng.integers(n, size=max(1, n // 10))] = np.nan
+        if shape == "stump":
+            y[:] = y[0]
+        forest = RandomForestRegressor(
+            n_trees=draw(st.sampled_from([1, 2, 9, 20, 64, 65, 70])),
+            min_samples_split=2 if shape == "deep" else 3,
+            seed=draw(st.integers(0, 2**32 - 1)),
+        ).fit(X, y)
+        if target == "negative-zero":
+            # Half or all of the leaves read -0.0: a row whose every leaf
+            # does sums to +0.0 only when its reductions start from 0.0.
+            # A fit yields a -0.0 leaf only when a mean underflows, so a
+            # stand-in carries the table.
+            share = draw(st.sampled_from([0.5, 1.0]))
+            p = forest._packed
+            forest = RandomForestRegressor(seed=0)
+            forest._packed = _ForestArrays.from_packed(
+                p.nodes4,
+                np.where(rng.random(len(p.value)) < share, -0.0, p.value),
+                p.variance, p.offsets,
+            )
+        forests.append(forest)
+        row_counts.append(
+            draw(st.sampled_from([0, 1, 2, 3, 255, 256, 257, 1100]))
+        )
+    # One matrix as wide as the widest group, zero-padded as a wave does.
+    X = np.zeros((sum(row_counts), max(widths)))
+    start = 0
+    for d, n_rows in zip(widths, row_counts):
+        X[start:start + n_rows, :d] = rng.random((n_rows, d))
+        start += n_rows
+    X[rng.random(X.shape) < 0.05] = np.nan
+    return ScoringCase(tuple(forests), X, tuple(row_counts))
+
+
+class TestFusedPassProperty:
+    """The fused native pass equals the numpy fallback byte for byte, and
+    both equal the per-tree reference, over the shapes where the two
+    reductions could part: one-row groups with 9 or more trees (numpy
+    sums those pairwise), row counts around the kernel's 256-row block,
+    -0.0 leaves, large magnitudes, NaN leaves and probes, stump forests,
+    depth-20 trees and mixed-width groups in one call.  The kernel's
+    branch-free stores stay inside its own allocations, which the
+    sanitized build checks; a store that lands on the wrong slot of its
+    own buffer shows here."""
+
+    @given(case=scoring_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_fused_pass_matches_numpy_and_reference(self, case):
+        require_kernel()
+        assert_paths_match_reference(
+            list(case.forests), case.X, list(case.row_counts)
+        )
 
 
 def load_compile_tool():
@@ -536,12 +662,12 @@ def fit_cases(draw) -> FitCase:
 
 #: Every column of the packed forest, compared as raw bytes.
 PACKED_FIELDS = ("feature", "threshold", "left", "right", "value",
-                 "variance", "offsets", "tree_depths")
+                 "variance", "offsets")
 
 
 class TestNativeKernelEquivalence:
     """The C build must be byte-identical to the numpy builder: same node
-    columns and tree depths, same predictions, same RNG stream afterwards.
+    columns, same predictions, same RNG stream afterwards.
 
     This property is also the only net for the kernel's unconditional
     stores: its scratch regions share one numpy buffer per type, so a
@@ -574,6 +700,7 @@ class TestNativeKernelEquivalence:
             b = getattr(fallback._packed, field)
             assert a.dtype == b.dtype, field
             assert a.tobytes() == b.tobytes(), field
+        assert native._packed.n_columns == fallback._packed.n_columns
         for a, b in zip(native.predict_mean_var(case.probes),
                         fallback.predict_mean_var(case.probes)):
             assert a.tobytes() == b.tobytes()

@@ -2,17 +2,13 @@
 
 Extends the wave contract (see ``test_wave.py``) to *mixed* task lists:
 ``(spec, seed)`` pairs with different workloads, optimizers, adapter
-widths, and budgets run in ONE wave — one stacked forest super-table
+widths, and budgets run in ONE wave — one stacked forest scoring call
 per model phase, one stacked simulator pass per simulator-identity
 group — and every task stays byte-identical to its solo sequential
 ``run_spec``: knob values, measured values, crash rows, early-stop
 iterations, and every optimizer/evaluation PCG64 stream position.  A
 mismatch means the grouping leaked RNG draws or rows across specs; do
 not loosen the comparison.
-
-The shared-candidate-pool protocol is a *single-spec* population
-concept, so ``run_wave_mixed`` must refuse it across distinct specs
-loudly rather than silently sampling one spec's pool for another.
 """
 
 import numpy as np
@@ -105,7 +101,7 @@ def assert_mixed_equivalent(tasks, expect_crash=None):
 class TestHeterogeneousWaves:
     def test_two_workloads_same_optimizer(self):
         # Same simulator *type*, different workload profiles → two
-        # evaluate_batch_stacked groups, one forest super-table.
+        # evaluate_batch_stacked groups, one stacked forest scoring call.
         a = SessionSpec(
             workload="ycsb-a", optimizer="smac",
             adapter=llamatune_factory(), n_iterations=14, n_init=5,
@@ -117,7 +113,7 @@ class TestHeterogeneousWaves:
         assert_mixed_equivalent([(a, 1), (a, 2), (b, 1), (b, 2)])
 
     def test_mixed_optimizers_and_widths(self):
-        # Forest (16d) + forest (8d) + GP (16d): the super-table must
+        # Forest (16d) + forest (8d) + GP (16d): the stacked call must
         # zero-pad the 8d candidate block, and the GP rounds must score
         # per-session without perturbing the stacked walk.
         a = SessionSpec(
