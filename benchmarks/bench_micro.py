@@ -338,6 +338,14 @@ def test_from_unit_array_256(benchmark, space):
     benchmark(space.from_unit_array, unit)
 
 
+def test_hesbo_to_target_batch_10(benchmark, space):
+    """The LHS design every LlamaTune session converts once (10 rows)."""
+    rng = np.random.default_rng(0)
+    adapter = llamatune_adapter(space, seed=0)
+    suggestions = uniform_configurations(adapter.optimizer_space, 10, rng)
+    benchmark(adapter.to_target_batch, suggestions)
+
+
 def test_hesbo_to_target_batch_256(benchmark, space):
     rng = np.random.default_rng(0)
     adapter = llamatune_adapter(space, seed=0)

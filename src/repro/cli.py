@@ -44,6 +44,7 @@ from repro.tuning.runner import (
     llamatune_factory,
     mean_best_curve,
     run_spec,
+    space_for_version,
 )
 from repro.tuning.session import QuarantinedSessionError
 
@@ -423,6 +424,7 @@ def main(argv: list[str] | None = None) -> int:
             patience=int(patience_text or 10),
         )
 
+    version = V96 if args.dbms_version == "9.6" else V136
     if args.no_llamatune:
         adapter = None
     else:
@@ -432,13 +434,21 @@ def main(argv: list[str] | None = None) -> int:
             bias=args.bias,
             max_values=args.buckets or None,
         )
+        # The adapter checks its own arguments (--dim, --bias, --buckets)
+        # when it is built; build it once here so a bad value is a flag
+        # error, not a traceback from inside the run.
+        try:
+            adapter(space_for_version(version), args.seed)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     spec = SessionSpec(
         workload=args.workload,
         optimizer=args.optimizer,
         adapter=adapter,
         objective=args.objective,
-        version=V96 if args.dbms_version == "9.6" else V136,
+        version=version,
         n_iterations=args.iterations,
         target_rate=args.rate,
         early_stopping=early_stopping,

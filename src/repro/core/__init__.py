@@ -1,13 +1,7 @@
 """LlamaTune core: projections, special-value biasing, bucketization, pipeline."""
 
 from repro.core.biasing import SpecialValueBiaser
-from repro.core.bucketization import (
-    Bucketizer,
-    bucketize_space,
-    bucketized_fraction,
-    debucketize,
-    quantize_unit,
-)
+from repro.core.bucketization import bucketize_space, bucketized_fraction
 from repro.core.pipeline import (
     IdentityAdapter,
     LlamaTuneAdapter,
@@ -23,7 +17,6 @@ from repro.core.projections import (
 )
 
 __all__ = [
-    "Bucketizer",
     "HeSBOProjection",
     "IdentityAdapter",
     "LinearProjection",
@@ -34,8 +27,6 @@ __all__ = [
     "SubspaceAdapter",
     "bucketize_space",
     "bucketized_fraction",
-    "debucketize",
     "llamatune_adapter",
     "make_projection",
-    "quantize_unit",
 ]

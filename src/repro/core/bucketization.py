@@ -5,46 +5,25 @@ Knobs with huge value ranges (``commit_delay`` in microseconds,
 nearby values perform identically.  Bucketization caps the number of unique
 values any dimension can take at ``K`` (10,000 by default, chosen so that
 ~50% of the v9.6 knobs are affected); values snap to a uniform grid.
+
+The optimizer sees the grid as integer *index* knobs: the synthetic knobs
+of a projected space, or the index knobs :func:`bucketize_space` puts in
+place of the large knobs of an unprojected one.
+:class:`~repro.core.pipeline.LlamaTuneAdapter` maps an index ``i`` back to
+the unit value ``i / (K - 1)`` (and checks ``K >= 2``).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.space.configspace import Configuration, ConfigurationSpace
+from repro.space.configspace import ConfigurationSpace
 from repro.space.knob import CategoricalKnob, IntegerKnob, Knob
-
-
-def quantize_unit(unit: float | np.ndarray, num_values: int) -> float | np.ndarray:
-    """Snap unit-interval value(s) to a uniform grid of ``num_values`` points."""
-    if num_values < 2:
-        raise ValueError("num_values must be >= 2")
-    return np.round(np.asarray(unit, dtype=float) * (num_values - 1)) / (
-        num_values - 1
-    )
-
-
-class Bucketizer:
-    """Limits every dimension of a unit hypercube to ``max_values`` levels."""
-
-    def __init__(self, max_values: int = 10_000):
-        if max_values < 2:
-            raise ValueError("max_values must be >= 2")
-        self.max_values = max_values
-
-    def apply(self, unit_vector: np.ndarray) -> np.ndarray:
-        return np.asarray(quantize_unit(unit_vector, self.max_values))
-
-    def affects(self, knob: Knob) -> bool:
-        """Whether this knob has more unique values than the bucket limit."""
-        return knob.num_values > self.max_values
 
 
 def bucketized_fraction(space: ConfigurationSpace, max_values: int) -> float:
     """Fraction of the space's knobs affected by a given ``K`` (the paper's
-    policy sets K so this fraction is ~P%, Section 4.2)."""
-    bucketizer = Bucketizer(max_values)
-    return sum(bucketizer.affects(k) for k in space) / len(space)
+    policy sets K so this fraction is ~P%, Section 4.2): those with more
+    than ``K`` unique values."""
+    return sum(knob.num_values > max_values for knob in space) / len(space)
 
 
 def bucketize_space(
@@ -54,8 +33,7 @@ def bucketize_space(
 
     Knobs with more than ``max_values`` unique values are replaced by
     *index* knobs over a uniform grid (``<name>`` keeps its name so
-    configurations stay aligned); other knobs pass through unchanged.  Use
-    :func:`debucketize` to convert suggested configurations back.
+    configurations stay aligned); other knobs pass through unchanged.
     """
     knobs: list[Knob] = []
     for knob in space:
@@ -73,20 +51,3 @@ def bucketize_space(
                 )
             )
     return ConfigurationSpace(knobs, name=f"{space.name}/K={max_values}")
-
-
-def debucketize(
-    config: Configuration,
-    original_space: ConfigurationSpace,
-    max_values: int,
-) -> Configuration:
-    """Map a configuration of a bucketized space back to the original space."""
-    values = {}
-    for knob in original_space:
-        raw = config[knob.name]
-        if isinstance(knob, CategoricalKnob) or knob.num_values <= max_values:
-            values[knob.name] = raw
-        else:
-            unit = float(raw) / (max_values - 1)
-            values[knob.name] = knob.from_unit(unit)
-    return Configuration(original_space, values)

@@ -17,6 +17,10 @@ Design requirements from the paper: the optimizer only ever sees the
 low-dimensional (bucketized) space; biasing applies strictly after
 projection and only to hybrid knobs; bucketization is exposed to the
 optimizer through the grid of the synthetic knobs.
+
+Steps 2-5 have one implementation per input kind at every batch size: a
+matrix pass for projected rows, a per-knob plan for unprojected ones, both
+pinned to the knob-by-knob definition in ``tests/adapter_reference.py``.
 """
 
 from __future__ import annotations
@@ -30,11 +34,15 @@ from repro.core.biasing import SpecialValueBiaser
 from repro.core.bucketization import bucketize_space
 from repro.core.projections import LinearProjection, make_projection
 from repro.space.configspace import Configuration, ConfigurationSpace
-from repro.space.knob import CategoricalKnob, FloatKnob, IntegerKnob
+from repro.space.knob import FloatKnob, IntegerKnob
 
 
 class SearchSpaceAdapter(ABC):
-    """Maps optimizer-space configurations onto target-space configurations."""
+    """Maps optimizer-space configurations onto target-space configurations.
+
+    :meth:`to_target_batch` is the one method an adapter implements;
+    :meth:`to_target` is its one-row batch.
+    """
 
     def __init__(self, target_space: ConfigurationSpace):
         self.target_space = target_space
@@ -45,18 +53,15 @@ class SearchSpaceAdapter(ABC):
         """The space the optimizer tunes."""
 
     @abstractmethod
-    def to_target(self, config: Configuration) -> Configuration:
-        """Convert an optimizer-space suggestion to a DBMS configuration."""
-
     def to_target_batch(
         self, configs: Sequence[Configuration]
     ) -> list[Configuration]:
-        """Convert ``N`` optimizer-space suggestions at once.
+        """Convert ``N`` optimizer-space suggestions to DBMS configurations."""
 
-        The fallback maps :meth:`to_target` over the sequence; adapters with
-        an array-native pipeline override it with a vectorized pass.
-        """
-        return [self.to_target(config) for config in configs]
+    def to_target(self, config: Configuration) -> Configuration:
+        """Convert one optimizer-space suggestion: a one-row
+        :meth:`to_target_batch`."""
+        return self.to_target_batch([config])[0]
 
 
 class IdentityAdapter(SearchSpaceAdapter):
@@ -65,9 +70,6 @@ class IdentityAdapter(SearchSpaceAdapter):
     @property
     def optimizer_space(self) -> ConfigurationSpace:
         return self.target_space
-
-    def to_target(self, config: Configuration) -> Configuration:
-        return config
 
     def to_target_batch(
         self, configs: Sequence[Configuration]
@@ -90,8 +92,13 @@ class SubspaceAdapter(SearchSpaceAdapter):
     def optimizer_space(self) -> ConfigurationSpace:
         return self._subspace
 
-    def to_target(self, config: Configuration) -> Configuration:
-        return self.target_space.partial_configuration(dict(config))
+    def to_target_batch(
+        self, configs: Sequence[Configuration]
+    ) -> list[Configuration]:
+        return [
+            self.target_space.partial_configuration(dict(config))
+            for config in configs
+        ]
 
 
 class LlamaTuneAdapter(SearchSpaceAdapter):
@@ -107,6 +114,11 @@ class LlamaTuneAdapter(SearchSpaceAdapter):
         max_values: Bucketization limit ``K`` (10,000 default; ``None``
             disables bucketization).
         seed: Seed for the random projection matrix.
+
+    Raises:
+        ValueError: ``max_values`` is below 2, ``target_dim`` is outside
+            ``[1, D]``, or ``bias`` is outside ``[0, 0.5)`` or fills a
+            hybrid knob's whole range.
     """
 
     def __init__(
@@ -118,11 +130,15 @@ class LlamaTuneAdapter(SearchSpaceAdapter):
         max_values: int | None = 10_000,
         seed: int = 0,
     ):
+        if max_values is not None and max_values < 2:
+            raise ValueError(
+                f"max_values (bucketization K) must be None or >= 2, got "
+                f"{max_values}"
+            )
         super().__init__(target_space)
         self.biaser = SpecialValueBiaser(target_space, bias)
         self.max_values = max_values
         self.projection: LinearProjection | None = None
-        self._scalar_plan: list[tuple] | None = None
 
         if projection is not None:
             rng = np.random.default_rng(seed)
@@ -134,6 +150,7 @@ class LlamaTuneAdapter(SearchSpaceAdapter):
             self._optimizer_space = bucketize_space(target_space, max_values)
         else:
             self._optimizer_space = target_space
+        self._plan = self._unprojected_plan() if projection is None else []
 
     # --- spaces -------------------------------------------------------------
 
@@ -189,92 +206,56 @@ class LlamaTuneAdapter(SearchSpaceAdapter):
             return bound * (2.0 * unit - 1.0)
         return raw
 
-    def _plan(self) -> list[tuple]:
-        """Per-knob scalar conversion plan (lazily built).
-
-        ``to_target`` uses this to run the same formulas as the batch path
-        on plain Python scalars, skipping the array round trip that only
-        pays off for ``N > 1`` (the equivalence tests pin the two paths to
-        bit-identical outputs).  Entries are ``(kind, name, *payload)``
-        with kind in ``{"copy", "int", "float", "cat", "bias"}``.
-        """
-        if self._scalar_plan is not None:
-            return self._scalar_plan
-        space = self.target_space
-        arrays = space.arrays
-        biased = self.biaser.biased_columns()
-        plan: list[tuple] = []
-        for j, knob in enumerate(space):
-            name = knob.name
-            if self.projection is None:
-                bucketized = self._optimizer_space[name] is not knob
-                if not bucketized and j not in biased:
-                    continue  # passes through untouched
-                source = ("bucket", None, None) if bucketized else (
-                    "unit", float(arrays.lower[j]), float(arrays.span[j])
-                )
-            else:
-                source = ("proj", None, None)
-            if j in biased:
-                column = biased[j]
-                to_native = int if column.is_integer else float
-                plan.append((
-                    "bias", name, j, source,
-                    tuple(to_native(s) for s in column.specials.tolist()),
-                    len(column.specials), column.total_mass,
-                    column.regular_lo, column.regular_hi, column.is_integer,
-                ))
-            elif arrays.is_categorical[j]:
-                plan.append(("cat", name, j, source, arrays.choices[j],
-                             int(arrays.n_choices[j])))
-            elif arrays.is_integer[j]:
-                plan.append(("int", name, j, source, int(arrays.lower[j]),
-                             float(arrays.span[j])))
-            else:
-                plan.append(("float", name, j, source, float(arrays.lower[j]),
-                             float(arrays.span[j])))
-        self._scalar_plan = plan
+    def _unprojected_plan(self) -> list[tuple]:
+        """One ``(name, bucket, lower, span, integer, svb)`` entry per column
+        an unprojected row changes (a bucketized index knob or a biased
+        hybrid knob; the rest pass through).  ``bucket`` is ``K - 1`` for a
+        bucketized knob, else 0; ``svb`` is ``None`` or the knob's
+        ``(specials, mass, lo, hi - lo)``."""
+        arrays = self.target_space.arrays
+        plan = []
+        for j, knob in enumerate(self.target_space):
+            bucketized = self._optimizer_space[knob.name] is not knob
+            svb = self.biaser.biased.get(j)
+            if not bucketized and svb is None:
+                continue
+            integer = bool(arrays.is_integer[j])
+            plan.append((
+                knob.name,
+                self.max_values - 1 if bucketized else 0,  # type: ignore[operator]
+                int(arrays.lower[j]) if integer else float(arrays.lower[j]),
+                float(arrays.span[j]),
+                integer,
+                None if svb is None else (
+                    svb.specials, svb.mass, svb.lo, svb.hi - svb.lo
+                ),
+            ))
         return plan
 
-    def to_target(self, config: Configuration) -> Configuration:
-        """Scalar conversion: the same formulas as :meth:`to_target_batch`
-        on plain Python scalars (cheaper than a one-row array round trip)."""
-        if self.projection is not None:
-            low = self.projection.project(self._low_matrix([config])[0])
-            unit = np.clip((low + 1.0) / 2.0, 0.0, 1.0).tolist()
-            values: dict = {}
-        else:
-            unit = None
-            values = config.to_dict()  # pass-through baseline, then overwrite
-        for entry in self._plan():
-            kind, name, __, (origin, lower, span) = entry[:4]
-            if origin == "proj":
-                u = unit[entry[2]]
-            elif origin == "bucket":
-                u = config[name] / (self.max_values - 1)
+    def _unprojected_row(self, config: Configuration) -> Configuration:
+        """One unprojected suggestion through the plan; the columns it
+        does not name keep the suggestion's values."""
+        values = config.to_dict()
+        bias = self.biaser.bias
+        for name, bucket, lower, span, integer, svb in self._plan:
+            raw = values[name]
+            if bucket:
+                u = raw / bucket
             else:
-                u = (config[name] - lower) / span if span > 0.0 else 0.0
+                u = (raw - lower) / span if span > 0.0 else 0.0
             if u < 0.0:
                 u = 0.0
             elif u > 1.0:
                 u = 1.0
-            if kind == "bias":
-                specials, n_specials, mass, lo, hi, is_integer = entry[4:]
+            if svb is not None:
+                specials, mass, lower, span = svb
                 if u < mass:
                     values[name] = specials[
-                        min(int(u / self.biaser.bias), n_specials - 1)
+                        min(int(u / bias), len(specials) - 1)
                     ]
-                elif is_integer:
-                    values[name] = lo + round((u - mass) / (1.0 - mass) * (hi - lo))
-                else:
-                    values[name] = lo + (u - mass) / (1.0 - mass) * (hi - lo)
-            elif kind == "cat":
-                choices, k = entry[4], entry[5]
-                values[name] = choices[min(int(u * k), k - 1)]
-            elif kind == "int":
-                values[name] = entry[4] + round(u * entry[5])
-            else:
-                values[name] = entry[4] + u * entry[5]
+                    continue
+                u = (u - mass) / (1.0 - mass)
+            values[name] = lower + round(u * span) if integer else lower + u * span
         return Configuration._trusted(self.target_space, values)
 
     def to_target_batch(
@@ -282,55 +263,19 @@ class LlamaTuneAdapter(SearchSpaceAdapter):
     ) -> list[Configuration]:
         """Project, normalize, bias, and rescale ``N`` suggestions at once.
 
-        The whole pipeline runs on ``N x d`` / ``N x D`` matrices: one
-        projection pass, then per-kind array conversions with special-value
-        biasing applied through boolean masks (no per-knob dispatch).
+        Projected rows take one matrix pass: the projection, the clip to
+        ``[0, 1]``, and :meth:`SpecialValueBiaser.from_unit_array` (the
+        target space's native blocks, every biased knob in one masked pass
+        per kind, one assembly).  Unprojected rows (the SVB-only and
+        bucketization-only ablations) take the per-knob plan row by row,
+        over only the columns it changes.
         """
+        if self.projection is None:
+            return [self._unprojected_row(config) for config in configs]
         if not configs:
             return []
-        space = self.target_space
-        if self.projection is not None:
-            high = self.projection.project_batch(self._low_matrix(configs))
-            unit = np.clip((high + 1.0) / 2.0, 0.0, 1.0)
-            columns = space._columns_from_unit(unit)
-            for j, column in self.biaser.biased_value_columns(unit).items():
-                columns[j] = column
-            return space._configurations_from_columns(columns)
-
-        # No projection: pass values through, biasing hybrid knobs and
-        # un-bucketizing index knobs.
-        arrays = space.arrays
-        names = space.names
-        rows = [[config[name] for name in names] for config in configs]
-        columns: list[list] = list(map(list, zip(*rows)))
-        biased_columns = self.biaser.biased_columns()
-        for j, knob in enumerate(space):
-            if isinstance(knob, CategoricalKnob):
-                continue
-            bucketized = self._optimizer_space[knob.name] is not knob
-            biased = j in biased_columns
-            if not bucketized and not biased:
-                continue
-            raw = np.array(columns[j], dtype=float)
-            if bucketized:
-                unit = raw / (self.max_values - 1)  # type: ignore[operator]
-            else:
-                span = arrays.span[j]
-                unit = (raw - arrays.lower[j]) / span if span > 0.0 else (
-                    np.zeros_like(raw)
-                )
-            if biased:
-                columns[j] = self.biaser.bias_column(biased_columns[j], unit)
-            elif arrays.is_integer[j]:
-                columns[j] = (
-                    np.rint(np.clip(unit, 0.0, 1.0) * arrays.span[j])
-                    .astype(np.int64) + int(arrays.lower[j])
-                ).tolist()
-            else:
-                columns[j] = (
-                    arrays.lower[j] + np.clip(unit, 0.0, 1.0) * arrays.span[j]
-                ).tolist()
-        return space._configurations_from_columns(columns)
+        high = self.projection.project_batch(self._low_matrix(configs))
+        return self.biaser.from_unit_array((high + 1.0) / 2.0)
 
 
 def llamatune_adapter(

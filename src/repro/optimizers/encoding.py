@@ -61,16 +61,18 @@ class SpaceEncoding:
         return self.decode_batch(np.atleast_2d(np.asarray(vector, dtype=float)))[0]
 
     def decode_batch(self, vectors: np.ndarray) -> list[Configuration]:
-        """Decode an ``N x D`` matrix into ``N`` configurations at once."""
+        """Decode an ``N x D`` matrix into ``N`` configurations at once:
+        the space's numeric blocks of the clipped matrix and the rounded,
+        clipped category indices, through the space's one assembly."""
         vectors = np.asarray(vectors, dtype=float)
         arrays = self.space.arrays
-        columns = self.space._columns_from_unit(vectors)
-        for j in np.flatnonzero(self.is_categorical):
-            k = self.n_categories[j]
-            index = np.clip(np.rint(vectors[:, j]), 0, k - 1).astype(np.int64)
-            choices = arrays.choices[j]
-            columns[j] = [choices[i] for i in index.tolist()]
-        return self.space._configurations_from_columns(columns)
+        floats, ints = self.space._numeric_blocks(np.clip(vectors, 0.0, 1.0))
+        codes = None
+        if self._has_categorical:
+            codes = np.clip(
+                np.rint(vectors[:, arrays.categorical_cols]), 0, arrays.cat_last
+            ).astype(np.int64)
+        return self.space._from_blocks(len(vectors), floats, ints, codes)
 
     # --- sampling in encoded coordinates -----------------------------------
 

@@ -352,6 +352,8 @@ class RandomForestRegressor:
         *,
         seed: int,
     ):
+        if n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {n_trees}")
         self.n_trees = n_trees
         self.max_features = max_features
         self.min_samples_split = min_samples_split

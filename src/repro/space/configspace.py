@@ -12,8 +12,10 @@ The space also provides vector conversions used throughout the tuner stack:
 * ``to_unit_array`` / ``from_unit_array``: the batched equivalents, mapping
   ``N`` configurations <-> an ``N x D`` matrix in one vectorized pass.
 
-The scalar conversions are thin wrappers over the batch paths, so every
-caller (optimizers, adapters, samplers) shares the same array-native code.
+The scalar conversions are thin wrappers over the batch paths.  Every
+unit -> native conversion (``from_unit_array``, the surrogate encoding's
+``decode_batch``, the LlamaTune adapter's projected pass) ends in one
+assembly, :meth:`ConfigurationSpace._from_blocks`.
 """
 
 from __future__ import annotations
@@ -146,16 +148,14 @@ class Configuration(Mapping[str, KnobValue]):
 class SpaceArrays:
     """Precomputed array metadata for vectorized space conversions.
 
-    All arrays are indexed by knob position.  ``lower``/``span`` hold the
-    numeric bounds (zeros for categoricals); ``n_choices`` the categorical
-    cardinalities; the masks classify each dimension once so batch code
-    never re-dispatches per knob.
+    ``is_integer``, ``lower``/``span`` (zeros for categoricals) and
+    ``n_choices`` are indexed by knob position; the ``*_cols`` arrays list
+    each kind's columns, and the arrays after them hold the unit -> native
+    constants of those columns, in the same order.
     """
 
     names: tuple[str, ...]
-    is_categorical: np.ndarray  # bool D
     is_integer: np.ndarray  # bool D
-    is_hybrid: np.ndarray  # bool D (has special values)
     lower: np.ndarray  # float D (0 for categoricals)
     span: np.ndarray  # float D, upper - lower (0 for categoricals)
     n_choices: np.ndarray  # int D (0 for numerics)
@@ -163,8 +163,15 @@ class SpaceArrays:
     integer_cols: np.ndarray  # int indices of integer knobs
     float_cols: np.ndarray  # int indices of float knobs
     categorical_cols: np.ndarray  # int indices of categorical knobs
-    choices: tuple[tuple[str, ...] | None, ...]  # per-knob choice tuples
     choice_index: tuple[dict | None, ...]  # per-knob choice -> index maps
+    float_lower: np.ndarray  # float
+    float_span: np.ndarray  # float
+    int_lower: np.ndarray  # int64
+    int_span: np.ndarray  # float
+    cat_size: np.ndarray  # float, number of choices
+    cat_last: np.ndarray  # int64, cat_size - 1
+    choice_table: np.ndarray  # object, every categorical knob's choices
+    choice_offset: np.ndarray  # int64, a column's first entry in choice_table
 
 
 class ConfigurationSpace:
@@ -245,36 +252,45 @@ class ConfigurationSpace:
                 [isinstance(k, CategoricalKnob) for k in knobs], dtype=bool
             )
             is_int = np.array([isinstance(k, IntegerKnob) for k in knobs], dtype=bool)
-            is_hybrid = np.array([k.is_hybrid for k in knobs], dtype=bool)
             lower = np.array(
                 [0.0 if c else k.lower for k, c in zip(knobs, is_cat)], dtype=float
             )
             upper = np.array(
                 [0.0 if c else k.upper for k, c in zip(knobs, is_cat)], dtype=float
             )
+            span = upper - lower
             n_choices = np.array(
                 [len(k.choices) if c else 0 for k, c in zip(knobs, is_cat)],
                 dtype=int,
             )
+            int_cols = np.flatnonzero(is_int)
+            float_cols = np.flatnonzero(~is_cat & ~is_int)
+            cat_cols = np.flatnonzero(is_cat)
+            cat_size = n_choices[cat_cols]
             self._arrays = SpaceArrays(
                 names=self._names,
-                is_categorical=is_cat,
                 is_integer=is_int,
-                is_hybrid=is_hybrid,
                 lower=lower,
-                span=upper - lower,
+                span=span,
                 n_choices=n_choices,
                 numeric_cols=np.flatnonzero(~is_cat),
-                integer_cols=np.flatnonzero(is_int),
-                float_cols=np.flatnonzero(~is_cat & ~is_int),
-                categorical_cols=np.flatnonzero(is_cat),
-                choices=tuple(
-                    k.choices if c else None for k, c in zip(knobs, is_cat)
-                ),
+                integer_cols=int_cols,
+                float_cols=float_cols,
+                categorical_cols=cat_cols,
                 choice_index=tuple(
                     {choice: i for i, choice in enumerate(k.choices)} if c else None
                     for k, c in zip(knobs, is_cat)
                 ),
+                float_lower=lower[float_cols],
+                float_span=span[float_cols],
+                int_lower=lower[int_cols].astype(np.int64),
+                int_span=span[int_cols],
+                cat_size=cat_size.astype(float),
+                cat_last=(cat_size - 1).astype(np.int64),
+                choice_table=np.array(
+                    [c for j in cat_cols for c in knobs[j].choices], dtype=object
+                ),
+                choice_offset=(np.cumsum(cat_size) - cat_size).astype(np.int64),
             )
         return self._arrays
 
@@ -353,44 +369,57 @@ class ConfigurationSpace:
             raise KnobError(
                 f"expected matrix of shape (N, {self.dim}), got {unit.shape}"
             )
-        return self._configurations_from_columns(self._columns_from_unit(unit))
+        unit = np.clip(unit, 0.0, 1.0)
+        floats, ints = self._numeric_blocks(unit)
+        return self._from_blocks(
+            len(unit), floats, ints, self._category_codes(unit)
+        )
 
     # --- batch internals ----------------------------------------------------
+    # A block is ``None`` when the space has no knob of its kind, so a
+    # space of one kind (SMAC's synthetic all-integer space) pays for one.
 
-    def _columns_from_unit(self, unit: np.ndarray) -> list[list]:
-        """Per-knob native value columns (Python lists) for a unit matrix.
-
-        The building block behind :meth:`from_unit_array`: adapters replace
-        individual columns (e.g. special-value biased knobs) before assembly.
-        Works on whole ``N x D`` matrices — a handful of array ops and one
-        transpose-to-list per knob kind, never a per-knob numpy call.
-        """
+    def _numeric_blocks(
+        self, unit: np.ndarray
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Native float and int blocks of a unit matrix already in [0, 1]:
+        ``lower + u * span``, and ``rint(u * span) + lower`` (``np.rint``
+        rounds half to even, as ``IntegerKnob.from_unit``'s ``round``)."""
         a = self.arrays
-        unit = np.clip(unit, 0.0, 1.0)
-        cols: list[list] = [None] * self.dim  # type: ignore[list-item]
-        scaled = unit * a.span
-        # Full-matrix passes per kind; off-kind columns hold garbage that the
-        # column scatter below never reads.
-        floats = (a.lower + scaled).T.tolist()
-        ints = (np.rint(scaled).astype(np.int64) + a.lower.astype(np.int64)).T.tolist()
-        for j in a.float_cols:
-            cols[j] = floats[j]
-        for j in a.integer_cols:
-            cols[j] = ints[j]
-        if len(a.categorical_cols):
-            indices = np.minimum(
-                (unit * a.n_choices).astype(np.int64),
-                np.maximum(a.n_choices - 1, 0),
-            ).T.tolist()
-            for j in a.categorical_cols:
-                choices = a.choices[j]
-                cols[j] = [choices[i] for i in indices[j]]
-        return cols
+        floats = ints = None
+        if len(a.float_cols):
+            floats = a.float_lower + unit[:, a.float_cols] * a.float_span
+        if len(a.integer_cols):
+            ints = np.rint(unit[:, a.integer_cols] * a.int_span).astype(np.int64)
+            ints += a.int_lower
+        return floats, ints
 
-    def _configurations_from_columns(self, columns: list[list]) -> list[Configuration]:
-        """Assemble trusted configurations from per-knob value columns."""
+    def _category_codes(self, unit: np.ndarray) -> np.ndarray | None:
+        """Choice indices (equal-width bins) of a unit matrix in [0, 1]."""
+        a = self.arrays
+        if not len(a.categorical_cols):
+            return None
+        codes = (unit[:, a.categorical_cols] * a.cat_size).astype(np.int64)
+        return np.minimum(codes, a.cat_last)
+
+    def _from_blocks(
+        self, n: int, floats: np.ndarray | None, ints: np.ndarray | None,
+        codes: np.ndarray | None,
+    ) -> list[Configuration]:
+        """The one unit -> native assembly: ``n`` trusted configurations
+        from the float, int and categorical code blocks.  One object matrix
+        gathers them into name order, so every value leaves as its knob
+        kind's Python type (``float``, ``int`` or ``str``)."""
+        a = self.arrays
+        rows = np.empty((n, self.dim), dtype=object)
+        if floats is not None:
+            rows[:, a.float_cols] = floats
+        if ints is not None:
+            rows[:, a.integer_cols] = ints
+        if codes is not None:
+            rows[:, a.categorical_cols] = a.choice_table[codes + a.choice_offset]
         names = self._names
         return [
             Configuration._trusted(self, dict(zip(names, row)))
-            for row in zip(*columns)
+            for row in rows.tolist()
         ]

@@ -398,8 +398,7 @@ def suggest_wave(sessions: Sequence[TuningSession]) -> list[SuggestRound]:
     loop and the session server: prepare each session's round (q = its
     ``suggest_batch``, capped by the remaining budget), score all of
     them in one model phase (:func:`score_rounds`), and convert each
-    round's configs to target space — the scalar plan for one-suggestion
-    rounds, the batch pass otherwise (both pinned bit-identical).
+    round's configs to target space with one ``to_target_batch`` call.
     Returns one :class:`SuggestRound` per session, in order."""
     rounds = []
     for session in sessions:
@@ -415,11 +414,7 @@ def suggest_wave(sessions: Sequence[TuningSession]) -> list[SuggestRound]:
     score_rounds(rounds)
 
     for r in rounds:
-        adapter = r.session.adapter
-        if r.q == 1:
-            r.targets = [adapter.to_target(r.configs[0])]
-        else:
-            r.targets = adapter.to_target_batch(r.configs)
+        r.targets = r.session.adapter.to_target_batch(r.configs)
     return rounds
 
 

@@ -4,7 +4,9 @@ The vectorized layer (``to_unit_array``/``from_unit_array``,
 ``to_target_batch``, ``evaluate_batch``) promises exact equivalence with the
 scalar APIs — same values, same native Python types, same noise streams —
 for seeded random configurations, including hybrid-knob biasing and crash
-handling.  These tests pin that contract.
+handling.  These tests pin that contract; the adapter, whose ``to_target``
+is itself a one-row batch, is pinned to its knob-by-knob reference
+(``tests/adapter_reference.py``).
 """
 
 import dataclasses
@@ -12,6 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from adapter_reference import assert_matches_reference
 from repro.core.pipeline import IdentityAdapter, LlamaTuneAdapter
 from repro.dbms import engine as engine_module
 from repro.dbms.components import BATCH_COMPONENTS
@@ -24,7 +27,7 @@ from repro.dbms.versions import V96, V136
 from repro.optimizers import SMACOptimizer
 from repro.optimizers.encoding import SpaceEncoding
 from repro.space.configspace import Configuration, ConfigurationSpace
-from repro.space.knob import KnobError
+from repro.space.knob import IntegerKnob, KnobError
 from repro.space.postgres import postgres_v96_space, postgres_v136_space
 from repro.space.sampling import uniform_configurations
 from repro.tuning.early_stopping import EarlyStoppingPolicy
@@ -111,6 +114,9 @@ class TestUnitArrayEquivalence:
 
 
 class TestAdapterEquivalence:
+    """The catalog spaces through every adapter kind, against the
+    knob-by-knob reference (``tests/adapter_reference.py``)."""
+
     @pytest.mark.parametrize("projection", ["hesbo", "rembo"])
     @pytest.mark.parametrize("max_values", [10_000, None])
     def test_projection_pipeline(self, space, projection, max_values):
@@ -119,9 +125,9 @@ class TestAdapterEquivalence:
         )
         rng = np.random.default_rng(4)
         suggestions = uniform_configurations(adapter.optimizer_space, 24, rng)
-        batch = adapter.to_target_batch(suggestions)
-        scalars = [adapter.to_target(c) for c in suggestions]
-        assert_identical(batch, scalars, space)
+        assert_matches_reference(
+            adapter, suggestions, adapter.to_target_batch(suggestions)
+        )
 
     @pytest.mark.parametrize("bias", [0.0, 0.2])
     @pytest.mark.parametrize("max_values", [10_000, None])
@@ -131,20 +137,54 @@ class TestAdapterEquivalence:
         )
         rng = np.random.default_rng(5)
         suggestions = uniform_configurations(adapter.optimizer_space, 24, rng)
-        batch = adapter.to_target_batch(suggestions)
-        scalars = [adapter.to_target(c) for c in suggestions]
-        assert_identical(batch, scalars, space)
+        assert_matches_reference(
+            adapter, suggestions, adapter.to_target_batch(suggestions)
+        )
+
+    @pytest.mark.parametrize("max_values", [None, 101])
+    @pytest.mark.parametrize("bias", [0.2, 0.25])
+    def test_band_edges(self, bias, max_values):
+        """Unprojected rows exactly on the band edges ``u = i * p`` (both
+        scales carry them exactly): ``i < m`` maps to the i-th special
+        value and ``u = m * p`` to the first regular value, as the band is
+        ``u < m * p``.  The knob with ``m`` specials has specials
+        ``0 .. m-1`` and regular values from ``m``, so both read ``i``."""
+        space = ConfigurationSpace([
+            IntegerKnob(f"m{m}", default=0, lower=0, upper=1000,
+                        special_values=tuple(range(m)))
+            for m in (1, 2, 3)
+        ])
+        adapter = LlamaTuneAdapter(
+            space, projection=None, bias=bias, max_values=max_values
+        )
+        scale = 1000 if max_values is None else max_values - 1
+        bands = [i for i in range(4) if i * bias * scale % 1 == 0]
+        opt_space = adapter.optimizer_space
+        suggestions = [
+            opt_space.configuration(
+                {name: int(i * bias * scale) for name in opt_space.names}
+            )
+            for i in bands
+        ]
+        targets = adapter.to_target_batch(suggestions)
+        assert_matches_reference(adapter, suggestions, targets)
+        for i, target in zip(bands, targets):
+            for m in range(max(i, 1), 4):
+                assert target[f"m{m}"] == i, (i, m)
 
     def test_v136_hybrid_knobs(self):
+        """v13.6 adds float hybrid knobs (the ``jit_*`` costs): projected
+        and unprojected, they keep float values, specials included."""
         space = postgres_v136_space()
-        adapter = LlamaTuneAdapter(space, projection="hesbo", seed=1)
         rng = np.random.default_rng(6)
-        suggestions = uniform_configurations(adapter.optimizer_space, 16, rng)
-        assert_identical(
-            adapter.to_target_batch(suggestions),
-            [adapter.to_target(c) for c in suggestions],
-            space,
-        )
+        for projection in ("hesbo", None):
+            adapter = LlamaTuneAdapter(space, projection=projection, seed=1)
+            suggestions = uniform_configurations(
+                adapter.optimizer_space, 16, rng
+            )
+            assert_matches_reference(
+                adapter, suggestions, adapter.to_target_batch(suggestions)
+            )
 
     def test_biasing_actually_hits_specials(self, space):
         """The sampled batch must exercise the special-value branch."""

@@ -1,4 +1,10 @@
-"""Tests for special-value biasing (paper, Section 4.1 / Figure 5)."""
+"""Tests for special-value biasing (paper, Section 4.1 / Figure 5).
+
+The fixed examples run through the biaser's matrix pass
+(:meth:`SpecialValueBiaser.from_unit_array`) on one-row unit matrices;
+``tests/adapter_reference.py`` holds the knob-by-knob definition the
+pass is pinned to.
+"""
 
 import numpy as np
 import pytest
@@ -9,6 +15,14 @@ from repro.core.biasing import SpecialValueBiaser
 from repro.space.configspace import ConfigurationSpace
 from repro.space.knob import FloatKnob, IntegerKnob
 from repro.space.postgres import postgres_v96_space
+
+
+def svb(biaser, name, unit):
+    """One knob's value from the SVB pass over a one-row unit matrix
+    (every other coordinate at 0.5)."""
+    row = np.full((1, biaser.space.dim), 0.5)
+    row[0, biaser.space.index_of(name)] = unit
+    return biaser.from_unit_array(row)[0][name]
 
 
 @pytest.fixture
@@ -26,39 +40,34 @@ def space():
 class TestSpecialValueBiaser:
     def test_low_mass_maps_to_special(self, space):
         biaser = SpecialValueBiaser(space, bias=0.2)
-        knob = space["bfa"]
-        assert biaser.value_for(knob, 0.0) == 0
-        assert biaser.value_for(knob, 0.19) == 0
+        assert svb(biaser, "bfa", 0.0) == 0
+        assert svb(biaser, "bfa", 0.19) == 0
 
     def test_above_mass_maps_to_regular_range(self, space):
         biaser = SpecialValueBiaser(space, bias=0.2)
-        knob = space["bfa"]
-        assert biaser.value_for(knob, 0.2) == 1  # start of regular range
-        assert biaser.value_for(knob, 1.0) == 256
+        assert svb(biaser, "bfa", 0.2) == 1  # start of regular range
+        assert svb(biaser, "bfa", 1.0) == 256
 
     def test_negative_special_value(self, space):
         biaser = SpecialValueBiaser(space, bias=0.2)
-        knob = space["walb"]
-        assert biaser.value_for(knob, 0.1) == -1
-        assert biaser.value_for(knob, 0.2) == 0
-        assert biaser.value_for(knob, 1.0) == 1000
+        assert svb(biaser, "walb", 0.1) == -1
+        assert svb(biaser, "walb", 0.2) == 0
+        assert svb(biaser, "walb", 1.0) == 1000
 
     def test_plain_knob_not_biased(self, space):
         biaser = SpecialValueBiaser(space, bias=0.2)
-        knob = space["plain"]
-        assert biaser.value_for(knob, 0.1) == 1  # plain min-max scaling
+        assert svb(biaser, "plain", 0.1) == 1  # plain min-max scaling
         assert not biaser.is_biased("plain")
 
     def test_zero_bias_disables(self, space):
         biaser = SpecialValueBiaser(space, bias=0.0)
-        knob = space["bfa"]
-        assert biaser.value_for(knob, 0.05) == 13  # plain scaling, no bias
+        assert svb(biaser, "bfa", 0.05) == 13  # plain scaling, no bias
 
     def test_float_hybrid_knob(self, space):
         biaser = SpecialValueBiaser(space, bias=0.2)
-        knob = space["jit"]
-        assert biaser.value_for(knob, 0.1) == -1.0
-        assert biaser.value_for(knob, 1.0) == pytest.approx(100.0)
+        special = svb(biaser, "jit", 0.1)
+        assert special == -1.0 and type(special) is float
+        assert svb(biaser, "jit", 1.0) == pytest.approx(100.0)
 
     def test_invalid_bias_rejected(self, space):
         with pytest.raises(ValueError):
@@ -79,18 +88,16 @@ class TestSpecialValueBiaser:
             [IntegerKnob("h", default=0, lower=-1, upper=99, special_values=(-1,))]
         )
         biaser = SpecialValueBiaser(space, bias=bias)
-        value = biaser.value_for(space["h"], unit)
-        space["h"].validate(value)
+        space["h"].validate(svb(biaser, "h", unit))
 
     def test_uniform_sampling_hits_special_at_expected_rate(self, space):
         """With bias p, a uniform unit sample maps to the special value with
         probability p (the Section 4.1 binomial argument)."""
         biaser = SpecialValueBiaser(space, bias=0.2)
-        knob = space["bfa"]
         rng = np.random.default_rng(0)
-        hits = sum(
-            biaser.value_for(knob, u) == 0 for u in rng.random(5000)
-        )
+        unit = np.full((5000, space.dim), 0.5)
+        unit[:, space.index_of("bfa")] = rng.random(5000)
+        hits = sum(c["bfa"] == 0 for c in biaser.from_unit_array(unit))
         assert 0.17 < hits / 5000 < 0.23
 
     def test_catalog_hybrid_knobs_all_biasable(self):
@@ -98,6 +105,8 @@ class TestSpecialValueBiaser:
         across the whole normalized range."""
         space = postgres_v96_space()
         biaser = SpecialValueBiaser(space, bias=0.2)
-        for knob in space.hybrid_knobs:
-            for unit in (0.0, 0.1, 0.2, 0.5, 0.9, 1.0):
-                knob.validate(biaser.value_for(knob, unit))
+        units = np.array([0.0, 0.1, 0.2, 0.5, 0.9, 1.0])
+        configs = biaser.from_unit_array(np.repeat(units[:, None], space.dim, 1))
+        for config in configs:
+            for knob in space.hybrid_knobs:
+                knob.validate(config[knob.name])

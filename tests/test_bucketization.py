@@ -1,70 +1,12 @@
 """Tests for search-space bucketization (paper, Section 4.2)."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.bucketization import (
-    Bucketizer,
-    bucketize_space,
-    bucketized_fraction,
-    debucketize,
-    quantize_unit,
-)
+from repro.core.bucketization import bucketize_space, bucketized_fraction
+from repro.core.pipeline import LlamaTuneAdapter
 from repro.space.configspace import ConfigurationSpace
 from repro.space.knob import CategoricalKnob, IntegerKnob
 from repro.space.postgres import postgres_v96_space
-
-
-class TestQuantizeUnit:
-    def test_grid_endpoints_preserved(self):
-        assert quantize_unit(0.0, 100) == 0.0
-        assert quantize_unit(1.0, 100) == 1.0
-
-    def test_snaps_to_grid(self):
-        assert quantize_unit(0.5004, 1001) == pytest.approx(0.5)
-
-    @given(
-        u=st.floats(0.0, 1.0, allow_nan=False),
-        k=st.integers(2, 10_000),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_idempotence_property(self, u, k):
-        """Quantizing twice equals quantizing once."""
-        once = quantize_unit(u, k)
-        assert quantize_unit(float(once), k) == pytest.approx(float(once))
-
-    @given(
-        u=st.floats(0.0, 1.0, allow_nan=False),
-        k=st.integers(2, 10_000),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_error_bound_property(self, u, k):
-        """Quantization error is at most half a grid step."""
-        assert abs(float(quantize_unit(u, k)) - u) <= 0.5 / (k - 1) + 1e-12
-
-    def test_invalid_k_rejected(self):
-        with pytest.raises(ValueError):
-            quantize_unit(0.5, 1)
-
-
-class TestBucketizer:
-    def test_vector_application(self):
-        bucketizer = Bucketizer(11)
-        out = bucketizer.apply(np.array([0.0, 0.51, 1.0]))
-        np.testing.assert_allclose(out, [0.0, 0.5, 1.0])
-
-    def test_affects_only_large_knobs(self):
-        bucketizer = Bucketizer(1000)
-        small = IntegerKnob("s", default=0, lower=0, upper=10)
-        large = IntegerKnob("l", default=0, lower=0, upper=100_000)
-        assert not bucketizer.affects(small)
-        assert bucketizer.affects(large)
-
-    def test_invalid_max_values(self):
-        with pytest.raises(ValueError):
-            Bucketizer(1)
 
 
 class TestBucketizedFraction:
@@ -79,6 +21,15 @@ class TestBucketizedFraction:
         f_small = bucketized_fraction(space, 1_000)
         f_large = bucketized_fraction(space, 1_000_000)
         assert f_small >= f_large
+
+    def test_affects_only_large_knobs(self):
+        """Only a knob with more than K unique values counts."""
+        space = ConfigurationSpace([
+            IntegerKnob("s", default=0, lower=0, upper=10),
+            IntegerKnob("l", default=0, lower=0, upper=100_000),
+        ])
+        assert bucketized_fraction(space, 1000) == 0.5
+        assert bucketized_fraction(space, 100_001) == 0.0
 
 
 class TestBucketizeSpace:
@@ -102,21 +53,35 @@ class TestBucketizeSpace:
         bucketized = bucketize_space(space, 100)
         assert bucketized.names == space.names
 
+    def test_invalid_max_values(self, space):
+        """A grid needs at least two points (K - 1 divides the index); the
+        adapter refuses a smaller K when it is built, projected or not."""
+        for max_values in (1, 0, -5):
+            with pytest.raises(ValueError, match="max_values"):
+                LlamaTuneAdapter(space, projection=None, max_values=max_values)
+            with pytest.raises(ValueError, match="max_values"):
+                LlamaTuneAdapter(space, target_dim=2, max_values=max_values)
+
     def test_debucketize_round_trip(self, space):
-        bucketized = bucketize_space(space, 100)
-        config = bucketized.partial_configuration({"big": 99, "small": 5})
-        original = debucketize(config, space, 100)
+        """An unprojected, bucketized adapter maps index knobs back onto
+        their knob's range and passes the others through."""
+        adapter = LlamaTuneAdapter(space, projection=None, bias=0.0, max_values=100)
+        config = adapter.optimizer_space.partial_configuration(
+            {"big": 99, "small": 5}
+        )
+        original = adapter.to_target(config)
         assert original["big"] == 1_000_000
         assert original["small"] == 5
         assert original["cat"] == "a"
 
     def test_debucketize_grid_spacing(self, space):
         """Adjacent indices land one grid step apart in the original range."""
-        bucketized = bucketize_space(space, 101)
+        adapter = LlamaTuneAdapter(space, projection=None, bias=0.0, max_values=101)
         values = [
-            debucketize(
-                bucketized.partial_configuration({"big": i}), space, 101
-            )["big"]
-            for i in (0, 1, 2)
+            target["big"]
+            for target in adapter.to_target_batch([
+                adapter.optimizer_space.partial_configuration({"big": i})
+                for i in (0, 1, 2)
+            ])
         ]
         assert values == [0, 10_000, 20_000]

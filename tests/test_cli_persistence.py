@@ -223,6 +223,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--buckets", "1"], "max_values"),
+            (["--projection", "none", "--buckets", "1"], "max_values"),
+            (["--buckets", "-5"], "max_values"),
+            (["--bias", "0.7"], "bias"),
+            (["--dim", "0"], "d=0"),
+            (["--dim", "91"], "d=91"),
+        ],
+        ids=["buckets-1", "unprojected-buckets-1", "buckets-negative",
+             "bias-0.7", "dim-0", "dim-91"],
+    )
+    def test_bad_adapter_arguments_are_flag_errors(self, argv, message, capsys):
+        """The adapter refuses a bad ``--buckets``/``--bias``/``--dim`` when
+        the CLI builds it, before any session runs: exit 2 with one error
+        line, not a traceback from inside the run."""
+        assert main(["--iterations", "12", "--no-plot", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
     def test_plot_output(self, capsys):
         code = main(["--workload", "ycsb-a", "--iterations", "5",
                      "--optimizer", "random"])

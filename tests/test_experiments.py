@@ -148,6 +148,23 @@ class TestResilienceFlags:
         assert flag in capsys.readouterr().err
         assert scales == []
 
+    @pytest.mark.parametrize("experiment", ["table9", "table10", "all"])
+    def test_checkpointing_refuses_the_ddpg_experiments(
+        self, experiment, scales, tmp_path, capsys
+    ):
+        """DDPG's state is outside the checkpoint contract, so checkpointing
+        an experiment with DDPG arms is an argument error (exit 2) before
+        any experiment runs, not a crash at its first DDPG arm."""
+        with pytest.raises(SystemExit) as exit_info:
+            experiments_cli.main([
+                experiment, "--scale", "quick", "--checkpoint-every", "5",
+                "--checkpoint-dir", str(tmp_path),
+            ])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "table9" in err and "table10" in err
+        assert scales == []
+
     def test_unset_flags_leave_specs_unchanged(self, scales, capsys):
         assert experiments_cli.main(["table5", "--scale", "quick"]) == 0
         (scale,) = scales

@@ -22,6 +22,14 @@ from repro.tuning.session import TuningSession
 from repro.workloads import get_workload
 
 
+def svb_values(biaser, name, units):
+    """One knob's values from the SVB pass over a unit matrix with one row
+    per value in ``units`` (every other coordinate at 0.5)."""
+    matrix = np.full((len(units), biaser.space.dim), 0.5)
+    matrix[:, biaser.space.index_of(name)] = units
+    return [config[name] for config in biaser.from_unit_array(matrix)]
+
+
 class TestMultiSpecialValueBiasing:
     """Section 4.1: 'an extension for hybrid knobs with multiple special
     values is straightforward: multiple p_i, each biasing one value.'"""
@@ -42,27 +50,22 @@ class TestMultiSpecialValueBiasing:
 
     def test_each_special_gets_its_own_band(self, space):
         biaser = SpecialValueBiaser(space, bias=0.1)
-        knob = space["multi"]
-        assert biaser.value_for(knob, 0.05) == -2
-        assert biaser.value_for(knob, 0.15) == -1
-        assert biaser.value_for(knob, 0.25) == 0
-        assert biaser.value_for(knob, 0.301) == 1  # regular range starts
-        assert biaser.value_for(knob, 1.0) == 100
+        assert svb_values(
+            biaser, "multi", [0.05, 0.15, 0.25, 0.301, 1.0]
+        ) == [-2, -1, 0, 1, 100]  # the regular range starts at 0.301
 
     def test_total_mass_scales_with_special_count(self, space):
         biaser = SpecialValueBiaser(space, bias=0.1)
         assert biaser.special_probability(space["multi"]) == pytest.approx(0.3)
 
     def test_excessive_mass_rejected(self, space):
-        biaser = SpecialValueBiaser(space, bias=0.4)  # 3 * 0.4 > 1
-        with pytest.raises(ValueError):
-            biaser.value_for(space["multi"], 0.5)
+        with pytest.raises(ValueError, match="consumes the whole range"):
+            SpecialValueBiaser(space, bias=0.4)  # 3 * 0.4 > 1
 
     def test_sampling_distribution(self, space):
         biaser = SpecialValueBiaser(space, bias=0.1)
-        knob = space["multi"]
         rng = np.random.default_rng(0)
-        values = [biaser.value_for(knob, u) for u in rng.random(6000)]
+        values = svb_values(biaser, "multi", rng.random(6000))
         for special in (-2, -1, 0):
             rate = values.count(special) / len(values)
             assert 0.07 < rate < 0.13

@@ -119,6 +119,18 @@ class TestRandomForest:
         with pytest.raises(ValueError):
             RandomForestRegressor(seed=0).fit(np.zeros((5, 2)), np.zeros(4))
 
+    @pytest.mark.parametrize(
+        "kernel", ["1", "0"], ids=["native-kernel", "numpy-fallback"]
+    )
+    def test_treeless_forest_rejected(self, kernel, monkeypatch):
+        """``n_trees < 1`` is refused when the forest is built, on both
+        paths: a treeless forest has no mean or variance to score."""
+        monkeypatch.setenv("REPRO_FOREST_KERNEL", kernel)
+        X, y = make_data(n=10)
+        for n_trees in (0, -1):
+            with pytest.raises(ValueError, match="n_trees"):
+                RandomForestRegressor(n_trees=n_trees, seed=0).fit(X, y)
+
     def test_unfitted_predict_raises(self):
         with pytest.raises(RuntimeError):
             RandomForestRegressor(seed=0).predict_mean_var(np.zeros((1, 2)))

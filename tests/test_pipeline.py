@@ -11,6 +11,8 @@ from repro.core.pipeline import (
     SubspaceAdapter,
     llamatune_adapter,
 )
+from repro.space.configspace import ConfigurationSpace
+from repro.space.knob import IntegerKnob
 from repro.space.postgres import postgres_v96_space
 from repro.space.sampling import uniform_configurations
 
@@ -148,3 +150,40 @@ class TestNoProjectionPipeline:
         config = adapter.optimizer_space.partial_configuration({"commit_delay": 999})
         target = adapter.to_target(config)
         assert target["commit_delay"] == 100_000
+
+
+class TestConstruction:
+    """Bad arguments fail when the adapter is built, not at its first
+    conversion."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(max_values=1),
+            dict(max_values=-5),
+            dict(projection=None, max_values=1),
+            dict(projection="rembo", max_values=0),
+            dict(bias=0.7),
+            dict(target_dim=0),
+            dict(target_dim=91),
+        ],
+        ids=["hesbo-k1", "hesbo-k-negative", "unprojected-k1", "rembo-k0",
+             "bias-0.7", "dim-0", "dim-91"],
+    )
+    def test_bad_arguments_rejected(self, space, kwargs):
+        with pytest.raises(ValueError):
+            LlamaTuneAdapter(space, **kwargs)
+
+    @pytest.mark.parametrize("projection", ["hesbo", None])
+    def test_bias_filling_a_range_rejected(self, projection):
+        """Three special values at p = 0.4 would take the whole range."""
+        space = ConfigurationSpace([
+            IntegerKnob("multi", default=0, lower=-2, upper=100,
+                        special_values=(-2, -1, 0)),
+            IntegerKnob("plain", default=5, lower=0, upper=10),
+        ])
+        with pytest.raises(ValueError, match="consumes the whole range"):
+            LlamaTuneAdapter(
+                space, projection=projection, target_dim=1, bias=0.4,
+                max_values=None,
+            )

@@ -1,12 +1,16 @@
-"""Property-based batch-vs-scalar round trips over *random* spaces.
+"""Property-based round trips and conversions over *random* spaces.
 
 ``tests/test_batch_equivalence.py`` pins the batch contract on hand-picked
 fixtures; this module fuzzes it: hypothesis draws arbitrary configuration
-spaces (mixed integer/float/categorical knobs, hybrid special values,
-degenerate zero-span ranges, negative bounds) and random unit matrices, and
-asserts the batch conversion paths are *exactly* the scalar paths —
-identical native values, identical types, identical configurations — plus
-the projection/biasing adapter on top.
+spaces (mixed integer/float/categorical knobs, hybrid knobs with up to
+three special values, degenerate zero-span ranges, negative bounds) and
+random unit matrices, and asserts the batch conversion paths are
+*exactly* the scalar paths — identical native values, identical types,
+identical configurations.  The LlamaTune adapter on top is pinned to the
+knob-by-knob definition in ``tests/adapter_reference.py``: both
+``to_target_batch`` and ``to_target`` (its one-row batch), for every
+adapter kind, bias and batch size, with unit coordinates on the cube's
+faces and on the special-value band edges.
 
 Everything here is equality-based, never approximate: the batch-API
 contract promises bit-identity, so any drift is a bug, not noise.
@@ -17,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adapter_reference import assert_matches_reference
 from repro.core.pipeline import LlamaTuneAdapter
 from repro.space.configspace import ConfigurationSpace
 from repro.space.knob import CategoricalKnob, FloatKnob, IntegerKnob
@@ -33,9 +38,10 @@ def integer_knobs(draw, name: str):
     specials: tuple[int, ...] = ()
     if span >= 2 and draw(st.booleans()):
         # Edge special values make the knob hybrid; include the classic
-        # "-1/0 disables the feature" shape when the range allows it.
-        pool = sorted({lower, lower + 1, upper})
-        count = draw(st.integers(1, min(2, len(pool) - 1)))
+        # "-1/0 disables the feature" shape when the range allows it, and
+        # up to three special values (Section 4.1's extension).
+        pool = sorted({lower, lower + 1, lower + 2, upper})
+        count = draw(st.integers(1, min(3, len(pool) - 1)))
         specials = tuple(pool[:count])
     default = draw(st.integers(lower, upper))
     return IntegerKnob(
@@ -164,19 +170,25 @@ class TestSpaceRoundTrips:
             assert back[name] == config[name], name
 
 
-# --- adapter round trips -----------------------------------------------------
+# --- adapter conversion ------------------------------------------------------
 
 
-def adapter_for(space, kind: str, seed: int) -> LlamaTuneAdapter:
-    if kind == "svb-only":
+ADAPTER_KINDS = (
+    "hesbo", "hesbo-bucketized", "rembo", "svb-only", "unprojected-bucketized",
+)
+
+
+def adapter_for(space, kind: str, seed: int, bias: float = 0.2) -> LlamaTuneAdapter:
+    # K - 1 = 100 puts the band edges i * p (p = 0.2, 0.3) on the grid:
+    # index 100 * u maps back to exactly u.
+    max_values = 101 if kind.endswith("bucketized") else None
+    if kind in ("svb-only", "unprojected-bucketized"):
         return LlamaTuneAdapter(
-            space, projection=None, bias=0.2, max_values=None, seed=seed
+            space, projection=None, bias=bias, max_values=max_values, seed=seed
         )
-    target_dim = min(4, space.dim)
-    max_values = 100 if kind == "hesbo-bucketized" else None
     return LlamaTuneAdapter(
-        space, projection="hesbo", target_dim=target_dim, bias=0.2,
-        max_values=max_values, seed=seed,
+        space, projection=kind.partition("-")[0], target_dim=min(4, space.dim),
+        bias=bias, max_values=max_values, seed=seed,
     )
 
 
@@ -199,6 +211,35 @@ class TestAdapterRoundTrips:
             for name in space.names:
                 assert type(b[name]) is type(s[name]), name
                 assert b[name] == s[name], name
+
+    @given(space=spaces(min_dim=2), kind=st.sampled_from(ADAPTER_KINDS),
+           bias=st.sampled_from([0.0, 0.2, 0.3]),
+           n=st.sampled_from([0, 1, 2, 7, 33]),
+           edge_share=st.sampled_from([0.0, 0.5, 1.0]),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_to_target_paths_equal_reference(
+        self, space, kind, bias, n, edge_share, seed
+    ):
+        """``to_target_batch`` and ``to_target`` both equal the reference
+        conversion, value and type.  A drawn share of the optimizer-space
+        unit coordinates sits on the cube's faces or on the band edges
+        ``i * p``, which bucketized rows carry to the target knobs
+        exactly."""
+        adapter = adapter_for(space, kind, seed, bias)
+        opt_space = adapter.optimizer_space
+        rng = np.random.default_rng(seed ^ 0x5EED)
+        unit = rng.random((n, opt_space.dim))
+        edges = np.array([0.0, 1.0, bias, 2 * bias, 3 * bias])
+        on_edge = rng.random(unit.shape) < edge_share
+        unit[on_edge] = rng.choice(edges, size=int(on_edge.sum()))
+        suggestions = opt_space.from_unit_array(unit)
+        assert_matches_reference(
+            adapter, suggestions, adapter.to_target_batch(suggestions)
+        )
+        assert_matches_reference(
+            adapter, suggestions, [adapter.to_target(c) for c in suggestions]
+        )
 
     @given(space=spaces(min_dim=2), seed=st.integers(0, 2**31 - 1))
     @SETTINGS
