@@ -357,8 +357,8 @@ def test_simulator_evaluate_batch_16(benchmark, space):
     simulator = PostgresSimulator(get_workload("tpcc"), noise_std=0.0)
     rng = np.random.default_rng(0)
     configs = uniform_configurations(space, 16, rng)
-    simulator.evaluate_batch(configs, on_crash="none")  # warm calibration
-    benchmark(simulator.evaluate_batch, configs, None, "none")
+    simulator.evaluate_batch(configs)  # warm calibration
+    benchmark(simulator.evaluate_batch, configs)
 
 
 def test_simulator_evaluate_batch_256(benchmark, space):
@@ -367,8 +367,8 @@ def test_simulator_evaluate_batch_256(benchmark, space):
     simulator = PostgresSimulator(get_workload("tpcc"), noise_std=0.0)
     rng = np.random.default_rng(0)
     configs = uniform_configurations(space, 256, rng)
-    simulator.evaluate_batch(configs, on_crash="none")  # warm calibration
-    benchmark(simulator.evaluate_batch, configs, None, "none")
+    simulator.evaluate_batch(configs)  # warm calibration
+    benchmark(simulator.evaluate_batch, configs)
 
 
 def test_trace_replay_evaluate(benchmark, tmp_path):

@@ -129,13 +129,6 @@ class SpecialValueBiaser:
     def is_biased(self, name: str) -> bool:
         return self.bias > 0.0 and name in self._hybrid_names
 
-    def special_probability(self, knob: Knob) -> float:
-        """Probability mass mapped onto special values for this knob."""
-        if not self.is_biased(knob.name):
-            return 0.0
-        specials = getattr(knob, "special_values", ())
-        return self.bias * len(specials)
-
     def from_unit_array(self, unit: np.ndarray) -> list[Configuration]:
         """The space's :meth:`~ConfigurationSpace.from_unit_array` with
         every biased knob's value taken through SVB.

@@ -22,7 +22,9 @@ runs one whole-matrix pass — batched component scores over a
 reduction, vectorized noise draws, and batched latency/metric derivation —
 and the scalar :meth:`~PostgresSimulator.evaluate` is a one-row call into
 the same pipeline, which makes batch results bit-identical to N scalar
-calls by construction.  Each simulator compiles one
+calls by construction.  ``evaluate`` raises a crash as
+:class:`~repro.dbms.errors.DbmsCrashError`; the batch entry points return
+``None`` for a crashed row.  Each simulator compiles one
 :class:`~repro.dbms.plan.EvalPlan` per row layout on first use; every pass
 fills its context through it.
 """
@@ -264,22 +266,25 @@ class PostgresSimulator:
         config: Configuration | Mapping[str, KnobValue],
         rng: np.random.Generator | None = None,
     ) -> Measurement:
-        """Run the workload once under ``config`` (a one-row batch pass).
+        """Run the workload once under ``config`` (a one-row pass).
 
         Raises:
             DbmsCrashError: If the configuration cannot be started (e.g.
                 memory over-commit).  Callers implementing the paper's
                 protocol should convert this into the ¼-of-worst penalty.
         """
-        return self._evaluate_native([config], [(rng, 1)], "raise")[0]
+        ctx, scores = self._scored([config])
+        if ctx.crashed[0]:
+            raise DbmsCrashError(ctx.crash_messages[0])
+        return self._measured(ctx, scores, [(rng, 1)])[0]
 
     def evaluate_batch(
         self,
         configs: Sequence[Configuration | Mapping[str, KnobValue]],
         rng: np.random.Generator | None = None,
-        on_crash: str = "raise",
     ) -> list[Measurement | None]:
-        """Run the workload once under each of ``N`` configurations.
+        """Run the workload once under each of ``N`` configurations;
+        ``None`` for each configuration that crashes the DBMS.
 
         One whole-matrix pass: the component models evaluate all rows at
         once, throughput is one weighted-geometric reduction, noise is one
@@ -287,38 +292,28 @@ class PostgresSimulator:
         (including the noise stream drawn from ``rng``) are bit-identical
         to calling :meth:`evaluate` sequentially — per-row noise pairs are
         drawn in row order and crashing rows draw no noise, exactly like
-        the scalar path.
+        the one-row path.  A subclass that customizes :meth:`evaluate`
+        (failure injection, real-DBMS drivers) is honored row by row, a
+        :class:`DbmsCrashError` it raises recorded as that row's ``None``.
 
         Args:
             configs: Configurations to evaluate, in order.
             rng: Optional noise stream, consumed in configuration order.
-            on_crash: ``"raise"`` propagates a
-                :class:`DbmsCrashError` for the first crashing row;
-                ``"none"`` records ``None`` for crashing configurations and
-                keeps going.
         """
-        if on_crash not in ("raise", "none"):
-            raise ValueError(f"unknown on_crash policy {on_crash!r}")
-        if type(self).evaluate is not PostgresSimulator.evaluate:
-            # A subclass customized the scalar path (failure injection,
-            # real-DBMS drivers): honor its semantics row by row instead of
-            # silently bypassing it with the native matrix pass.
-            results: list[Measurement | None] = []
-            for config in configs:
-                try:
-                    results.append(self.evaluate(config, rng=rng))
-                except DbmsCrashError:
-                    if on_crash == "raise":
-                        raise
-                    results.append(None)
-            return results
-        return self._evaluate_native(configs, [(rng, len(configs))], on_crash)
+        if type(self).evaluate is PostgresSimulator.evaluate:
+            return self._evaluate_native(configs, [(rng, len(configs))])
+        results: list[Measurement | None] = []
+        for config in configs:
+            try:
+                results.append(self.evaluate(config, rng=rng))
+            except DbmsCrashError:
+                results.append(None)
+        return results
 
     def evaluate_batch_stacked(
         self,
         configs: Sequence[Configuration | Mapping[str, KnobValue]],
         rng_blocks: Sequence[tuple[np.random.Generator | None, int]],
-        on_crash: str = "none",
     ) -> list[Measurement | None]:
         """One matrix pass over several sessions' rows, each block drawing
         its noise from its *own* stream.
@@ -331,47 +326,66 @@ class PostgresSimulator:
         positions are bit-identical to evaluating each block on its own —
         the wave scheduler's cross-session contract.  Component scores are
         row-independent (batch == N scalar calls, the PR 2 pin), so
-        stacking sessions changes no values.
+        stacking sessions changes no values.  A crashed row is ``None``.
 
-        Only ``on_crash="none"`` is supported: a raise policy is
-        ambiguous across sessions (whose exception wins?), and the wave
-        scheduler records crashes per session anyway.
+        On a subclass that customizes :meth:`evaluate` or
+        :meth:`evaluate_batch`, the blocks run as exactly those separate
+        calls, one per block, so the override is never bypassed.
         """
-        if on_crash != "none":
-            raise ValueError("evaluate_batch_stacked requires on_crash='none'")
         if sum(count for __, count in rng_blocks) != len(configs):
             raise ValueError("rng_blocks do not cover configs")
-        return self._evaluate_native(configs, rng_blocks, on_crash)
+        if self.evaluates_natively():
+            return self._evaluate_native(configs, rng_blocks)
+        results: list[Measurement | None] = []
+        start = 0
+        for rng, count in rng_blocks:
+            results += self.evaluate_batch(configs[start:start + count], rng=rng)
+            start += count
+        return results
+
+    def evaluates_natively(self) -> bool:
+        """Whether both evaluation entry points are the stock ones, so
+        the matrix pass may serve any of this simulator's rows (and the
+        wave scheduler may stack them with other sessions' rows)."""
+        cls = type(self)
+        return (
+            cls.evaluate is PostgresSimulator.evaluate
+            and cls.evaluate_batch is PostgresSimulator.evaluate_batch
+        )
 
     def _evaluate_native(
         self,
         configs: Sequence[Configuration | Mapping[str, KnobValue]],
         rng_blocks: Sequence[tuple[np.random.Generator | None, int]],
-        on_crash: str,
     ) -> list[Measurement | None]:
-        """The whole-matrix pass behind every public evaluation entry
-        point.  ``rng_blocks`` as in :meth:`evaluate_batch_stacked`; a lone
-        ``rng`` is one block covering every row, and a block without a
-        stream draws no noise."""
-        calibration = self._calibrate()
-        n = len(configs)
-        if n == 0:
+        """The whole-matrix pass behind both batch entry points
+        (``rng_blocks`` as in :meth:`evaluate_batch_stacked`; a block
+        without a stream draws no noise)."""
+        if len(configs) == 0:
             return []
+        return self._measured(*self._scored(configs), rng_blocks)
 
+    def _scored(
+        self, configs: Sequence[Configuration | Mapping[str, KnobValue]]
+    ) -> tuple[BatchEvalContext, np.ndarray]:
+        """The rows' filled context and ``(C, N)`` component scores.
+        Calibrates first, so the calibration pass compiles its plan before
+        any row does; crashing rows are flagged on the context."""
+        self._calibrate()
         ctx = self._batch_context(configs)
-        scores = self._component_scores_batch(ctx)
-        crashed = ctx.crashed
-        if on_crash == "raise" and crashed.any():
-            first = int(np.flatnonzero(crashed)[0])
-            ((rng, __),) = rng_blocks  # a raise policy has one stream
-            if rng is not None and self.noise_std > 0:
-                # Sequential semantics: the rows before the crashing one
-                # have already drawn their noise pairs by the time the
-                # exception propagates — keep the stream position identical.
-                rng.standard_normal((first, 2))
-            raise DbmsCrashError(ctx.crash_messages[first])
+        return ctx, self._component_scores_batch(ctx)
 
-        throughput = calibration * self._raw_throughput_batch(ctx.plan, scores)
+    def _measured(
+        self,
+        ctx: BatchEvalContext,
+        scores: np.ndarray,
+        rng_blocks: Sequence[tuple[np.random.Generator | None, int]],
+    ) -> list[Measurement | None]:
+        """The pass's tail over scored rows: throughput, per-block noise,
+        latency and metrics; ``None`` for each crashed row."""
+        n = ctx.n
+        crashed = ctx.crashed
+        throughput = self._calibrate() * self._raw_throughput_batch(ctx.plan, scores)
 
         noise: np.ndarray | None = None
         if self.noise_std > 0 and any(r is not None for r, __ in rng_blocks):

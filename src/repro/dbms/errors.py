@@ -6,9 +6,9 @@ from __future__ import annotations
 class DbmsError(Exception):
     """Base class for simulated-DBMS failures.
 
-    When a failure escapes the fault envelope's batch→row degradation,
-    the envelope stamps *which* row raised onto the exception:
-    ``row_index`` (position within the degraded batch) and
+    When a failure escapes the fault envelope, which evaluates a batch
+    row by row, the envelope stamps *which* row raised onto the
+    exception: ``row_index`` (position within the batch) and
     ``config_fingerprint`` (the failing configuration's 64-bit digest,
     :func:`repro.space.configspace.config_fingerprint`) — ``None`` until
     then.

@@ -1,9 +1,11 @@
 """Pluggable PostgreSQL connection seam for the live execution backend.
 
 The driver (:mod:`repro.dbms.live.driver`) talks to the server purely
-through this interface: ``connect`` (bounded retries with deterministic
-exponential backoff on an injected clock), ``restart``, ``server_running``,
-``remove_auto_conf``.  Two implementations ship:
+through this interface: ``connect`` (bounded retries with the fault
+envelope's deterministic exponential backoff, a
+:class:`~repro.tuning.faults.FaultPolicy`, on an injected clock),
+``restart``, ``server_running``, ``remove_auto_conf``.  Two
+implementations ship:
 
 * :class:`RealPg` — psycopg/psycopg2 + ``pg_ctl``, for deployments that
   actually have a PostgreSQL to tune (the driver shape of E2ETune's
@@ -32,7 +34,7 @@ import pathlib
 import subprocess
 
 from repro.dbms.errors import EvalTimeoutError, TransientEvalError
-from repro.tuning.faults import MonotonicClock, VirtualClock
+from repro.tuning.faults import FaultPolicy, MonotonicClock, VirtualClock
 
 
 class PgTransport:
@@ -41,10 +43,10 @@ class PgTransport:
     Args:
         clock: Injected time source for backoff (and, in fakes, for the
             simulated timeline the driver's phase budgets measure).
-        connect_retries: Raw-connect retries *inside* one ``connect``
-            call before it gives up with ``TransientEvalError``.
-        backoff_base / backoff_factor / backoff_max: Deterministic
-            exponential backoff between raw-connect attempts.
+        policy: Raw-connect retries *inside* one ``connect`` call
+            (``max_retries``) before it gives up with
+            ``TransientEvalError``, and the backoff between attempts
+            (:meth:`~repro.tuning.faults.FaultPolicy.backoff_delay`).
         breaker_threshold: Consecutive failed ``connect`` calls after
             which the circuit breaker opens.
     """
@@ -62,21 +64,13 @@ class PgTransport:
     def __init__(
         self,
         clock: MonotonicClock | VirtualClock | None = None,
-        connect_retries: int = 3,
-        backoff_base: float = 0.05,
-        backoff_factor: float = 2.0,
-        backoff_max: float = 5.0,
+        policy: FaultPolicy = FaultPolicy(),
         breaker_threshold: int = 5,
     ):
-        if connect_retries < 0:
-            raise ValueError("connect_retries must be >= 0")
         if breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
         self.clock = clock if clock is not None else MonotonicClock()
-        self.connect_retries = int(connect_retries)
-        self.backoff_base = float(backoff_base)
-        self.backoff_factor = float(backoff_factor)
-        self.backoff_max = float(backoff_max)
+        self.policy = policy
         self.breaker_threshold = int(breaker_threshold)
         #: Consecutive ``connect`` calls that exhausted their retries.
         self.consecutive_failures = 0
@@ -103,7 +97,7 @@ class PgTransport:
                 connection = self._raw_connect()
             except self.transient_exceptions as exc:
                 failures += 1
-                if failures > self.connect_retries:
+                if failures > self.policy.max_retries:
                     self.consecutive_failures += 1
                     if self.consecutive_failures >= self.breaker_threshold:
                         self.breaker_open = True
@@ -111,12 +105,7 @@ class PgTransport:
                         f"connect failed after {failures} attempt"
                         f"{'s' if failures > 1 else ''}: {exc}"
                     ) from exc
-                self.clock.sleep(
-                    min(
-                        self.backoff_max,
-                        self.backoff_base * self.backoff_factor ** (failures - 1),
-                    )
-                )
+                self.clock.sleep(self.policy.backoff_delay(failures))
             else:
                 self.consecutive_failures = 0
                 return connection

@@ -17,12 +17,12 @@ modes drawn from a :class:`FaultProfile`:
 **Fault-stream independence.**  Fault decisions come from a *dedicated*
 PCG64 seeded by ``(spec_token, session_seed, fault_seed)``, never from
 the evaluation-noise or optimizer streams.  With ``fault_rate = 0`` the fault
-stream is never even consulted, and because the subclassed ``evaluate``
-routes ``evaluate_batch`` through the pinned row-by-row fallback
-(batch == N scalar calls, bit-identical), a zero-rate run replays the
-stock pinned trajectories byte-for-byte.  With ``fault_rate > 0`` every
-fault lands at the same evaluations for the same key, so faulty runs are
-exactly reproducible per ``(spec, seed, fault_seed)``.
+stream is never even consulted, and because both batch entry points honor
+the subclassed ``evaluate`` row by row (batch == N scalar calls,
+bit-identical), a zero-rate run replays the stock pinned trajectories
+byte-for-byte.  With ``fault_rate > 0`` every fault lands at the same
+evaluations for the same key, so faulty runs are exactly reproducible per
+``(spec, seed, fault_seed)``.
 """
 
 from __future__ import annotations

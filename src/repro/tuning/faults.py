@@ -13,11 +13,18 @@ so those failures cost retries instead of poisoning the trajectory:
 * an attempt whose wall-clock (by the envelope's clock) exceeds the
   policy's ``timeout_seconds`` → discarded and retried;
 * a measurement carrying NaN/inf values → discarded and retried;
-* :class:`~repro.dbms.errors.DbmsCrashError` → **no** retry: the
-  configuration caused it, the paper's penalty applies (``None``);
+* a crashed row (``None`` from the batch entry point, whose one-row
+  form raises :class:`~repro.dbms.errors.DbmsCrashError`) → **no**
+  retry: the configuration caused it, the paper's penalty applies
+  (``None``);
 * retries exhausted → the :data:`EXHAUSTED` sentinel: the session
   quarantines itself (see ``TuningSession._feed_outcomes``) without
   recording an observation, because the *configuration* is innocent.
+
+There is one failure path: a batch is its rows in order, and each row is
+one retry loop whose every attempt is a one-row
+``simulator.evaluate_batch`` call.  The live backend's transport backs off
+between connection attempts with the same :class:`FaultPolicy`.
 
 Time is injected: the default :class:`MonotonicClock` wraps
 ``time.monotonic``/``time.sleep``, while tests and the fault-injection
@@ -36,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.dbms.engine import Measurement, PostgresSimulator
-from repro.dbms.errors import DbmsCrashError, DbmsError, TransientEvalError
+from repro.dbms.errors import DbmsError, TransientEvalError
 from repro.space.configspace import config_fingerprint
 
 
@@ -153,7 +160,6 @@ class FaultEnvelope:
     timeout_retries: int = 0
     corrupt_retries: int = 0
     exhausted_evaluations: int = 0
-    batch_fallbacks: int = 0
 
     def __post_init__(self) -> None:
         if self.clock is None:
@@ -164,9 +170,11 @@ class FaultEnvelope:
         simulator: PostgresSimulator,
         config,
         rng: np.random.Generator | None = None,
-        _failures: int = 0,
     ):
-        """One evaluation under the policy.
+        """One evaluation under the policy: each attempt is a one-row
+        ``simulator.evaluate_batch`` call, so a subclass's own batch
+        entry point (a bulk-RPC driver) is honored as well as its
+        ``evaluate``.
 
         Returns the :class:`Measurement`, ``None`` for a configuration
         crash (no retry — the penalty applies), or :data:`EXHAUSTED` when
@@ -175,17 +183,17 @@ class FaultEnvelope:
         unwrapped call would, so a fault-free run is byte-identical to
         running without the envelope.
         """
-        failures = _failures
+        failures = 0
         while True:
             started = self.clock.now()
             try:
-                measurement = simulator.evaluate(config, rng=rng)
-            except DbmsCrashError:
-                return None
+                (measurement,) = simulator.evaluate_batch([config], rng=rng)
             except TransientEvalError:
                 failures += 1
                 self.transient_retries += 1
             else:
+                if measurement is None:
+                    return None
                 if self.clock.now() - started > self.policy.timeout_seconds:
                     failures += 1
                     self.timeout_retries += 1
@@ -205,65 +213,20 @@ class FaultEnvelope:
         configs: Sequence,
         rng: np.random.Generator | None = None,
     ) -> list:
-        """A batch under the policy, degrading gracefully.
-
-        Simulators with a customized scalar path (fault injection,
-        real-DBMS drivers) evaluate row by row through :meth:`evaluate`,
-        each row with its own retry budget.  Stock simulators run the
-        native matrix pass; if that pass raises a transient error before
-        touching the noise stream, the batch falls back row by row, and
-        any NaN/inf row from a subclassed batch is individually re-run
-        (extra noise draws append after the batch's, in row order, so the
-        recovery is still deterministic).  Outcomes are
-        ``Measurement | None | EXHAUSTED`` per row; evaluation stops at
-        the first exhausted row (the session quarantines there).
+        """A batch under the policy: :meth:`evaluate` for each row in
+        order, each row with its own retry budget (batch == N scalar
+        calls, so a fault-free batch matches the simulator's own pass).
+        Outcomes are ``Measurement | None | EXHAUSTED`` per row;
+        evaluation stops at the first exhausted row (the session
+        quarantines there).
         """
-        if type(simulator).evaluate is not PostgresSimulator.evaluate:
-            return self._rows(simulator, configs, rng)
-        try:
-            measurements = simulator.evaluate_batch(
-                configs, rng=rng, on_crash="none"
-            )
-        except TransientEvalError:
-            # The batch entry point itself failed (e.g. a driver's bulk
-            # RPC); recover with the scalar loop, budgets per row.
-            self.batch_fallbacks += 1
-            return self._rows(simulator, configs, rng)
-        outcomes: list = []
-        for row, (config, measurement) in enumerate(zip(configs, measurements)):
-            if measurement is not None and _corrupted(measurement):
-                # Re-run just this row (first failure already spent); the
-                # extra noise draws append after the batch's, in row order.
-                self.corrupt_retries += 1
-                if 1 > self.policy.max_retries:
-                    self.exhausted_evaluations += 1
-                    outcomes.append(EXHAUSTED)
-                    break
-                self.clock.sleep(self.policy.backoff_delay(1))
-                try:
-                    measurement = self.evaluate(
-                        simulator, config, rng=rng, _failures=1
-                    )
-                except DbmsError as exc:
-                    exc.row_index = row
-                    exc.config_fingerprint = config_fingerprint(config)
-                    raise
-                if measurement is EXHAUSTED:
-                    outcomes.append(EXHAUSTED)
-                    break
-            outcomes.append(measurement)
-        return outcomes
-
-    def _rows(self, simulator, configs, rng) -> list:
         outcomes: list = []
         for row, config in enumerate(configs):
             try:
                 outcome = self.evaluate(simulator, config, rng=rng)
             except DbmsError as exc:
-                # The batch degraded to rows precisely so failures are
-                # attributable; anything the per-row envelope does not
-                # absorb (e.g. a replay trace miss) escapes stamped with
-                # the row that raised it.
+                # Anything the envelope does not absorb (e.g. a replay
+                # trace miss) escapes stamped with the row that raised it.
                 exc.row_index = row
                 exc.config_fingerprint = config_fingerprint(config)
                 raise

@@ -69,24 +69,3 @@ class KnowledgeBase:
         if self.maximize:
             return np.maximum.accumulate(values)
         return np.minimum.accumulate(values)
-
-    def worst_value(self, exclude_crashes: bool = True) -> float:
-        """Worst *measured* value so far (used for the crash penalty).
-
-        With ``exclude_crashes`` (the default) crash-penalty rows are
-        filtered out; when *every* observation so far crashed, the
-        documented fallback is the worst recorded penalty value — a
-        history of crashes must still yield a finite penalty reference
-        mid-session rather than raising from an empty reduction.  Only an
-        empty knowledge base raises.
-        """
-        if not self.observations:
-            raise RuntimeError("knowledge base is empty")
-        pool = [
-            o.value
-            for o in self.observations
-            if not (exclude_crashes and o.crashed)
-        ]
-        if not pool:  # all-crash history: fall back to the penalty values
-            pool = [o.value for o in self.observations]
-        return min(pool) if self.maximize else max(pool)

@@ -175,8 +175,6 @@ class SessionServer:
         gather_window: Seconds the batcher waits after the first pending
             ``suggest`` before running the wave, so concurrent requests
             coalesce.
-        max_wave: Upper bound on rounds per wave (excess requests roll
-            into the next wave immediately — no extra window).
         wave_threads: The threads a wave runs on; only 1 (the event
             loop's) is accepted.
 
@@ -188,13 +186,10 @@ class SessionServer:
         self,
         checkpoint_root: str | pathlib.Path | None = None,
         gather_window: float = 0.001,
-        max_wave: int = 256,
         wave_threads: int = 1,
     ):
         if gather_window < 0:
             raise ValueError("gather_window must be >= 0")
-        if max_wave < 1:
-            raise ValueError("max_wave must be >= 1")
         if wave_threads != 1:
             raise ValueError(
                 "wave_threads must be 1: waves run on the event-loop thread"
@@ -203,7 +198,6 @@ class SessionServer:
             pathlib.Path(checkpoint_root) if checkpoint_root is not None else None
         )
         self._gather_window = float(gather_window)
-        self._max_wave = int(max_wave)
         self._entries: dict[SessionKey, _Entry] = {}
         self._queue: asyncio.Queue[_SuggestRequest] | None = None
         self._batcher: asyncio.Task | None = None
@@ -492,21 +486,16 @@ class SessionServer:
     async def _batch_loop(self) -> None:
         """Gather concurrently-pending suggests into heterogeneous waves:
         block on the first request, sleep one gather window so the rest
-        of a burst arrives, then run everything queued (capped at
-        ``max_wave``; the surplus is served next iteration without
-        another window)."""
+        of a burst arrives, then run everything queued.  The wave runs
+        synchronously on the event loop, so nothing can be queued between
+        the drain and the next ``get``."""
         assert self._queue is not None
-        window_paid = False
         while True:
-            if self._queue.empty():
-                window_paid = False
-            first = await self._queue.get()
-            if self._gather_window > 0 and not window_paid:
+            batch = [await self._queue.get()]
+            if self._gather_window > 0:
                 await asyncio.sleep(self._gather_window)
-            batch = [first]
-            while not self._queue.empty() and len(batch) < self._max_wave:
+            while not self._queue.empty():
                 batch.append(self._queue.get_nowait())
-            window_paid = not self._queue.empty()
             try:
                 self._run_wave(batch)
             except BaseException as exc:

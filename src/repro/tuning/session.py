@@ -396,9 +396,7 @@ class TuningSession:
             return self._envelope.evaluate_batch(
                 self.simulator, target_configs, rng=self.rng
             )
-        return self.simulator.evaluate_batch(
-            target_configs, rng=self.rng, on_crash="none"
-        )
+        return self.simulator.evaluate_batch(target_configs, rng=self.rng)
 
     # --- feedback ------------------------------------------------------------
 

@@ -99,7 +99,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.dbms.engine import PostgresSimulator
 from repro.optimizers.acquisition import expected_improvement
 from repro.optimizers.base import PreparedSuggest
 from repro.optimizers.forest import (
@@ -158,11 +157,7 @@ class SuggestRound:
 def _member_group(session: TuningSession) -> tuple | None:
     """The session's stacked-evaluation group key (None = own dispatch)."""
     simulator = session.simulator
-    if (
-        type(simulator).evaluate is PostgresSimulator.evaluate
-        and type(simulator).evaluate_batch is PostgresSimulator.evaluate_batch
-        and session.envelope is None
-    ):
+    if simulator.evaluates_natively() and session.envelope is None:
         return simulator.stack_key()
     return None
 

@@ -252,7 +252,10 @@ def evaluate(
     on_crash: str,
 ) -> list[Measurement | None]:
     """The whole evaluation pass, with the semantics of the simulator's
-    ``evaluate_batch_stacked`` (and, with one block, ``evaluate_batch``)."""
+    ``evaluate_batch_stacked`` (and, with one block, ``evaluate_batch``)
+    under ``on_crash="none"``.  ``on_crash="raise"`` (one block) is the
+    semantics of one-row ``evaluate`` calls in row order: the rows before
+    the first crash draw their noise, then its ``DbmsCrashError``."""
     n = len(configs)
     ctx = context(simulator, configs)
     scores = component_scores(ctx)

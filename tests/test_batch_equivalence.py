@@ -20,7 +20,7 @@ from repro.dbms import engine as engine_module
 from repro.dbms.components import BATCH_COMPONENTS
 from repro.dbms.context import BatchEvalContext
 from repro.dbms.engine import PostgresSimulator
-from repro.dbms.errors import DbmsCrashError
+from repro.dbms.errors import DbmsCrashError, TransientEvalError
 from repro.dbms.hardware import C220G5
 from repro.dbms.plan import EvalPlan
 from repro.dbms.versions import V96, V136
@@ -31,6 +31,7 @@ from repro.space.knob import IntegerKnob, KnobError
 from repro.space.postgres import postgres_v96_space, postgres_v136_space
 from repro.space.sampling import uniform_configurations
 from repro.tuning.early_stopping import EarlyStoppingPolicy
+from repro.tuning.fault_injection import FaultInjectingSimulator, FaultProfile
 from repro.tuning.session import TuningSession
 from repro.workloads import get_workload
 
@@ -282,6 +283,27 @@ class TestComponentBatchEquivalence:
         assert "shared memory" in bctx.crash_messages[0]
 
 
+def _halved(measurement):
+    if measurement is None:
+        return None
+    return dataclasses.replace(measurement, throughput=measurement.throughput / 2)
+
+
+class HalvedEvaluate(PostgresSimulator):
+    """Customizes the one-row path (as failure injection and real-DBMS
+    drivers do)."""
+
+    def evaluate(self, config, rng=None):
+        return _halved(super().evaluate(config, rng=rng))
+
+
+class HalvedBatch(PostgresSimulator):
+    """Customizes only the batch entry point (a bulk-RPC driver)."""
+
+    def evaluate_batch(self, configs, rng=None):
+        return [_halved(m) for m in super().evaluate_batch(configs, rng=rng)]
+
+
 class TestSimulatorBatchEquivalence:
     def _crashing_mix(self, space, n, seed):
         """Safe (default-based) configurations with a known crasher spliced
@@ -310,9 +332,7 @@ class TestSimulatorBatchEquivalence:
         simulator = PostgresSimulator(get_workload("ycsb-a"), noise_std=0.05)
         rng = np.random.default_rng(12)
         configs = uniform_configurations(space, 12, rng)
-        batch = simulator.evaluate_batch(
-            configs, rng=np.random.default_rng(99), on_crash="none"
-        )
+        batch = simulator.evaluate_batch(configs, rng=np.random.default_rng(99))
         sequential = []
         rng2 = np.random.default_rng(99)
         for config in configs:
@@ -338,9 +358,7 @@ class TestSimulatorBatchEquivalence:
         )
         rng = np.random.default_rng(40)
         configs = uniform_configurations(space, 10, rng)
-        batch = simulator.evaluate_batch(
-            configs, rng=np.random.default_rng(41), on_crash="none"
-        )
+        batch = simulator.evaluate_batch(configs, rng=np.random.default_rng(41))
         rng2 = np.random.default_rng(41)
         for config, b in zip(configs, batch):
             try:
@@ -353,35 +371,7 @@ class TestSimulatorBatchEquivalence:
             assert b.throughput == s.throughput
             assert b.p95_latency_ms == s.p95_latency_ms
 
-    def test_raise_policy_reports_scalar_message(self, space):
-        simulator = PostgresSimulator(get_workload("tpcc"), noise_std=0.0)
-        configs, crasher = self._crashing_mix(space, 5, seed=17)
-        with pytest.raises(DbmsCrashError) as scalar_err:
-            simulator.evaluate(crasher)
-        with pytest.raises(DbmsCrashError) as batch_err:
-            simulator.evaluate_batch(configs)
-        assert str(batch_err.value) == str(scalar_err.value)
-
-    def test_raise_policy_preserves_noise_stream_position(self, space):
-        """Sequential semantics: rows before the crash draw their noise
-        pairs before the exception propagates, so a caller reusing the rng
-        afterwards sees the same stream either way."""
-        simulator = PostgresSimulator(get_workload("tpcc"), noise_std=0.05)
-        configs, __ = self._crashing_mix(space, 5, seed=18)  # crash at row 1
-        batch_rng = np.random.default_rng(77)
-        with pytest.raises(DbmsCrashError):
-            simulator.evaluate_batch(configs, rng=batch_rng)
-        scalar_rng = np.random.default_rng(77)
-        with pytest.raises(DbmsCrashError):
-            for config in configs:
-                simulator.evaluate(config, rng=scalar_rng)
-        assert batch_rng.standard_normal() == scalar_rng.standard_normal()
-
-    def test_stacked_blocks_match_per_block_calls(self, space):
-        """One stacked pass over a block with a stream (and a crashing
-        row), a block without one, and another streamed block equals one
-        ``evaluate_batch`` call per block: values and stream positions."""
-        simulator = PostgresSimulator(get_workload("tpcc"), noise_std=0.05)
+    def _assert_stacked_matches_blocks(self, simulator, space):
         configs, __ = self._crashing_mix(space, 7, seed=19)  # crash at row 1
         seeds, counts = (5, None, 6), (3, 2, 2)
 
@@ -395,7 +385,7 @@ class TestSimulatorBatchEquivalence:
         expected, start = [], 0
         for rng, count in zip(block_rngs, counts):
             expected += simulator.evaluate_batch(
-                configs[start:start + count], rng=rng, on_crash="none"
+                configs[start:start + count], rng=rng
             )
             start += count
         assert stacked[1] is None
@@ -410,25 +400,45 @@ class TestSimulatorBatchEquivalence:
             if a is not None:
                 assert a.bit_generator.state == b.bit_generator.state
 
+    def test_stacked_blocks_match_per_block_calls(self, space):
+        """One stacked pass over a block with a stream (and a crashing
+        row), a block without one, and another streamed block equals one
+        ``evaluate_batch`` call per block: values and stream positions."""
+        simulator = PostgresSimulator(get_workload("tpcc"), noise_std=0.05)
+        self._assert_stacked_matches_blocks(simulator, space)
+
+    @pytest.mark.parametrize("simulator_class", [HalvedEvaluate, HalvedBatch])
+    def test_stacked_entry_honors_overrides(self, space, simulator_class):
+        """A subclass overriding either entry point gets the same
+        per-block ``evaluate_batch`` calls from the stacked entry point,
+        not the analytical pass."""
+        simulator = simulator_class(get_workload("tpcc"), noise_std=0.05)
+        self._assert_stacked_matches_blocks(simulator, space)
+
+    def test_stacked_entry_runs_the_fault_injector(self, space):
+        """An ``evaluate`` override sits under both batch entry points: a
+        fault injector at rate 1 with a transient-only profile raises
+        from the stacked entry as from ``evaluate_batch``."""
+        simulator = FaultInjectingSimulator(
+            get_workload("tpcc"),
+            fault_rate=1.0,
+            profile=FaultProfile(transient=1, hang=0, flaky_crash=0, corrupt=0),
+        )
+        configs = [space.default_configuration()] * 3
+        with pytest.raises(TransientEvalError):
+            simulator.evaluate_batch(configs)
+        with pytest.raises(TransientEvalError):
+            simulator.evaluate_batch_stacked(configs, [(None, 2), (None, 1)])
+        assert simulator.injected["transient"] == 2
+
     def test_crash_handling_none_policy(self, space):
         simulator = PostgresSimulator(get_workload("tpcc"), noise_std=0.0)
         configs, crasher = self._crashing_mix(space, 6, seed=13)
         with pytest.raises(DbmsCrashError):
             simulator.evaluate(crasher)
-        results = simulator.evaluate_batch(configs, on_crash="none")
+        results = simulator.evaluate_batch(configs)
         assert results[1] is None
         assert all(r is not None for i, r in enumerate(results) if i != 1)
-
-    def test_crash_handling_raise_policy(self, space):
-        simulator = PostgresSimulator(get_workload("tpcc"), noise_std=0.0)
-        configs, __ = self._crashing_mix(space, 4, seed=14)
-        with pytest.raises(DbmsCrashError):
-            simulator.evaluate_batch(configs)
-
-    def test_unknown_crash_policy_rejected(self, space):
-        simulator = PostgresSimulator(get_workload("tpcc"), noise_std=0.0)
-        with pytest.raises(ValueError):
-            simulator.evaluate_batch([], on_crash="penalty")
 
     def test_v136_calibrates_against_own_space(self):
         """V136 simulators calibrate on the v13.6 catalog defaults, so the

@@ -77,8 +77,8 @@ class TestSpecialValueBiaser:
 
     def test_special_probability(self, space):
         biaser = SpecialValueBiaser(space, bias=0.2)
-        assert biaser.special_probability(space["bfa"]) == pytest.approx(0.2)
-        assert biaser.special_probability(space["plain"]) == 0.0
+        assert biaser.biased[space.index_of("bfa")].mass == pytest.approx(0.2)
+        assert space.index_of("plain") not in biaser.biased
 
     @given(unit=st.floats(0.0, 1.0, allow_nan=False), bias=st.floats(0.01, 0.4))
     @settings(max_examples=100, deadline=None)

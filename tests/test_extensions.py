@@ -56,7 +56,7 @@ class TestMultiSpecialValueBiasing:
 
     def test_total_mass_scales_with_special_count(self, space):
         biaser = SpecialValueBiaser(space, bias=0.1)
-        assert biaser.special_probability(space["multi"]) == pytest.approx(0.3)
+        assert biaser.biased[space.index_of("multi")].mass == pytest.approx(0.3)
 
     def test_excessive_mass_rejected(self, space):
         with pytest.raises(ValueError, match="consumes the whole range"):

@@ -24,6 +24,7 @@ from repro.tuning.fault_injection import FaultInjectingSimulator, FaultProfile
 from repro.tuning.faults import EXHAUSTED, FaultEnvelope, FaultPolicy, VirtualClock
 from repro.tuning.runner import SessionSpec, llamatune_factory, run_spec
 from repro.tuning.session import TuningSession
+from repro.tuning.wave import drive
 from repro.workloads import get_workload
 
 
@@ -82,11 +83,11 @@ class FlakyBatchSimulator(PostgresSimulator):
         super().__init__(*args, **kwargs)
         self.batch_calls = 0
 
-    def evaluate_batch(self, configs, rng=None, on_crash="raise"):
+    def evaluate_batch(self, configs, rng=None):
         self.batch_calls += 1
         if self.batch_calls == 1:
             raise TransientEvalError("bulk RPC reset")
-        return super().evaluate_batch(configs, rng=rng, on_crash=on_crash)
+        return super().evaluate_batch(configs, rng=rng)
 
 
 class TestFaultDeterminism:
@@ -218,17 +219,70 @@ class TestEnvelope:
                 worst = min(worst, o.value)
 
     def test_batch_fallback_matches_native_pass(self):
-        """A failing bulk entry point degrades to row-by-row evaluation
-        with identical results (batch == N scalar calls is pinned)."""
+        """The envelope evaluates through the simulator's own batch entry
+        point, one row per attempt: a bulk RPC that fails once costs one
+        transient retry of its row, and the trajectory equals the stock
+        native pass (batch == N scalar calls is pinned)."""
         workload = get_workload("ycsb-a")
         stock = make_session(PostgresSimulator(workload))
         flaky = make_session(
-            FlakyBatchSimulator(workload), fault_policy=FaultPolicy()
+            FlakyBatchSimulator(workload),
+            fault_policy=FaultPolicy(),
+            fault_clock=VirtualClock(),
         )
         a = stock.run()
         b = flaky.run()
         assert np.array_equal(a.values, b.values)
-        assert flaky.envelope.batch_fallbacks == 1
+        assert stock.rng.bit_generator.state == flaky.rng.bit_generator.state
+        assert flaky.envelope.transient_retries == 1
+        assert flaky.simulator.batch_calls == 12 + 1
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    @pytest.mark.parametrize("optimizer", ["smac", "gp-bo", "random"])
+    def test_envelope_over_stock_simulator_changes_nothing(
+        self, optimizer, workers
+    ):
+        """An envelope over the stock simulator (``fault_policy`` alone)
+        replays the plain run: values, crash rows, knob configurations
+        and both PCG64 positions, sequentially and in one wave — on a
+        crash-prone full 90-knob space."""
+        def build(seed, **kwargs):
+            spec = SessionSpec(
+                workload="tpcc", optimizer=optimizer, n_iterations=14,
+                n_init=5, **kwargs,
+            )
+            return spec.build(seed)
+
+        seeds = (1, 2)
+        plain = [build(seed) for seed in seeds]
+        wrapped = [
+            build(seed, fault_policy=FaultPolicy()) for seed in seeds
+        ]
+        for sessions in (plain, wrapped):
+            if workers is None:
+                for session in sessions:
+                    session.run()
+            else:
+                drive(sessions)
+        assert sum(
+            o.crashed for s in plain for o in s.result().knowledge_base
+        ) > 0
+        for a, b in zip(plain, wrapped):
+            assert b.envelope is not None
+            ra, rb = a.result(), b.result()
+            assert np.array_equal(ra.values, rb.values)
+            assert [
+                (o.crashed, o.optimizer_config, o.target_config)
+                for o in ra.knowledge_base
+            ] == [
+                (o.crashed, o.optimizer_config, o.target_config)
+                for o in rb.knowledge_base
+            ]
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state
+            assert (
+                a.optimizer.rng.bit_generator.state
+                == b.optimizer.rng.bit_generator.state
+            )
 
     def test_real_driver_transient_errors_are_retried(self):
         """The seam a real-DBMS driver plugs into: raise TransientEvalError

@@ -40,7 +40,12 @@ from repro.dbms.live import (
     TraceMissError,
 )
 from repro.space.configspace import Configuration, config_fingerprint
-from repro.tuning.faults import EXHAUSTED, FaultEnvelope, FaultPolicy
+from repro.tuning.faults import (
+    EXHAUSTED,
+    FaultEnvelope,
+    FaultPolicy,
+    VirtualClock,
+)
 from repro.tuning.runner import SessionSpec, run_grid, run_spec
 from repro.workloads import get_workload
 
@@ -118,7 +123,9 @@ class TestFailureMatrix:
         clean = make_driver(FakePg())
         expected = clean.evaluate(default_config(clean))
 
-        flaky = FlakyPg(script=FaultScript(drop_connects=2), connect_retries=0)
+        flaky = FlakyPg(
+            script=FaultScript(drop_connects=2), policy=FaultPolicy(max_retries=0)
+        )
         driver = make_driver(flaky)
         envelope = make_envelope(flaky)
         got = envelope.evaluate(driver, default_config(driver))
@@ -199,7 +206,7 @@ class TestFailureMatrix:
     def test_open_breaker_fast_fails_to_quarantine(self):
         flaky = FlakyPg(
             script=FaultScript(drop_connects=100),
-            connect_retries=0,
+            policy=FaultPolicy(max_retries=0),
             breaker_threshold=2,
         )
         driver = make_driver(flaky)
@@ -212,6 +219,44 @@ class TestFailureMatrix:
             flaky.connect()
         assert flaky.connect_attempts == attempts_at_open
 
+    def test_connect_backs_off_on_the_policy_schedule(self):
+        """The transport retries and backs off with the envelope's
+        ``FaultPolicy``: three dropped connects cost exactly the policy's
+        first three delays on the virtual clock, and the breaker still
+        opens at its threshold."""
+        policy = FaultPolicy(
+            max_retries=3, backoff_base=0.5, backoff_factor=3.0, backoff_max=2.0
+        )
+        schedule = sum(policy.backoff_delay(k) for k in (1, 2, 3))
+        clock = VirtualClock()
+        flaky = FlakyPg(
+            script=FaultScript(drop_connects=3),
+            policy=policy,
+            clock=clock,
+            connect_seconds=0.0,
+        )
+        flaky.connect()
+        assert flaky.connect_attempts == 4
+        assert clock.now() == schedule == 4.0
+
+        clock = VirtualClock()
+        dead = FlakyPg(
+            script=FaultScript(drop_connects=100),
+            policy=policy,
+            breaker_threshold=2,
+            clock=clock,
+            connect_seconds=0.0,
+        )
+        for __ in range(2):
+            with pytest.raises(TransientEvalError, match="after 4 attempts"):
+                dead.connect()
+        assert dead.breaker_open
+        assert dead.connect_attempts == 8
+        assert clock.now() == 2 * schedule
+        with pytest.raises(TransientEvalError, match="breaker"):
+            dead.connect()
+        assert dead.connect_attempts == 8
+
     def test_chaos_rate_is_reproducible_per_key(self):
         def run(fault_seed):
             flaky = FlakyPg(
@@ -219,7 +264,7 @@ class TestFailureMatrix:
                 spec_token=12345,
                 session_seed=7,
                 fault_seed=fault_seed,
-                connect_retries=1,
+                policy=FaultPolicy(max_retries=1),
             )
             driver = make_driver(flaky)
             envelope = make_envelope(flaky, max_retries=5)

@@ -155,12 +155,14 @@ def test_plan_pass_matches_reference(
     stream = int(rng.integers(2**31))
     got_rng = np.random.default_rng(stream)
     want_rng = np.random.default_rng(stream)
-    if entry == "raise" and n == 1:
-        got, got_error = run(lambda: [simulator.evaluate(rows[0], rng=got_rng)])
-    else:
+    if entry == "raise":
+        # One-row calls in order, stopping at the first crash: the
+        # reference's raise policy.
         got, got_error = run(
-            lambda: simulator.evaluate_batch(rows, rng=got_rng, on_crash=entry)
+            lambda: [simulator.evaluate(row, rng=got_rng) for row in rows]
         )
+    else:
+        got, got_error = run(lambda: simulator.evaluate_batch(rows, rng=got_rng))
     want, want_error = run(
         lambda: sim_reference.evaluate(simulator, rows, [(want_rng, n)], entry)
     )

@@ -118,25 +118,6 @@ class TestKnowledgeBase:
         np.testing.assert_array_equal(kb.best_so_far(), [3, 1, 1])
         assert kb.best_value() == 1.0
 
-    def test_worst_value_excludes_crashes(self):
-        kb = KnowledgeBase(maximize=True)
-        kb.record(self._obs(0, 10.0))
-        kb.record(self._obs(1, 0.5, crashed=True))
-        assert kb.worst_value() == 10.0
-
-    def test_worst_value_all_crash_falls_back_to_penalties(self):
-        # A history that is 100% crashes used to hit min()/max() of an
-        # empty pool; the penalty values are the only signal left, so
-        # worst_value falls back to them instead of raising.
-        kb = KnowledgeBase(maximize=True)
-        kb.record(self._obs(0, 8.0, crashed=True))
-        kb.record(self._obs(1, 2.0, crashed=True))
-        assert kb.worst_value(exclude_crashes=True) == 2.0
-        low = KnowledgeBase(maximize=False)
-        low.record(self._obs(0, 8.0, crashed=True))
-        low.record(self._obs(1, 2.0, crashed=True))
-        assert low.worst_value(exclude_crashes=True) == 8.0
-
     def test_empty_kb_raises(self):
         with pytest.raises(RuntimeError, match="knowledge base is empty"):
             KnowledgeBase().best_value()

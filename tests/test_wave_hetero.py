@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.dbms.live import FakePg, FlakyPg
 from repro.tuning.early_stopping import EarlyStoppingPolicy
+from repro.tuning.faults import FaultPolicy
 from repro.tuning.runner import SessionSpec, llamatune_factory, run_spec
 from repro.tuning.wave import run_wave_mixed
 
@@ -204,7 +205,7 @@ class _FlakyAfterWarmup(FlakyPg):
     default evaluation succeeds); deterministic per build."""
 
     def __init__(self):
-        super().__init__(connect_retries=0)
+        super().__init__(policy=FaultPolicy(max_retries=0))
         self._connects = 0
 
     def _raw_connect(self):
